@@ -35,6 +35,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -71,6 +72,7 @@ from .magnus import (
     bch_orders,
     exact_effective,
     fm_general,
+    is_binary_drive,
     van_vleck_orders,
 )
 from .models import ModelParams, analytic_reference, build_model
@@ -326,7 +328,7 @@ class RunConfig:
                 f"'{FLAVOR_VAN_VLECK}', got {flavor!r}"
             )
         self.flavor = flavor
-        binary = self.params is not None or self._custom_is_binary()
+        binary = self.params is not None or is_binary_drive(self.custom_drive)
         orders_value = raw.get("orders", [0, 1, 2])
         if args.order is not None:
             if not 0 <= args.order <= 3:
@@ -380,14 +382,6 @@ class RunConfig:
         _check_keys(section, allowed, key)
         return section
 
-    def _custom_is_binary(self) -> bool:
-        drive = self.custom_drive
-        if drive is None or len(drive.segments) != 2:
-            return False
-        tau1 = drive.segments[0].duration
-        tau2 = drive.segments[1].duration
-        return abs(tau1 - tau2) <= 1e-12 * max(tau1, tau2)
-
     def drive(self, params: ModelParams | None = None) -> PiecewiseLiouvillian:
         if self.custom_drive is not None:
             return self.custom_drive
@@ -397,7 +391,7 @@ class RunConfig:
         max_order = max(self.orders)
         if self.flavor == FLAVOR_VAN_VLECK:
             return van_vleck_orders(drive, max_order, m_max=self.m_max)
-        if len(drive.segments) == 2:
+        if is_binary_drive(drive):
             return bch_orders(drive, max_order)
         return fm_general(drive, max_order)
 
@@ -506,16 +500,7 @@ def cmd_analyze(config: RunConfig) -> str:
 
 
 def _scan_point(config: RunConfig, parameter: str, value: float) -> list[str]:
-    base = config.params
-    kwargs = {
-        "name": base.name,
-        "tau": base.tau,
-        "num_sites": base.num_sites,
-    }
-    for field_name in _MODEL_FIELDS:
-        kwargs[field_name] = getattr(base, field_name)
-    kwargs[parameter] = value
-    params = ModelParams(**kwargs)
+    params = replace(config.params, **{parameter: value})
     expansion = config.expansion(build_model(params))
     rows = []
     for order in config.orders:
@@ -571,14 +556,7 @@ def cmd_scan(config: RunConfig) -> str:
 
 
 def _fit_point(config: RunConfig, product: float) -> float:
-    base = config.params
-    params = ModelParams(
-        name="C",
-        tau=base.tau,
-        num_sites=base.num_sites,
-        jz=product / base.tau,
-        gamma=base.gamma,
-    )
+    params = replace(config.params, jz=product / config.params.tau)
     expansion = bch_orders(build_model(params), 2)
     dissipator = extract_dissipator(
         expansion.cumulative(2), weight_limit=config.weight_limit
@@ -663,12 +641,7 @@ def _compare_point(
 ) -> tuple[list[float | None], bool]:
     """Residuals per requested order at one scaled period, and whether
     the exact logarithm failed on a branch ambiguity."""
-    base = config.params
-    kwargs = {"name": base.name, "tau": tau_scale, "num_sites": base.num_sites}
-    for field_name in _MODEL_FIELDS:
-        kwargs[field_name] = getattr(base, field_name)
-    params = ModelParams(**kwargs)
-    drive = build_model(params)
+    drive = build_model(replace(config.params, tau=tau_scale))
     expansion = config.expansion(drive)
     try:
         exact = exact_effective(drive)

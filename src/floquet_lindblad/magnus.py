@@ -34,6 +34,15 @@ odd under the Hermiticity adjoint and therefore maps Hermitian matrices
 to anti-Hermitian ones whenever it is nonzero. For a binary drive every
 ``L_m`` with ``m != 0`` is proportional to ``L_2 - L_1``, so the
 first-order van Vleck term vanishes identically there.
+
+Both first orders are one sum over segment pairs,
+``sum_{a > b} W_ab [L_a, L_b]``, with each commutator formed once. The
+stroboscopic weights are ``tau_a tau_b / 2T``. Every harmonic is a scalar
+combination ``L_m = sum_s c_s(m) L_s`` of the segment generators, so the
+van Vleck weights are
+``sum_{m <= m_max} 2 Im(conj(c_a(m)) c_b(m)) / (m omega)`` and the cutoff
+costs scalar work only. The dense :func:`fourier_component` is kept as
+the public reference the tests check this sum against.
 """
 
 from __future__ import annotations
@@ -107,21 +116,44 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _binary_segments(drive: PiecewiseLiouvillian) -> tuple[float, np.ndarray, np.ndarray]:
+def is_binary_drive(drive: PiecewiseLiouvillian) -> bool:
+    """Whether the closed-form orders of :func:`bch_orders` apply: the
+    drive has exactly two segments of equal duration."""
     if len(drive.segments) != 2:
-        raise DimensionMismatchError(
-            "closed-form orders need a binary drive with exactly two "
-            f"segments, got {len(drive.segments)}"
-        )
-    tau1 = drive.segments[0].duration
-    tau2 = drive.segments[1].duration
-    if abs(tau1 - tau2) > 1e-12 * max(tau1, tau2):
-        raise DimensionMismatchError(
-            "closed-form orders need equal segment durations, got "
-            f"{tau1} and {tau2}"
-        )
-    first, second = drive.segment_superops
-    return tau1, first.matrix, second.matrix
+        return False
+    tau1, tau2 = (segment.duration for segment in drive.segments)
+    return abs(tau1 - tau2) <= 1e-12 * max(tau1, tau2)
+
+
+def _segment_coefficients(drive: PiecewiseLiouvillian, m: int) -> np.ndarray:
+    """The weights ``c_s(m)`` of ``L_m = sum_s c_s(m) L_s``, one per
+    segment, as given in :func:`fourier_component`."""
+    period = drive.period
+    if m == 0:
+        return np.array([seg.duration for seg in drive.segments]) / period
+    start, end = np.array(drive.segment_windows).T
+    return (1j / (2.0 * np.pi * m)) * (
+        np.exp(-2j * np.pi * m * end / period)
+        - np.exp(-2j * np.pi * m * start / period)
+    )
+
+
+def _harmonic(drive: PiecewiseLiouvillian, m: int) -> np.ndarray:
+    """The dense Fourier component ``L_m = sum_s c_s(m) L_s``."""
+    pairs = zip(_segment_coefficients(drive, m), drive.segment_superops)
+    return sum(c * superop.matrix for c, superop in pairs)
+
+
+def _pair_sums(drive: PiecewiseLiouvillian, weights: np.ndarray) -> np.ndarray:
+    """``sum_{a > b} weights[k, a, b] [L_a, L_b]`` for every row ``k``,
+    forming each segment commutator once."""
+    matrices = [s.matrix for s in drive.segment_superops]
+    sums = np.zeros((len(weights),) + matrices[0].shape, dtype=complex)
+    for a in range(len(matrices)):
+        for b in range(a):
+            commutator = _commutator(matrices[a], matrices[b])
+            sums += weights[:, a, b, None, None] * commutator
+    return sums
 
 
 def bch_orders(
@@ -139,7 +171,13 @@ def bch_orders(
         raise UnsupportedOrderError(
             f"closed-form orders cover 0..3, got {max_order}"
         )
-    tau, first, second = _binary_segments(drive)
+    if not is_binary_drive(drive):
+        durations = [segment.duration for segment in drive.segments]
+        raise DimensionMismatchError(
+            f"closed-form orders need two equal durations, got {durations}"
+        )
+    tau = drive.segments[0].duration
+    first, second = (s.matrix for s in drive.segment_superops)
     inner = _commutator(second, first)
     terms = [0.5 * (first + second)]
     if max_order >= 1:
@@ -163,23 +201,11 @@ def fm_general(
         raise UnsupportedOrderError(
             f"general piecewise orders cover 0..1, got {max_order}"
         )
-    period = drive.period
-    matrices = [s.matrix for s in drive.segment_superops]
-    durations = [seg.duration for seg in drive.segments]
-    zero = sum(
-        tau * mat for tau, mat in zip(durations, matrices)
-    ) / period
-    terms = [zero]
+    terms = [_harmonic(drive, 0)]
     if max_order >= 1:
-        first = np.zeros_like(zero)
-        for a in range(len(matrices)):
-            for b in range(a):
-                first += (
-                    durations[a]
-                    * durations[b]
-                    * _commutator(matrices[a], matrices[b])
-                )
-        terms.append(first / (2.0 * period))
+        durations = np.array([seg.duration for seg in drive.segments])
+        weights = np.outer(durations, durations) / (2.0 * drive.period)
+        terms.append(_pair_sums(drive, weights[None])[0])
     superops = tuple(Superoperator(t, drive.dim) for t in terms)
     return EffectiveExpansion(FLAVOR_STROBOSCOPIC, superops, drive)
 
@@ -194,20 +220,7 @@ def fourier_component(drive: PiecewiseLiouvillian, m: int) -> Superoperator:
 
     for ``m != 0``, and to the duration-weighted average for ``m = 0``.
     """
-    period = drive.period
-    if m == 0:
-        return fm_general(drive, 0).term(0)
-    total = np.zeros((drive.dim**2, drive.dim**2), dtype=complex)
-    prefactor = 1j / (2.0 * np.pi * m)
-    for (start, end), superop in zip(
-        drive.segment_windows, drive.segment_superops
-    ):
-        weight = prefactor * (
-            np.exp(-2j * np.pi * m * end / period)
-            - np.exp(-2j * np.pi * m * start / period)
-        )
-        total += weight * superop.matrix
-    return Superoperator(total, drive.dim)
+    return Superoperator(_harmonic(drive, m), drive.dim)
 
 
 def van_vleck_orders(
@@ -225,20 +238,23 @@ def van_vleck_orders(
         )
     if m_max < 1:
         raise UnsupportedOrderError(f"m_max must be positive, got {m_max}")
-    terms = [fourier_component(drive, 0).matrix]
+    terms = [_harmonic(drive, 0)]
     tail_estimate: float | None = None
     if max_order >= 1:
-        omega = 2.0 * np.pi / drive.period
-        first = np.zeros_like(terms[0])
-        last_norms = [0.0, 0.0]
-        for m in range(1, m_max + 1):
-            plus = fourier_component(drive, m).matrix
-            minus = fourier_component(drive, -m).matrix
-            term = _commutator(minus, plus) / (1j * m * omega)
-            first += term
-            last_norms = [last_norms[1], float(np.linalg.norm(term))]
+        harmonics = np.arange(1, m_max + 1)
+        c = np.array([_segment_coefficients(drive, m) for m in harmonics])
+        # w[m - 1, a, b] = w_ab(m), the weight of [L_a, L_b] in harmonic m.
+        w = (
+            2.0
+            * np.imag(c.conj()[:, :, None] * c[:, None, :])
+            / (harmonics * 2.0 * np.pi / drive.period)[:, None, None]
+        )
+        # The truncated sum, then the last (at most two) harmonic terms.
+        first, *tail = _pair_sums(
+            drive, np.concatenate([w.sum(axis=0)[None], w[-2:]])
+        )
         terms.append(first)
-        tail_estimate = 2.0 * max(last_norms)
+        tail_estimate = 2.0 * max(float(np.linalg.norm(t)) for t in tail)
     superops = tuple(Superoperator(t, drive.dim) for t in terms)
     return EffectiveExpansion(
         FLAVOR_VAN_VLECK, superops, drive, tail_estimate=tail_estimate

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from floquet_lindblad import (
+    PAULI,
+    HamiltonianTerm,
+    JumpTerm,
+    LindbladSegment,
     ModelParams,
+    PiecewiseLiouvillian,
     analytic_reference,
     bch_orders,
     build_model,
     extract_dissipator,
+    fm_general,
     psd_report,
 )
 from floquet_lindblad.cli import CSV_HEADER, main
@@ -637,6 +643,52 @@ def test_custom_drive_matches_named_model(tmp_path, capsys):
         custom_doc["orders"], sort_keys=True
     )
     assert named_doc["tail_estimate"] == custom_doc["tail_estimate"]
+
+
+def test_custom_two_segment_drive_with_unequal_durations(tmp_path, capsys):
+    """Two segments of unequal duration are not a binary drive: the
+    stroboscopic first order comes from the general piecewise formula."""
+    sigma3 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    sigma1 = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    document = {
+        "schema_version": 1,
+        "model": {
+            "name": "custom",
+            "num_sites": 1,
+            "segments": [
+                {
+                    "duration": 0.1,
+                    "hamiltonian_terms": [
+                        {"matrix": sigma3, "sites": [0]}
+                    ],
+                },
+                {
+                    "duration": 0.15,
+                    "jump_terms": [
+                        {"rate": 1.0, "matrix": sigma1, "sites": [0]}
+                    ],
+                },
+            ],
+        },
+        "flavor": "fm",
+        "orders": [0, 1],
+    }
+    config = write_config(tmp_path, document)
+    code, out, err = run_cli(capsys, ["analyze", "--config", config])
+    assert code == 0 and err == ""
+    drive = PiecewiseLiouvillian(
+        (
+            LindbladSegment(0.1, (HamiltonianTerm(PAULI[3], (0,)),), ()),
+            LindbladSegment(0.15, (), (JumpTerm(1.0, PAULI[1], (0,)),)),
+        ),
+        num_sites=1,
+    )
+    dissipator = extract_dissipator(fm_general(drive, 1).term(1))
+    term = json.loads(out)["orders"][1]["term"]
+    assert term["trace"] == pytest.approx(dissipator.trace(), abs=1e-14)
+    assert term["min_eigenvalue"] == pytest.approx(
+        psd_report(dissipator).min_eigenvalue, abs=1e-14
+    )
 
 
 def test_custom_drive_validation(tmp_path, capsys):

@@ -16,6 +16,8 @@ from floquet_lindblad import (
     canonical_decomposition,
     extract_dissipator,
     extract_hamiltonian,
+    is_hermiticity_preserving,
+    is_trace_preserving,
     lindblad_form_superop,
     liouvillian_superop,
     per_order_checks,
@@ -130,6 +132,23 @@ def test_extraction_rejects_non_candidates():
     matrix = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(NotLindbladCandidateError):
         extract_dissipator(Superoperator(matrix, 2))
+
+
+def test_extraction_rejects_commutator_without_its_factor_i():
+    """``kron(H, I) - kron(I, H^T)`` is trace preserving but maps
+    Hermitian matrices to anti-Hermitian ones, so both the Hermiticity
+    predicate and the extraction reject it."""
+    rng = np.random.default_rng(71)
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    hamiltonian = raw + raw.conj().T
+    identity = np.eye(4)
+    superop = Superoperator(
+        np.kron(hamiltonian, identity) - np.kron(identity, hamiltonian.T), 4
+    )
+    assert is_trace_preserving(superop)
+    assert not is_hermiticity_preserving(superop)
+    with pytest.raises(NotLindbladCandidateError, match="Hermiticity"):
+        extract_dissipator(superop)
 
 
 def test_hamiltonian_extraction_duty_cycle_average():

@@ -274,6 +274,39 @@ def test_kick_free_first_order_matches_kick_transformation():
     assert np.linalg.norm(kick_free.matrix - expected) <= 1e-2 * scale
 
 
+def test_kick_free_first_order_matches_fourier_loop():
+    """The segment-pair sum equals the explicit harmonic loop over dense
+    Fourier components, term and tail estimate, on a drive with three
+    unequal segments."""
+    bond = HamiltonianTerm(np.kron(PAULI[3], PAULI[3]), (0, 1))
+    field = HamiltonianTerm(0.7 * PAULI[1], (0,))
+    drive = PiecewiseLiouvillian(
+        (
+            LindbladSegment(0.1, (bond,), ()),
+            LindbladSegment(0.15, (field,), ()),
+            LindbladSegment(0.2, (), (JumpTerm(0.5, PAULI[2], (1,)),)),
+        ),
+        num_sites=2,
+    )
+    omega = 2.0 * np.pi / drive.period
+    for m_max in (1, 2, 37):
+        expected = np.zeros_like(fourier_component(drive, 0).matrix)
+        last_norms = [0.0, 0.0]
+        for m in range(1, m_max + 1):
+            term = commutator(
+                fourier_component(drive, -m).matrix,
+                fourier_component(drive, m).matrix,
+            ) / (1j * m * omega)
+            expected += term
+            last_norms = [last_norms[1], np.linalg.norm(term)]
+        expansion = van_vleck_orders(drive, max_order=1, m_max=m_max)
+        difference = np.linalg.norm(expansion.term(1).matrix - expected)
+        assert difference <= 1e-12 * np.linalg.norm(expected)
+        assert expansion.tail_estimate == pytest.approx(
+            2.0 * max(last_norms), rel=1e-12
+        )
+
+
 def test_kick_free_input_validation():
     """Unsupported orders and cutoffs are rejected."""
     with pytest.raises(UnsupportedOrderError):
