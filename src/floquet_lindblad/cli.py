@@ -58,13 +58,14 @@ from .lindblad import (
 from .liouvillianity import (
     TRACE_TOL,
     VALIDATION_TOL,
+    Decomposition,
+    PerOrderCheck,
+    decompose,
     extract_dissipator,
-    extract_hamiltonian,
-    per_order_checks,
     psd_report,
     roundtrip_residual,
 )
-from .locality import block_partition, coefficient_bound_check
+from .locality import certify, coefficient_bounds
 from .magnus import (
     DEFAULT_M_MAX,
     FLAVOR_STROBOSCOPIC,
@@ -417,15 +418,10 @@ def _worker_count() -> int:
 
 
 def _cumulative_record(
-    config: RunConfig,
-    cumulative: Superoperator,
-    with_roundtrip: bool,
+    config: RunConfig, cumulative: Superoperator, decomposition: Decomposition
 ) -> dict:
-    dissipator = extract_dissipator(
-        cumulative, weight_limit=config.weight_limit
-    )
-    report = psd_report(dissipator, tol_psd=config.tol_psd)
-    structure = block_partition(dissipator)
+    dissipator = decomposition.dissipator.restricted(config.weight_limit)
+    report, structure = certify(dissipator, tol_psd=config.tol_psd)
     record = {
         "spectrum": [float(v) for v in report.eigenvalues],
         "min_eigenvalue": report.min_eigenvalue,
@@ -443,39 +439,48 @@ def _cumulative_record(
                 for block in structure.blocks
             ],
         },
+        "roundtrip_residual": None,
     }
-    if with_roundtrip and config.weight_limit is None:
-        hamiltonian = extract_hamiltonian(
-            cumulative, dissipator, validate=False
-        )
+    if config.weight_limit is None:
         record["roundtrip_residual"] = roundtrip_residual(
-            cumulative, hamiltonian, dissipator
+            cumulative, decomposition.hamiltonian, decomposition.dissipator
         )
-    else:
-        record["roundtrip_residual"] = None
     return record
 
 
 def cmd_analyze(config: RunConfig) -> str:
-    """Build the JSON certification report for one drive."""
+    """Build the JSON certification report for one drive.
+
+    Every order term is decomposed once; the cumulative decompositions
+    are their running sums.
+    """
     drive = config.drive()
     expansion = config.expansion(drive)
-    checks = per_order_checks(expansion, weight_limit=config.weight_limit)
     order_records = []
-    for order in config.orders:
-        check = checks[order]
-        record = {
-            "order": order,
-            "cumulative": _cumulative_record(
-                config, expansion.cumulative(order), with_roundtrip=True
-            ),
-            "term": {
-                "trace": check.trace,
-                "trace_ok": check.trace_ok,
-                "min_eigenvalue": check.report.min_eigenvalue,
-            },
-        }
-        order_records.append(record)
+    max_abs = []
+    cumulative = None
+    for order in range(expansion.max_order + 1):
+        term = decompose(expansion.term(order))
+        cumulative = term if cumulative is None else cumulative + term
+        max_abs.append(term.dissipator.max_abs())
+        if order not in config.orders:
+            continue
+        check = PerOrderCheck.of(
+            order, term.dissipator.restricted(config.weight_limit)
+        )
+        order_records.append(
+            {
+                "order": order,
+                "cumulative": _cumulative_record(
+                    config, expansion.cumulative(order), cumulative
+                ),
+                "term": {
+                    "trace": check.trace,
+                    "trace_ok": check.trace_ok,
+                    "min_eigenvalue": check.report.min_eigenvalue,
+                },
+            }
+        )
     try:
         bound_checks = [
             {
@@ -484,7 +489,7 @@ def cmd_analyze(config: RunConfig) -> str:
                 "bound": check.bound,
                 "ok": check.ok,
             }
-            for check in coefficient_bound_check(expansion)
+            for check in coefficient_bounds(drive, max_abs)
             if check.order in config.orders
         ]
     except SupportsUndeclaredError:

@@ -108,6 +108,82 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
+def _checked_hermitian(matrix: np.ndarray, rtol: float) -> np.ndarray:
+    """``matrix`` as a complex array, after checking that it is Hermitian
+    to within ``rtol`` relative to its largest entry."""
+    arr = np.asarray(_require_square(matrix), dtype=complex)
+    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+    defect = hermiticity_defect(arr)
+    if scale > 0.0 and defect > rtol * scale:
+        raise HermiticityError(
+            f"matrix deviates from Hermiticity by {defect:.3e} "
+            f"(limit {rtol * scale:.3e})"
+        )
+    return arr
+
+
+def coupled_components(
+    matrix: np.ndarray, tol: float
+) -> tuple[tuple[np.ndarray, ...], float]:
+    """Connected components of the graph whose edges are the entries of
+    ``matrix`` above ``tol`` in magnitude.
+
+    Indices without any such entry (in their row or column) belong to no
+    component. Each component is an ascending array of positions, and
+    the components come back ordered by their first position.
+
+    :return: ``(components, delta)``, where ``delta`` is the largest
+        absolute row sum of the entries outside the diagonal blocks of
+        the components. For a Hermitian matrix, Weyl's inequality puts
+        every eigenvalue of the block-diagonal part within ``delta`` of
+        the corresponding eigenvalue of ``matrix``.
+    """
+    magnitudes = np.abs(_require_square(matrix))
+    adjacency = magnitudes > tol
+    adjacency |= adjacency.T
+    in_support = np.any(adjacency, axis=1)
+    visited = ~in_support
+    components = []
+    for start in np.nonzero(in_support)[0]:
+        if visited[start]:
+            continue
+        visited[start] = True
+        stack = [start]
+        component = []
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for neighbor in np.nonzero(adjacency[node] & ~visited)[0]:
+                visited[neighbor] = True
+                stack.append(neighbor)
+        positions = np.array(sorted(component), dtype=np.int64)
+        magnitudes[np.ix_(positions, positions)] = 0.0
+        components.append(positions)
+    delta = float(np.max(np.sum(magnitudes, axis=1))) if magnitudes.size else 0.0
+    return tuple(components), delta
+
+
+def block_eigenvalues(
+    matrix: np.ndarray,
+    components: tuple[np.ndarray, ...],
+    rtol: float = HERMITICITY_RTOL,
+) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues of the principal blocks ``matrix[c, c]``.
+
+    Hermiticity is checked once, for the whole matrix at its largest
+    entry (as :func:`herm_eigs` does), so a block of small entries is
+    never judged on its own scale; each block of the Hermitian part is
+    then solved on its own.
+
+    :raises HermiticityError: if the Hermiticity check fails.
+    """
+    arr = _checked_hermitian(matrix, rtol)
+    blocks = (arr[np.ix_(positions, positions)] for positions in components)
+    return tuple(
+        np.linalg.eigvalsh(0.5 * (block + block.conj().T)) for block in blocks
+    )
+
+
 def herm_eigs(
     matrix: np.ndarray, rtol: float = HERMITICITY_RTOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,16 +200,8 @@ def herm_eigs(
     :return: ``(eigenvalues, eigenvectors)`` with eigenvectors in columns.
     :raises HermiticityError: if the Hermiticity check fails.
     """
-    arr = _require_square(matrix).astype(complex)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    defect = hermiticity_defect(arr)
-    if scale > 0.0 and defect > rtol * scale:
-        raise HermiticityError(
-            f"matrix deviates from Hermiticity by {defect:.3e} "
-            f"(limit {rtol * scale:.3e})"
-        )
-    sym = 0.5 * (arr + arr.conj().T)
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
+    arr = _checked_hermitian(matrix, rtol)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     eigenvectors = eigenvectors.copy()
     for col in range(eigenvectors.shape[1]):
         vec = eigenvectors[:, col]

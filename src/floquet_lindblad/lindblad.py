@@ -355,15 +355,15 @@ def lindblad_form_superop(
 
     # Two-sided part: sum_jk a_jk F_j x conj(F_k). In the doubled-space
     # Pauli basis the coefficient of F_j x F_k is a_jk * (-1)^(#2s in k)
-    # because conj(F_k) = (-1)^(#2s) F_k.
+    # because conj(F_k) = (-1)^(#2s) F_k. Only the nonzero entries are
+    # placed, so no (n, n) index temporaries are built.
     two_counts = code_two_counts(num_sites)
     doubled = np.zeros(4 ** (2 * num_sites), dtype=complex)
-    signs = (-1.0) ** two_counts[codes]
-    doubled_codes = (codes[:, None] << (2 * num_sites)) + codes[None, :]
+    rows, cols = np.nonzero(entries)
     np.add.at(
         doubled,
-        doubled_codes.reshape(-1),
-        (entries * signs[None, :]).reshape(-1),
+        (codes[rows] << (2 * num_sites)) + codes[cols],
+        entries[rows, cols] * (-1.0) ** two_counts[codes[cols]],
     )
     two_sided = matrix_from_pauli_coefficients(doubled, 2 * num_sites)
 

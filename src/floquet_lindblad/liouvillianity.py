@@ -24,15 +24,21 @@ When the expansion order ``n`` and drive locality ``k`` are known, the
 locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
 ``weight_limit`` prunes the index set accordingly and zeroes entries
 beyond the cap.
+
+Both ``a_jk`` and ``h_j`` are linear in ``S``: :func:`decompose` gets
+both from one Pauli transform, and the decompositions of summands add.
+Positive semidefiniteness is certified block by block, over the
+connected components of ``[a_jk]`` (:func:`psd_report`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import herm_eigs
+from .core import block_eigenvalues, coupled_components, herm_eigs
 from .errors import (
     DecompositionInconsistencyError,
     DimensionMismatchError,
@@ -49,7 +55,6 @@ from .magnus import EffectiveExpansion
 from .pauli import (
     MultiIndex,
     code_two_counts,
-    code_weights,
     matrix_from_pauli_coefficients,
     pauli_coefficients,
     quadratic_product_coefficients,
@@ -78,6 +83,13 @@ PSD_RTOL = 1e-9
 #: Relative magnitude below which canonical channels are dropped.
 CHANNEL_DROP_RTOL = 1e-12
 
+#: Relative magnitude below which entries count as structural zeros.
+STRUCTURAL_ZERO_RTOL = 1e-12
+
+#: The block spectrum certifies a PSD verdict only while the entries it
+#: drops stay below this fraction of the PSD tolerance (in row sums).
+BLOCK_DROP_RATIO = 1e-3
+
 
 def _sites_from_superop(superop: Superoperator) -> int:
     num_sites = int(round(np.log2(superop.system_dim)))
@@ -88,8 +100,18 @@ def _sites_from_superop(superop: Superoperator) -> int:
     return num_sites
 
 
+class _Indexed:
+    """Position lookup over the ``index_set`` of a frozen dataclass."""
+
+    index_set: tuple[MultiIndex, ...]
+
+    @cached_property
+    def _positions(self) -> dict[MultiIndex, int]:
+        return {index: p for p, index in enumerate(self.index_set)}
+
+
 @dataclass(frozen=True)
-class DissipatorMatrix:
+class DissipatorMatrix(_Indexed):
     """Hermitian coefficient matrix ``[a_jk]`` over a retained index set.
 
     ``entries[p, q]`` couples ``index_set[p]`` to ``index_set[q]``.
@@ -122,12 +144,7 @@ class DissipatorMatrix:
 
     def position(self, index: MultiIndex) -> int:
         """Row position of a multi-index within the index set."""
-        try:
-            return self._positions[index]
-        except AttributeError:
-            positions = {idx: p for p, idx in enumerate(self.index_set)}
-            object.__setattr__(self, "_positions", positions)
-            return positions[index]
+        return self._positions[index]
 
     def entry(self, row: MultiIndex, col: MultiIndex) -> complex:
         """Coefficient ``a_jk`` for a pair of multi-indices."""
@@ -136,9 +153,32 @@ class DissipatorMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries))) if self.size else 0.0
 
+    def structural_tol(self) -> float:
+        """Magnitude at or below which an entry counts as a structural
+        zero: ``1e-12 * max(1, max|a|)``."""
+        return STRUCTURAL_ZERO_RTOL * max(1.0, self.max_abs())
+
+    def restricted(self, weight_limit: int | None) -> "DissipatorMatrix":
+        """The matrix that :func:`extract_dissipator` returns for
+        ``weight_limit``, sliced out of this full extraction: indices of
+        weight up to ``weight_limit - 1``, with the entries whose pair
+        weight exceeds the cap set to exact zeros."""
+        if weight_limit is None:
+            return self
+        weights = np.array([index.weight for index in self.index_set])
+        kept = np.nonzero(weights <= max(weight_limit - 1, 0))[0]
+        pair_weights = weights[kept][:, None] + weights[kept][None, :]
+        entries = np.where(
+            pair_weights <= weight_limit,
+            self.entries[np.ix_(kept, kept)],
+            0.0,
+        )
+        index_set = tuple(self.index_set[p] for p in kept)
+        return DissipatorMatrix(index_set, entries, self.num_sites, weight_limit)
+
 
 @dataclass(frozen=True)
-class HamiltonianCoefficients:
+class HamiltonianCoefficients(_Indexed):
     """Real coefficients ``h_j`` of the coherent part over weight >= 1
     indices: ``H = sum_j h_j F_j``."""
 
@@ -157,10 +197,12 @@ class HamiltonianCoefficients:
         object.__setattr__(self, "index_set", tuple(self.index_set))
 
     def coefficient(self, index: MultiIndex) -> float:
-        for position, candidate in enumerate(self.index_set):
-            if candidate == index:
-                return float(self.values[position])
-        raise DimensionMismatchError(f"index {index} not in index set")
+        try:
+            return float(self.values[self._positions[index]])
+        except KeyError:
+            raise DimensionMismatchError(
+                f"index {index} not in index set"
+            ) from None
 
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix ``sum_j h_j F_j``."""
@@ -243,9 +285,105 @@ def _validate_candidate(superop: Superoperator) -> None:
         )
 
 
-def _doubled_coefficients(superop: Superoperator, num_sites: int) -> np.ndarray:
-    coeffs = pauli_coefficients(superop.matrix, 2 * num_sites)
-    return coeffs.reshape(4**num_sites, 4**num_sites)
+@lru_cache(maxsize=None)
+def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
+    """Every multi-index of weight >= 1, which is every code but 0, by
+    code."""
+    return tuple(
+        MultiIndex.from_code(code, num_sites) for code in range(1, 4**num_sites)
+    )
+
+
+def _signed_table(
+    superop: Superoperator, validate: bool
+) -> tuple[np.ndarray, int]:
+    """The doubled-space Pauli table of ``superop`` with the sign
+    ``(-1)^(#2s in k)`` applied to column ``k``, so that
+    ``a_jk = table[j, k]``; column 0 is unchanged. One Pauli transform."""
+    num_sites = _sites_from_superop(superop)
+    if validate:
+        _validate_candidate(superop)
+    table = pauli_coefficients(superop.matrix, 2 * num_sites)
+    table = table.reshape(4**num_sites, 4**num_sites)
+    table *= (-1.0) ** code_two_counts(num_sites)
+    return table, num_sites
+
+
+def _dissipator_from_table(table: np.ndarray, num_sites: int) -> DissipatorMatrix:
+    entries = table[1:, 1:]
+    scale = float(np.max(np.abs(entries)))
+    defect = float(np.max(np.abs(entries - entries.conj().T)))
+    if defect > max(1e-10 * scale, 1e-12):
+        raise HermiticityError(
+            f"extracted coefficient matrix deviates from Hermiticity by "
+            f"{defect:.3e}"
+        )
+    entries = 0.5 * (entries + entries.conj().T)
+    return DissipatorMatrix(_nonidentity_indices(num_sites), entries, num_sites)
+
+
+def _hamiltonian_from_table(
+    table: np.ndarray, dissipator: DissipatorMatrix
+) -> HamiltonianCoefficients:
+    num_sites = dissipator.num_sites
+    codes = np.array([index.code for index in dissipator.index_set], dtype=np.int64)
+    gram_coeffs = quadratic_product_coefficients(
+        codes, dissipator.entries, num_sites
+    )
+    dim = float(2**num_sites)
+    raw = 1j * (table[1:, 0] / np.sqrt(dim) + 0.5 * gram_coeffs[1:])
+    scale = max(1.0, float(np.max(np.abs(raw))))
+    residue = float(np.max(np.abs(raw.imag)))
+    if residue > VALIDATION_TOL * scale:
+        raise DecompositionInconsistencyError(
+            f"hamiltonian coefficients have imaginary residue {residue:.3e}"
+        )
+    return HamiltonianCoefficients(
+        _nonidentity_indices(num_sites), raw.real.copy(), num_sites
+    )
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """The full decomposition ``(h_j, [a_jk])`` of one superoperator.
+
+    Both parts are linear in the superoperator, so the decomposition of a
+    sum is the sum of the decompositions: ``+`` adds coefficients.
+    """
+
+    hamiltonian: HamiltonianCoefficients
+    dissipator: DissipatorMatrix
+
+    def __add__(self, other: "Decomposition") -> "Decomposition":
+        hamiltonian, dissipator = self.hamiltonian, self.dissipator
+        if (
+            hamiltonian.index_set != other.hamiltonian.index_set
+            or dissipator.index_set != other.dissipator.index_set
+        ):
+            raise DimensionMismatchError(
+                "decompositions over different index sets cannot be added"
+            )
+        return Decomposition(
+            HamiltonianCoefficients(
+                hamiltonian.index_set,
+                hamiltonian.values + other.hamiltonian.values,
+                hamiltonian.num_sites,
+            ),
+            DissipatorMatrix(
+                dissipator.index_set,
+                dissipator.entries + other.dissipator.entries,
+                dissipator.num_sites,
+            ),
+        )
+
+
+def decompose(superop: Superoperator, validate: bool = True) -> Decomposition:
+    """Full ``[a_jk]`` and ``h_j`` of ``superop`` from one doubled-space
+    Pauli transform, with the checks of :func:`extract_dissipator` and
+    :func:`extract_hamiltonian`."""
+    table, num_sites = _signed_table(superop, validate)
+    dissipator = _dissipator_from_table(table, num_sites)
+    return Decomposition(_hamiltonian_from_table(table, dissipator), dissipator)
 
 
 def extract_dissipator(
@@ -261,36 +399,11 @@ def extract_dissipator(
         beyond the cap are set to exact zeros. None keeps every weight.
     :param validate: check trace and Hermiticity preservation first.
     :raises NotLindbladCandidateError: if validation fails.
-    :raises HermiticityError: if the extracted matrix is not Hermitian
-        within tolerance (signals a corrupted input).
+    :raises HermiticityError: if the extracted (full) matrix is not
+        Hermitian within tolerance (signals a corrupted input).
     """
-    num_sites = _sites_from_superop(superop)
-    if validate:
-        _validate_candidate(superop)
-    table = _doubled_coefficients(superop, num_sites)
-    signs = (-1.0) ** code_two_counts(num_sites)
-    table = table * signs[None, :]
-
-    weights = code_weights(num_sites)
-    max_weight = num_sites if weight_limit is None else max(weight_limit - 1, 0)
-    retained = np.nonzero((weights >= 1) & (weights <= max_weight))[0]
-    entries = table[np.ix_(retained, retained)]
-    if weight_limit is not None:
-        pair_weights = weights[retained][:, None] + weights[retained][None, :]
-        entries = np.where(pair_weights <= weight_limit, entries, 0.0)
-
-    scale = float(np.max(np.abs(entries))) if entries.size else 0.0
-    defect = float(np.max(np.abs(entries - entries.conj().T))) if entries.size else 0.0
-    if defect > max(1e-10 * scale, 1e-12):
-        raise HermiticityError(
-            f"extracted coefficient matrix deviates from Hermiticity by "
-            f"{defect:.3e}"
-        )
-    entries = 0.5 * (entries + entries.conj().T)
-    index_set = tuple(
-        MultiIndex.from_code(int(code), num_sites) for code in retained
-    )
-    return DissipatorMatrix(index_set, entries, num_sites, weight_limit)
+    table, num_sites = _signed_table(superop, validate)
+    return _dissipator_from_table(table, num_sites).restricted(weight_limit)
 
 
 def extract_hamiltonian(
@@ -307,37 +420,15 @@ def extract_hamiltonian(
         imaginary residue beyond tolerance, signalling an input outside
         the decomposable class.
     """
-    num_sites = _sites_from_superop(superop)
-    if validate:
-        _validate_candidate(superop)
+    table, num_sites = _signed_table(superop, validate)
     if dissipator is None:
-        dissipator = extract_dissipator(superop, validate=False)
+        dissipator = _dissipator_from_table(table, num_sites)
     elif dissipator.weight_limit is not None:
         raise DimensionMismatchError(
             "hamiltonian extraction needs a full dissipator matrix, "
             "got a weight-limited one"
         )
-    table = _doubled_coefficients(superop, num_sites)
-    codes = np.array([index.code for index in dissipator.index_set], dtype=np.int64)
-    gram_coeffs = quadratic_product_coefficients(
-        codes, dissipator.entries, num_sites
-    )
-    weights = code_weights(num_sites)
-    retained = np.nonzero(weights >= 1)[0]
-    dim = float(2**num_sites)
-    raw = 1j * (
-        table[retained, 0] / np.sqrt(dim) + 0.5 * gram_coeffs[retained]
-    )
-    scale = max(1.0, float(np.max(np.abs(raw))) if raw.size else 0.0)
-    residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if residue > VALIDATION_TOL * scale:
-        raise DecompositionInconsistencyError(
-            f"hamiltonian coefficients have imaginary residue {residue:.3e}"
-        )
-    index_set = tuple(
-        MultiIndex.from_code(int(code), num_sites) for code in retained
-    )
-    return HamiltonianCoefficients(index_set, raw.real.copy(), num_sites)
+    return _hamiltonian_from_table(table, dissipator)
 
 
 def psd_report(
@@ -346,21 +437,50 @@ def psd_report(
     """Certify positive semidefiniteness of a coefficient matrix.
 
     The default tolerance is ``1e-9 * max(1, max|a|)``; eigenvalues above
-    ``-tol`` count as nonnegative.
+    ``-tol`` count as nonnegative. The spectrum is solved block by block
+    (see :func:`block_report`).
+    """
+    return block_report(dissipator, tol_psd)[0]
+
+
+def block_report(
+    dissipator: DissipatorMatrix, tol_psd: float | None = None
+) -> tuple[LiouvillianityReport, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """:func:`psd_report` with the partition behind it: the connected
+    components of the entries above
+    :meth:`DissipatorMatrix.structural_tol` (position arrays) and the
+    eigenvalues of each block.
+
+    The spectrum is the ascending union of the block eigenvalues and one
+    exact zero per index outside every block. Let delta be the largest
+    absolute row sum of the entries outside the blocks: each value is
+    within delta of the dense eigenvalue (Weyl). When delta exceeds
+    ``1e-3 * tol_psd`` that bound no longer settles the verdict, and the
+    spectrum comes from one block holding every index instead: the dense
+    solve.
     """
     if tol_psd is None:
         tol_psd = PSD_RTOL * max(1.0, dissipator.max_abs())
-    eigenvalues, _ = herm_eigs(dissipator.entries)
+    components, delta = coupled_components(
+        dissipator.entries, dissipator.structural_tol()
+    )
+    values = block_eigenvalues(dissipator.entries, components)
+    solved, solved_values = components, values
+    if delta > BLOCK_DROP_RATIO * tol_psd:
+        solved = (np.arange(dissipator.size),)
+        solved_values = block_eigenvalues(dissipator.entries, solved)
+    uncoupled = dissipator.size - sum(positions.size for positions in solved)
+    eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *solved_values]))
     min_eig = float(eigenvalues[0]) if eigenvalues.size else 0.0
     is_liouvillian = min_eig >= -tol_psd
-    breaking = 0.0 if is_liouvillian else -min_eig
-    return LiouvillianityReport(
+    report = LiouvillianityReport(
         eigenvalues=eigenvalues,
         min_eigenvalue=min_eig,
         tol=float(tol_psd),
         is_liouvillian=is_liouvillian,
-        breaking_degree=breaking,
+        breaking_degree=0.0 if is_liouvillian else -min_eig,
     )
+    return report, components, values
 
 
 def canonical_decomposition(
@@ -414,6 +534,18 @@ class PerOrderCheck:
     trace_ok: bool | None
     report: LiouvillianityReport
 
+    @classmethod
+    def of(cls, order: int, dissipator: DissipatorMatrix) -> "PerOrderCheck":
+        """The check of one order term's dissipator matrix."""
+        trace = dissipator.trace()
+        return cls(
+            order=order,
+            dissipator=dissipator,
+            trace=trace,
+            trace_ok=None if order == 0 else abs(trace) <= TRACE_TOL,
+            report=psd_report(dissipator),
+        )
+
 
 #: Absolute tolerance on per-order dissipator traces (orders >= 1).
 TRACE_TOL = 1e-9
@@ -429,24 +561,13 @@ def per_order_checks(
     order-zero matrix must be positive semidefinite (it is a convex
     average of instantaneous dissipators).
     """
-    checks = []
-    for order in range(expansion.max_order + 1):
-        dissipator = extract_dissipator(
-            expansion.term(order), weight_limit=weight_limit
+    return tuple(
+        PerOrderCheck.of(
+            order,
+            extract_dissipator(expansion.term(order), weight_limit=weight_limit),
         )
-        trace = dissipator.trace()
-        trace_ok = None if order == 0 else abs(trace) <= TRACE_TOL
-        report = psd_report(dissipator)
-        checks.append(
-            PerOrderCheck(
-                order=order,
-                dissipator=dissipator,
-                trace=trace,
-                trace_ok=trace_ok,
-                report=report,
-            )
-        )
-    return tuple(checks)
+        for order in range(expansion.max_order + 1)
+    )
 
 
 def roundtrip_residual(

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, factorial
+from typing import Sequence
 
 import numpy as np
 
-from .core import herm_eigs
+from .core import block_eigenvalues, coupled_components, herm_eigs
 from .errors import (
     DimensionMismatchError,
     StructureViolationError,
@@ -37,7 +38,13 @@ from .lindblad import (
     PiecewiseLiouvillian,
     liouvillian_superop,
 )
-from .liouvillianity import DissipatorMatrix, extract_dissipator
+from .liouvillianity import (
+    DissipatorMatrix,
+    LiouvillianityReport,
+    block_report,
+    extract_dissipator,
+    psd_report,
+)
 from .magnus import EffectiveExpansion
 from .pauli import MultiIndex
 
@@ -58,9 +65,6 @@ __all__ = [
     "drive_locality",
     "extensiveness",
 ]
-
-#: Relative magnitude below which entries count as structural zeros.
-STRUCTURAL_ZERO_RTOL = 1e-12
 
 #: Relative singular-value cutoff for numerical ranks.
 RANK_RTOL = 1e-10
@@ -108,7 +112,7 @@ def sparsity_check(
         ``1e-12 * max(1, max|a|)``.
     """
     if tol is None:
-        tol = STRUCTURAL_ZERO_RTOL * max(1.0, dissipator.max_abs())
+        tol = dissipator.structural_tol()
     bound = max_weight_bound(order, locality_k)
     weights = np.array([index.weight for index in dissipator.index_set])
     pair_weights = weights[:, None] + weights[None, :]
@@ -128,18 +132,25 @@ def sparsity_check(
 
 @dataclass(frozen=True)
 class Block:
-    """One connected block of a dissipator matrix."""
+    """One connected block of a dissipator matrix.
+
+    ``eigenvalues`` (ascending) are stored by :func:`block_partition`,
+    which solves every block once; a block built without them solves
+    its entries when asked.
+    """
 
     index_set: tuple[MultiIndex, ...]
     entries: np.ndarray
+    eigenvalues: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return len(self.index_set)
 
     def min_eigenvalue(self) -> float:
-        values, _ = herm_eigs(self.entries)
-        return float(values[0])
+        if self.eigenvalues is None:
+            return float(herm_eigs(self.entries)[0][0])
+        return float(self.eigenvalues[0])
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,30 @@ class BlockStructure:
         return min(block.min_eigenvalue() for block in self.blocks)
 
 
+def _block_structure(
+    dissipator: DissipatorMatrix,
+    components: tuple[np.ndarray, ...],
+    values: tuple[np.ndarray, ...],
+) -> BlockStructure:
+    ordered = sorted(
+        zip(components, values),
+        key=lambda pair: dissipator.index_set[pair[0][0]].code,
+    )
+    blocks = tuple(
+        Block(
+            index_set=tuple(dissipator.index_set[p] for p in positions),
+            entries=dissipator.entries[np.ix_(positions, positions)],
+            eigenvalues=eigenvalues,
+        )
+        for positions, eigenvalues in ordered
+    )
+    return BlockStructure(
+        blocks=blocks,
+        d_n=sum(block.size for block in blocks),
+        num_sites=dissipator.num_sites,
+    )
+
+
 def block_partition(
     dissipator: DissipatorMatrix, tol: float | None = None
 ) -> BlockStructure:
@@ -171,47 +206,24 @@ def block_partition(
     Two indices are connected when their coupling entry is above ``tol``
     in magnitude (default ``1e-12 * max(1, max|a|)``). Components come
     back sorted by their smallest index code, with indices inside a
-    block likewise code-sorted.
+    block likewise code-sorted. Every block is solved once and keeps
+    its eigenvalues.
     """
     if tol is None:
-        tol = STRUCTURAL_ZERO_RTOL * max(1.0, dissipator.max_abs())
-    magnitudes = np.abs(dissipator.entries)
-    adjacency = magnitudes > tol
-    count = dissipator.size
-    in_support = np.any(adjacency, axis=0) | np.any(adjacency, axis=1)
-    visited = np.zeros(count, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(count):
-        if visited[start] or not in_support[start]:
-            continue
-        stack = [start]
-        visited[start] = True
-        component = []
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            neighbors = np.nonzero(adjacency[node] | adjacency[:, node])[0]
-            for neighbor in neighbors:
-                if not visited[neighbor] and in_support[neighbor]:
-                    visited[neighbor] = True
-                    stack.append(int(neighbor))
-        components.append(sorted(component))
-    components.sort(key=lambda comp: dissipator.index_set[comp[0]].code)
-    blocks = []
-    for component in components:
-        positions = np.array(component, dtype=np.int64)
-        blocks.append(
-            Block(
-                index_set=tuple(
-                    dissipator.index_set[p] for p in component
-                ),
-                entries=dissipator.entries[np.ix_(positions, positions)],
-            )
-        )
-    d_n = int(np.count_nonzero(in_support))
-    return BlockStructure(
-        blocks=tuple(blocks), d_n=d_n, num_sites=dissipator.num_sites
-    )
+        tol = dissipator.structural_tol()
+    components, _ = coupled_components(dissipator.entries, tol)
+    values = block_eigenvalues(dissipator.entries, components)
+    return _block_structure(dissipator, components, values)
+
+
+def certify(
+    dissipator: DissipatorMatrix, tol_psd: float | None = None
+) -> tuple[LiouvillianityReport, BlockStructure]:
+    """:func:`~floquet_lindblad.liouvillianity.psd_report` and
+    :func:`block_partition` (default tolerance) from one partition and
+    one eigensolve of every block."""
+    report, components, values = block_report(dissipator, tol_psd)
+    return report, _block_structure(dissipator, components, values)
 
 
 @dataclass(frozen=True)
@@ -222,7 +234,10 @@ class TriangularSplit:
     ``rank_b`` is the numerical rank of the off-diagonal block; whenever
     it is positive the full matrix is guaranteed at least that many
     negative eigenvalues, and ``negative_count`` reports how many it
-    actually has.
+    actually has: eigenvalues below ``-tol`` in the spectrum of
+    ``psd_report(dissipator, tol_psd=tol)``, which is solved block by
+    block unless the dropped entries could move an eigenvalue by more
+    than ``1e-3 * tol``.
     """
 
     threshold: int
@@ -263,7 +278,7 @@ def triangular_split(
             )
         weight_threshold = triangular_threshold(order, locality_k)
     if tol is None:
-        tol = STRUCTURAL_ZERO_RTOL * max(1.0, dissipator.max_abs())
+        tol = dissipator.structural_tol()
     weights = np.array([index.weight for index in dissipator.index_set])
     low = np.nonzero(weights <= weight_threshold)[0]
     high = np.nonzero(weights > weight_threshold)[0]
@@ -288,7 +303,7 @@ def triangular_split(
         rank_b = int(np.count_nonzero(singular_values > cutoff))
     else:
         rank_b = 0
-    eigenvalues, _ = herm_eigs(dissipator.entries)
+    eigenvalues = psd_report(dissipator, tol_psd=tol).eigenvalues
     negative_count = int(np.count_nonzero(eigenvalues < -tol))
     return TriangularSplit(
         threshold=int(weight_threshold),
@@ -406,25 +421,39 @@ def coefficient_bound_check(
     Locality and extensiveness default to the values computed from the
     expansion's drive.
     """
-    drive = expansion.drive
+    max_abs = [
+        extract_dissipator(expansion.term(order)).max_abs()
+        for order in range(expansion.max_order + 1)
+    ]
+    return coefficient_bounds(
+        expansion.drive, max_abs, locality_k, extensiveness_j
+    )
+
+
+def coefficient_bounds(
+    drive: PiecewiseLiouvillian,
+    max_abs: Sequence[float],
+    locality_k: int | None = None,
+    extensiveness_j: float | None = None,
+) -> tuple[CoefficientBoundCheck, ...]:
+    """:func:`coefficient_bound_check` from the largest entry of every
+    order term's full dissipator matrix, ``max_abs[order]``, already
+    extracted."""
     if locality_k is None:
         locality_k = drive_locality(drive)
     if extensiveness_j is None:
         extensiveness_j = extensiveness(drive)
-    checks = []
-    for order in range(expansion.max_order + 1):
-        dissipator = extract_dissipator(expansion.term(order))
-        checks.append(
-            CoefficientBoundCheck(
-                order=order,
-                max_abs=dissipator.max_abs(),
-                bound=coefficient_bound(
-                    order,
-                    locality_k,
-                    extensiveness_j,
-                    drive.period,
-                    drive.num_sites,
-                ),
-            )
+    return tuple(
+        CoefficientBoundCheck(
+            order=order,
+            max_abs=value,
+            bound=coefficient_bound(
+                order,
+                locality_k,
+                extensiveness_j,
+                drive.period,
+                drive.num_sites,
+            ),
         )
-    return tuple(checks)
+        for order, value in enumerate(max_abs)
+    )

@@ -318,23 +318,20 @@ def quadratic_product_coefficients(
         raise DimensionMismatchError(
             f"entries shape {entries.shape} does not match {codes.size} codes"
         )
-    digits = np.zeros((codes.size, num_sites), dtype=np.int64)
+    # Visiting only the nonzero entries keeps the temporaries at one
+    # value per nonzero instead of (n, n, L) index and phase tensors.
+    k_pos, j_pos = np.nonzero(entries.T != 0)
+    left, right = codes[k_pos], codes[j_pos]
+    prod_codes = np.zeros(k_pos.size, dtype=np.int64)
+    phases = np.ones(k_pos.size, dtype=complex)
     for position in range(num_sites):
-        digits[:, position] = (codes >> (2 * (num_sites - 1 - position))) & 3
-    # Axis 0 indexes k (left product factor), axis 1 indexes j (right).
-    left = digits[:, None, :]
-    right = digits[None, :, :]
-    prod_index = PAULI_PRODUCT_INDEX[left, right]
-    prod_phase = PAULI_PRODUCT_PHASE[left, right]
-    prod_codes = np.zeros(prod_index.shape[:2], dtype=np.int64)
-    for position in range(num_sites):
-        prod_codes = (prod_codes << 2) + prod_index[:, :, position]
-    phases = prod_phase.prod(axis=2)
+        shift = 2 * (num_sites - 1 - position)
+        left_digit, right_digit = (left >> shift) & 3, (right >> shift) & 3
+        prod_codes = (prod_codes << 2) + PAULI_PRODUCT_INDEX[left_digit, right_digit]
+        phases *= PAULI_PRODUCT_PHASE[left_digit, right_digit]
     coefficients = np.zeros(4**num_sites, dtype=complex)
-    contributions = entries.T * phases * (2.0 ** (-num_sites / 2.0))
-    np.add.at(
-        coefficients, prod_codes.reshape(-1), contributions.reshape(-1)
-    )
+    contributions = entries[j_pos, k_pos] * phases * (2.0 ** (-num_sites / 2.0))
+    np.add.at(coefficients, prod_codes, contributions)
     return coefficients
 
 

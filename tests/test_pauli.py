@@ -173,6 +173,35 @@ def test_quadratic_product_coefficients_against_dense_oracle():
     np.testing.assert_allclose(rebuilt, dense, atol=1e-12)
 
 
+def test_quadratic_product_coefficients_with_exact_zeros():
+    """Exact-zero rows, columns and entries add nothing: the sum matches
+    the dense oracle over every pair, and an all-zero matrix gives zero
+    coefficients."""
+    rng = np.random.default_rng(41)
+    num_sites = 3
+    basis = FrobeniusBasis(num_sites)
+    codes = np.array([1, 5, 14, 27, 36, 50, 63], dtype=np.int64)
+    entries = random_complex(rng, codes.size)
+    entries[2, :] = 0.0
+    entries[:, 5] = 0.0
+    entries[rng.random(entries.shape) < 0.4] = 0.0
+    dense = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for row, code_j in enumerate(codes):
+        for col, code_k in enumerate(codes):
+            dense += (
+                entries[row, col]
+                * basis.element(int(code_k))
+                @ basis.element(int(code_j))
+            )
+    coefficients = quadratic_product_coefficients(codes, entries, num_sites)
+    rebuilt = matrix_from_pauli_coefficients(coefficients, num_sites)
+    np.testing.assert_allclose(rebuilt, dense, atol=1e-12)
+    zeros = quadratic_product_coefficients(
+        codes, np.zeros_like(entries), num_sites
+    )
+    np.testing.assert_array_equal(zeros, np.zeros(4**num_sites))
+
+
 def test_embed_local_places_operator_on_named_sites():
     """Embedding a one-site operator matches an explicit Kronecker
     product on every site of a 3-site chain."""
