@@ -128,8 +128,9 @@ def coupled_components(
     """Connected components of the graph whose edges are the entries of
     ``matrix`` above ``tol`` in magnitude.
 
-    Indices without any such entry (in their row or column) belong to no
-    component. Each component is an ascending array of positions, and
+    A non-finite entry is an edge too, so it lands in a solved block and
+    its NaN reaches the spectrum. Indices without any edge (in their row
+    or column) belong to no component. Each component is an ascending array of positions, and
     the components come back ordered by their first position.
 
     :return: ``(components, delta)``, where ``delta`` is the largest
@@ -139,7 +140,7 @@ def coupled_components(
         the corresponding eigenvalue of ``matrix``.
     """
     magnitudes = np.abs(_require_square(matrix))
-    adjacency = magnitudes > tol
+    adjacency = ~(magnitudes <= tol)
     adjacency |= adjacency.T
     in_support = np.any(adjacency, axis=1)
     visited = ~in_support
@@ -164,9 +165,7 @@ def coupled_components(
 
 
 def block_eigenvalues(
-    matrix: np.ndarray,
-    components: tuple[np.ndarray, ...],
-    rtol: float = HERMITICITY_RTOL,
+    matrix: np.ndarray, components: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, ...]:
     """Ascending eigenvalues of the principal blocks ``matrix[c, c]``.
 
@@ -177,7 +176,7 @@ def block_eigenvalues(
 
     :raises HermiticityError: if the Hermiticity check fails.
     """
-    arr = _checked_hermitian(matrix, rtol)
+    arr = _checked_hermitian(matrix, HERMITICITY_RTOL)
     blocks = (arr[np.ix_(positions, positions)] for positions in components)
     return tuple(
         np.linalg.eigvalsh(0.5 * (block + block.conj().T)) for block in blocks

@@ -140,6 +140,10 @@ class DissipatorMatrix(_Indexed):
         return len(self.index_set)
 
     def max_abs(self) -> float:
+        return self._max_abs
+
+    @cached_property
+    def _max_abs(self) -> float:
         return float(np.max(np.abs(self.entries))) if self.size else 0.0
 
     def position(self, index: MultiIndex) -> int:
@@ -377,11 +381,11 @@ class Decomposition:
         )
 
 
-def decompose(superop: Superoperator, validate: bool = True) -> Decomposition:
+def decompose(superop: Superoperator) -> Decomposition:
     """Full ``[a_jk]`` and ``h_j`` of ``superop`` from one doubled-space
     Pauli transform, with the checks of :func:`extract_dissipator` and
-    :func:`extract_hamiltonian`."""
-    table, num_sites = _signed_table(superop, validate)
+    :func:`extract_hamiltonian` (validation included)."""
+    table, num_sites = _signed_table(superop, True)
     dissipator = _dissipator_from_table(table, num_sites)
     return Decomposition(_hamiltonian_from_table(table, dissipator), dissipator)
 
@@ -457,21 +461,23 @@ def block_report(
     within delta of the dense eigenvalue (Weyl). When delta exceeds
     ``1e-3 * tol_psd`` that bound no longer settles the verdict, and the
     spectrum comes from one block holding every index instead: the dense
-    solve.
+    solve, done in the same call as the blocks. A NaN eigenvalue (from a
+    non-finite entry) becomes the minimum, so it never passes.
     """
     if tol_psd is None:
         tol_psd = PSD_RTOL * max(1.0, dissipator.max_abs())
     components, delta = coupled_components(
         dissipator.entries, dissipator.structural_tol()
     )
-    values = block_eigenvalues(dissipator.entries, components)
-    solved, solved_values = components, values
+    solved = components
     if delta > BLOCK_DROP_RATIO * tol_psd:
-        solved = (np.arange(dissipator.size),)
-        solved_values = block_eigenvalues(dissipator.entries, solved)
-    uncoupled = dissipator.size - sum(positions.size for positions in solved)
-    eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *solved_values]))
-    min_eig = float(eigenvalues[0]) if eigenvalues.size else 0.0
+        solved = (*components, np.arange(dissipator.size))
+    values = block_eigenvalues(dissipator.entries, solved)
+    # The spectrum is the blocks' values, or the dense block's if solved.
+    spectrum = values[len(components):] or values
+    uncoupled = dissipator.size - sum(block.size for block in spectrum)
+    eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *spectrum]))
+    min_eig = float(np.min(eigenvalues)) if eigenvalues.size else 0.0
     is_liouvillian = min_eig >= -tol_psd
     report = LiouvillianityReport(
         eigenvalues=eigenvalues,
@@ -480,7 +486,7 @@ def block_report(
         is_liouvillian=is_liouvillian,
         breaking_degree=0.0 if is_liouvillian else -min_eig,
     )
-    return report, components, values
+    return report, components, values[: len(components)]
 
 
 def canonical_decomposition(

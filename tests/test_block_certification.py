@@ -343,3 +343,28 @@ def test_hermiticity_is_judged_at_the_global_scale():
         herm_eigs(skewed)
     with pytest.raises(HermiticityError):
         psd_report(DissipatorMatrix(dissipator.index_set, skewed, 2))
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[(0, 1), (1, 0)], [(2, 2)], [(p, q) for p in range(4) for q in range(4)]],
+)
+def test_non_finite_entries_are_never_certified(positions):
+    """A NaN entry joins a solved block, so the block solve either
+    refuses it, as LAPACK may refuse the dense matrix, or its NaN
+    eigenvalue becomes the minimum: the matrix is never certified."""
+    entries = np.diag([1.0, 2.0, 3.0, 0.0]).astype(complex)
+    for position in positions:
+        entries[position] = np.nan
+    dissipator = DissipatorMatrix(
+        tuple(MultiIndex.from_code(code, 2) for code in range(1, 5)),
+        entries,
+        2,
+    )
+    try:
+        report = psd_report(dissipator)
+    except np.linalg.LinAlgError:
+        return
+    assert np.isnan(report.min_eigenvalue)
+    assert not report.is_liouvillian
+    assert report.eigenvalues.size == 4
