@@ -53,7 +53,6 @@ from .lindblad import (
     LindbladSegment,
     MAX_NUM_SITES,
     PiecewiseLiouvillian,
-    Superoperator,
 )
 from .liouvillianity import (
     TRACE_TOL,
@@ -63,7 +62,6 @@ from .liouvillianity import (
     decompose,
     extract_dissipator,
     psd_report,
-    roundtrip_residual,
 )
 from .locality import certify, coefficient_bounds
 from .magnus import (
@@ -417,12 +415,10 @@ def _worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _cumulative_record(
-    config: RunConfig, cumulative: Superoperator, decomposition: Decomposition
-) -> dict:
+def _cumulative_record(config: RunConfig, decomposition: Decomposition) -> dict:
     dissipator = decomposition.dissipator.restricted(config.weight_limit)
     report, structure = certify(dissipator, tol_psd=config.tol_psd)
-    record = {
+    return {
         "spectrum": [float(v) for v in report.eigenvalues],
         "min_eigenvalue": report.min_eigenvalue,
         "verdict": report.is_liouvillian,
@@ -439,20 +435,17 @@ def _cumulative_record(
                 for block in structure.blocks
             ],
         },
-        "roundtrip_residual": None,
+        "roundtrip_residual": (
+            decomposition.residual() if config.weight_limit is None else None
+        ),
     }
-    if config.weight_limit is None:
-        record["roundtrip_residual"] = roundtrip_residual(
-            cumulative, decomposition.hamiltonian, decomposition.dissipator
-        )
-    return record
 
 
 def cmd_analyze(config: RunConfig) -> str:
     """Build the JSON certification report for one drive.
 
     Every order term is decomposed once; the cumulative decompositions
-    are their running sums.
+    (signed tables included) are their running sums.
     """
     drive = config.drive()
     expansion = config.expansion(drive)
@@ -471,9 +464,7 @@ def cmd_analyze(config: RunConfig) -> str:
         order_records.append(
             {
                 "order": order,
-                "cumulative": _cumulative_record(
-                    config, expansion.cumulative(order), cumulative
-                ),
+                "cumulative": _cumulative_record(config, cumulative),
                 "term": {
                     "trace": check.trace,
                     "trace_ok": check.trace_ok,
@@ -670,6 +661,7 @@ def cmd_compare_exact(config: RunConfig) -> str:
     num_periods = _as_int(section.get("num_periods", 20), "compare.num_periods")
     if num_periods < 1:
         raise ConfigError("compare.num_periods: must be positive")
+    drive = config.drive()
     initial_state = None
     if "initial_state" in section:
         initial_state = _complex_matrix(
@@ -679,6 +671,11 @@ def cmd_compare_exact(config: RunConfig) -> str:
             np.max(np.abs(initial_state - initial_state.conj().T))
         )
         trace_error = abs(np.trace(initial_state) - 1.0)
+        if initial_state.shape != (drive.dim, drive.dim):
+            raise ConfigError(
+                f"compare.initial_state: expected shape {(drive.dim,) * 2} "
+                f"for {drive.num_sites} sites, got {initial_state.shape}"
+            )
         if defect > 1e-8 or trace_error > 1e-8:
             raise ConfigError(
                 "compare.initial_state: must be Hermitian with unit trace"
@@ -716,7 +713,6 @@ def cmd_compare_exact(config: RunConfig) -> str:
         xs, ys = zip(*kept)
         slope = float(np.polyfit(xs, ys, 1)[0])
         slopes[str(order)] = slope if np.isfinite(slope) else None
-    drive = config.drive()
     expansion = config.expansion(drive)
     if initial_state is None:
         initial_state = random_density_matrix(drive.dim)

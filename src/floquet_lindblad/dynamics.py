@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import herm_eigs, matrix_exp, vectorize
+from .errors import DimensionMismatchError
 from .lindblad import PiecewiseLiouvillian, Superoperator
 from .liouvillianity import SignedLindbladForm
 from .magnus import floquet_propagator
@@ -79,10 +80,17 @@ def stroboscopic_compare(
     Evolves one initial state with the exact one-period propagator and
     with ``exp(effective * T)``, recording the trace distance after each
     of ``num_periods`` periods.
+
+    :raises DimensionMismatchError: if ``initial_state`` is not
+        ``drive.dim x drive.dim``.
     """
     dim = drive.dim
     if initial_state is None:
         initial_state = random_density_matrix(dim)
+    elif np.shape(initial_state) != (dim, dim):
+        raise DimensionMismatchError(
+            f"initial state shape {np.shape(initial_state)} is not {(dim, dim)}"
+        )
     exact_step = floquet_propagator(drive).matrix
     effective_step = matrix_exp(effective.matrix * drive.period)
     exact_vec = vectorize(initial_state)

@@ -32,12 +32,7 @@ import numpy as np
 
 from .core import devectorize, vectorize
 from .errors import DimensionMismatchError
-from .pauli import (
-    code_two_counts,
-    embed_local,
-    matrix_from_pauli_coefficients,
-    quadratic_product_coefficients,
-)
+from .pauli import embed_local
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .liouvillianity import DissipatorMatrix, HamiltonianCoefficients
@@ -339,59 +334,20 @@ def lindblad_form_superop(
             + sum_jk a_jk (F_j x conj(F_k)
                            - (1/2) (F_k F_j x I + I x (F_k F_j)^T))
 
-    where the ``F`` are normalized Pauli strings (Hermitian, so
-    ``F_k^dag = F_k``). The double sum runs over the dissipator's index
-    set; the two-sided part and the anticommutator part are assembled
-    through fast Pauli transforms rather than dense Kronecker sums.
+    over the normalized Pauli strings ``F`` of the dissipator's index
+    set. The form is written into the signed doubled-space Pauli table
+    that extraction reads (:mod:`floquet_lindblad.liouvillianity`) and
+    assembled by one inverse 2L-site Pauli transform.
 
-    :param hamiltonian: extracted coefficients, a dense Hermitian matrix,
-        or None for a purely dissipative generator.
+    :param hamiltonian: extracted coefficients, a dense matrix (its
+        identity part drops out), or None for no coherent part.
     :param dissipator: the coefficient matrix ``[a_jk]``.
+    :raises DimensionMismatchError: if ``hamiltonian`` acts on other
+        sites than ``dissipator``.
     """
-    num_sites = dissipator.num_sites
-    dim = 2**num_sites
-    codes = np.array([index.code for index in dissipator.index_set], dtype=np.int64)
-    entries = dissipator.entries
-
-    # Two-sided part: sum_jk a_jk F_j x conj(F_k). In the doubled-space
-    # Pauli basis the coefficient of F_j x F_k is a_jk * (-1)^(#2s in k)
-    # because conj(F_k) = (-1)^(#2s) F_k. Only the nonzero entries are
-    # placed, so no (n, n) index temporaries are built.
-    two_counts = code_two_counts(num_sites)
-    doubled = np.zeros(4 ** (2 * num_sites), dtype=complex)
-    rows, cols = np.nonzero(entries)
-    np.add.at(
-        doubled,
-        (codes[rows] << (2 * num_sites)) + codes[cols],
-        entries[rows, cols] * (-1.0) ** two_counts[codes[cols]],
-    )
-    two_sided = matrix_from_pauli_coefficients(doubled, 2 * num_sites)
-
-    # Anticommutator part: K = sum_jk a_jk F_k F_j expanded in the Pauli
-    # basis through the single-site product tables, then
-    # -(1/2) (K x I + I x K^T).
-    k_coeffs = quadratic_product_coefficients(codes, entries, num_sites)
-    k_matrix = matrix_from_pauli_coefficients(k_coeffs, num_sites)
-    identity = np.eye(dim, dtype=complex)
-    anticommutator = -0.5 * (
-        np.kron(k_matrix, identity) + np.kron(identity, k_matrix.T)
-    )
-
-    total = two_sided + anticommutator
-    if hamiltonian is not None:
-        if isinstance(hamiltonian, np.ndarray):
-            h_matrix = np.asarray(hamiltonian, dtype=complex)
-        else:
-            h_matrix = hamiltonian.to_matrix()
-        if h_matrix.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"hamiltonian shape {h_matrix.shape} does not match "
-                f"dimension {dim}"
-            )
-        total += -1j * (
-            np.kron(h_matrix, identity) - np.kron(identity, h_matrix.T)
-        )
-    return Superoperator(total, dim)
+    # liouvillianity owns the table layout and imports this module.
+    from .liouvillianity import _form_superop
+    return _form_superop(hamiltonian, dissipator)
 
 
 def apply_superop(superop: Superoperator, rho: np.ndarray) -> np.ndarray:

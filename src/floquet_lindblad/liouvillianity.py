@@ -12,13 +12,14 @@ over the normalized Pauli basis, with ``H`` Hermitian traceless and
 positive flow exactly when ``[a_jk]`` is positive semidefinite; the
 magnitude of its most negative eigenvalue is the breaking degree.
 
-Extraction identities (row-major vectorization, ``d = 2^L``):
-
-* ``a_jk = (-1)^(#2s in k) * c[(j, k)]`` where ``c`` are the Pauli
-  coefficients of ``S`` viewed as an operator on the doubled (2L-site)
-  space and ``(j, k)`` is the concatenated multi-index;
-* ``h_j = i ( c[(j, 0)] / sqrt(d) + (1/2) <F_j, K> )`` with
-  ``K = sum_jk a_jk F_k F_j``.
+This module alone knows the signed table (row-major vectorization,
+``d = 2^L``) ``t[j, k] = (-1)^(#2s in k) c[(j, k)]``, with ``c`` the
+Pauli coefficients of ``S`` on the doubled (2L-site) space. With
+``K = sum_jk a_jk F_k F_j``, the form ``(H, [a_jk])`` has ``t[j, k] =
+a_jk``, ``t[j, 0] = sqrt(d) (-i h_j - K_j / 2)``, ``t[0, k] = sqrt(d)
+(i h_k - K_k / 2)`` and ``t[0, 0] = -sqrt(d) K_0``. Extraction reads
+``a_jk`` and ``h_j``; the rebuild writes ``t`` and makes one inverse
+transform, which is unitary, so the round-trip residual compares tables.
 
 When the expansion order ``n`` and drive locality ``k`` are known, the
 locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
@@ -33,7 +34,7 @@ connected components of ``[a_jk]`` (:func:`psd_report`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -49,7 +50,7 @@ from .lindblad import (
     Superoperator,
     is_hermiticity_preserving,
     is_trace_preserving,
-    lindblad_form_superop,
+    liouvillian_superop,
 )
 from .magnus import EffectiveExpansion
 from .pauli import (
@@ -265,8 +266,6 @@ class SignedLindbladForm:
 
     def to_superoperator(self) -> Superoperator:
         """Reassemble the dense superoperator of the signed form."""
-        from .lindblad import liouvillian_superop
-
         jumps = [
             (float(channel.sign), channel.operator)
             for channel in self.channels
@@ -298,12 +297,15 @@ def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
     )
 
 
+def _codes(index_set: tuple[MultiIndex, ...]) -> np.ndarray:
+    return np.array([index.code for index in index_set], dtype=np.int64)
+
+
 def _signed_table(
     superop: Superoperator, validate: bool
 ) -> tuple[np.ndarray, int]:
-    """The doubled-space Pauli table of ``superop`` with the sign
-    ``(-1)^(#2s in k)`` applied to column ``k``, so that
-    ``a_jk = table[j, k]``; column 0 is unchanged. One Pauli transform."""
+    """The signed table ``t`` of ``superop`` (module docstring). One
+    Pauli transform."""
     num_sites = _sites_from_superop(superop)
     if validate:
         _validate_candidate(superop)
@@ -311,6 +313,45 @@ def _signed_table(
     table = table.reshape(4**num_sites, 4**num_sites)
     table *= (-1.0) ** code_two_counts(num_sites)
     return table, num_sites
+
+
+def _form_table(
+    hamiltonian: "HamiltonianCoefficients | np.ndarray | None",
+    dissipator: DissipatorMatrix,
+) -> np.ndarray:
+    """The signed table of ``(H, [a_jk])``. A dense ``H`` enters through
+    its Pauli coefficients; its identity part cancels in ``t[0, 0]``."""
+    num_sites, entries = dissipator.num_sites, dissipator.entries
+    h_coeffs = 0.0
+    if isinstance(hamiltonian, HamiltonianCoefficients):
+        if hamiltonian.num_sites != num_sites:
+            raise DimensionMismatchError(
+                f"hamiltonian on {hamiltonian.num_sites} sites, not {num_sites}"
+            )
+        h_coeffs = np.zeros(4**num_sites, dtype=complex)
+        h_coeffs[_codes(hamiltonian.index_set)] = hamiltonian.values
+    elif hamiltonian is not None:
+        h_coeffs = pauli_coefficients(hamiltonian, num_sites)
+    codes = _codes(dissipator.index_set)
+    table = np.zeros((4**num_sites, 4**num_sites), dtype=complex)
+    rows, cols = np.nonzero(entries)
+    np.add.at(table, (codes[rows], codes[cols]), entries[rows, cols])
+    half_k = 0.5 * quadratic_product_coefficients(codes, entries, num_sites)
+    table[:, 0] += np.sqrt(2**num_sites) * (-1j * h_coeffs - half_k)
+    table[0, :] += np.sqrt(2**num_sites) * (1j * h_coeffs - half_k)
+    return table
+
+
+def _form_superop(
+    hamiltonian: "HamiltonianCoefficients | np.ndarray | None",
+    dissipator: DissipatorMatrix,
+) -> Superoperator:
+    """:func:`lindblad_form_superop`: one inverse Pauli transform."""
+    num_sites = dissipator.num_sites
+    table = _form_table(hamiltonian, dissipator)
+    table *= (-1.0) ** code_two_counts(num_sites)
+    matrix = matrix_from_pauli_coefficients(table.reshape(-1), 2 * num_sites)
+    return Superoperator(matrix, 2**num_sites)
 
 
 def _dissipator_from_table(table: np.ndarray, num_sites: int) -> DissipatorMatrix:
@@ -330,12 +371,10 @@ def _hamiltonian_from_table(
     table: np.ndarray, dissipator: DissipatorMatrix
 ) -> HamiltonianCoefficients:
     num_sites = dissipator.num_sites
-    codes = np.array([index.code for index in dissipator.index_set], dtype=np.int64)
     gram_coeffs = quadratic_product_coefficients(
-        codes, dissipator.entries, num_sites
+        _codes(dissipator.index_set), dissipator.entries, num_sites
     )
-    dim = float(2**num_sites)
-    raw = 1j * (table[1:, 0] / np.sqrt(dim) + 0.5 * gram_coeffs[1:])
+    raw = 1j * (table[1:, 0] / np.sqrt(2**num_sites) + 0.5 * gram_coeffs[1:])
     scale = max(1.0, float(np.max(np.abs(raw))))
     residue = float(np.max(np.abs(raw.imag)))
     if residue > VALIDATION_TOL * scale:
@@ -349,36 +388,31 @@ def _hamiltonian_from_table(
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The full decomposition ``(h_j, [a_jk])`` of one superoperator.
-
-    Both parts are linear in the superoperator, so the decomposition of a
-    sum is the sum of the decompositions: ``+`` adds coefficients.
-    """
+    """The decomposition ``(h_j, [a_jk])`` of one superoperator and its
+    signed table. All three are linear in the superoperator, so ``+``
+    adds each of them."""
 
     hamiltonian: HamiltonianCoefficients
     dissipator: DissipatorMatrix
+    table: np.ndarray
 
     def __add__(self, other: "Decomposition") -> "Decomposition":
-        hamiltonian, dissipator = self.hamiltonian, self.dissipator
-        if (
-            hamiltonian.index_set != other.hamiltonian.index_set
-            or dissipator.index_set != other.dissipator.index_set
-        ):
+        if self.table.shape != other.table.shape:
             raise DimensionMismatchError(
-                "decompositions over different index sets cannot be added"
+                "decompositions on different sites cannot be added"
             )
+        h, a = self.hamiltonian, self.dissipator
         return Decomposition(
-            HamiltonianCoefficients(
-                hamiltonian.index_set,
-                hamiltonian.values + other.hamiltonian.values,
-                hamiltonian.num_sites,
-            ),
-            DissipatorMatrix(
-                dissipator.index_set,
-                dissipator.entries + other.dissipator.entries,
-                dissipator.num_sites,
-            ),
+            replace(h, values=h.values + other.hamiltonian.values),
+            replace(a, entries=a.entries + other.dissipator.entries),
+            self.table + other.table,
         )
+
+    def residual(self) -> float:
+        """:func:`roundtrip_residual` of the decomposed superoperator."""
+        form_table = _form_table(self.hamiltonian, self.dissipator)
+        difference = float(np.linalg.norm(self.table - form_table))
+        return difference / max(1.0, float(np.linalg.norm(self.table)))
 
 
 def decompose(superop: Superoperator) -> Decomposition:
@@ -387,7 +421,8 @@ def decompose(superop: Superoperator) -> Decomposition:
     :func:`extract_hamiltonian` (validation included)."""
     table, num_sites = _signed_table(superop, True)
     dissipator = _dissipator_from_table(table, num_sites)
-    return Decomposition(_hamiltonian_from_table(table, dissipator), dissipator)
+    hamiltonian = _hamiltonian_from_table(table, dissipator)
+    return Decomposition(hamiltonian, dissipator, table)
 
 
 def extract_dissipator(
@@ -508,8 +543,7 @@ def canonical_decomposition(
         if abs(lam) <= CHANNEL_DROP_RTOL * scale:
             continue
         coeffs = np.zeros(4**dissipator.num_sites, dtype=complex)
-        for row, index in enumerate(dissipator.index_set):
-            coeffs[index.code] = eigenvectors[row, position]
+        coeffs[_codes(dissipator.index_set)] = eigenvectors[:, position]
         operator = matrix_from_pauli_coefficients(
             coeffs, dissipator.num_sites
         ) * np.sqrt(abs(lam))
@@ -582,7 +616,13 @@ def roundtrip_residual(
     dissipator: DissipatorMatrix,
 ) -> float:
     """Relative Frobenius residual between ``superop`` and the
-    superoperator rebuilt from its ``(H, [a_jk])`` decomposition."""
-    rebuilt = lindblad_form_superop(hamiltonian, dissipator)
-    difference = float(np.linalg.norm(superop.matrix - rebuilt.matrix))
-    return difference / max(1.0, float(np.linalg.norm(superop.matrix)))
+    superoperator of ``(H, [a_jk])``, measured between their tables.
+
+    :raises DimensionMismatchError: if the three act on different sites.
+    """
+    table, num_sites = _signed_table(superop, False)
+    if num_sites != dissipator.num_sites:
+        raise DimensionMismatchError(
+            f"superoperator on {num_sites} sites, not {dissipator.num_sites}"
+        )
+    return Decomposition(hamiltonian, dissipator, table).residual()

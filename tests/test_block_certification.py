@@ -131,7 +131,8 @@ def test_block_spectrum_matches_dense(case, weight_limit):
 @pytest.mark.parametrize("case", sorted(EXPANSIONS))
 def test_summed_term_decompositions_match_cumulative_extraction(case):
     """Running sums of the term decompositions equal direct extraction
-    of each cumulative generator, full and weight-limited."""
+    of each cumulative generator, full and weight-limited; the summed
+    table is the cumulative generator's, and round trips."""
     expansion = EXPANSIONS[case]()
     terms = [
         decompose(expansion.term(order))
@@ -139,6 +140,12 @@ def test_summed_term_decompositions_match_cumulative_extraction(case):
     ]
     for order, summed in enumerate(accumulate(terms)):
         cumulative = expansion.cumulative(order)
+        table = decompose(cumulative).table
+        np.testing.assert_allclose(
+            summed.table, table, rtol=0.0,
+            atol=1e-12 * max(1.0, float(np.max(np.abs(table)))),
+        )
+        assert summed.residual() <= 1e-12
         direct = extract_dissipator(cumulative)
         scale = max(1.0, direct.max_abs())
         assert summed.dissipator.index_set == direct.index_set

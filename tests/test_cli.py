@@ -504,7 +504,7 @@ def test_compare_exact_identical_segments(tmp_path, capsys):
 
 def test_compare_exact_stroboscopic_section(tmp_path, capsys):
     """A custom initial state and period count shape the stroboscopic
-    series; non-states are rejected."""
+    series; non-states and states of another dimension are rejected."""
     up_state = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     config = write_config(
         tmp_path,
@@ -549,6 +549,25 @@ def test_compare_exact_stroboscopic_section(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, ["compare-exact", "--config", config])
     assert code == 2 and "initial_state" in err
+
+    config = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "model": {"name": "C", "tau": 0.1, "num_sites": 3, "jz": 1.0},
+            "orders": [0],
+            "compare": {
+                "start": 0.05,
+                "stop": 0.2,
+                "count": 2,
+                "initial_state": up_state,
+            },
+        },
+        name="smallstate.json",
+    )
+    code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
+    assert code == 2 and out == ""
+    assert "initial_state" in err and "(8, 8)" in err
 
 
 def test_compare_exact_branch_ambiguity_everywhere(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from floquet_lindblad import (
+    DimensionMismatchError,
     LindbladSegment,
     JumpTerm,
     ModelParams,
@@ -71,12 +72,17 @@ def test_random_density_matrix_is_a_state():
 
 def test_stroboscopic_compare_exact_for_commuting_segments():
     """When the segments commute the leading average is already exact,
-    so stroboscopic distances stay at roundoff."""
+    so stroboscopic distances stay at roundoff; a state of another
+    dimension is rejected."""
     drive = commuting_drive()
     effective = bch_orders(drive, max_order=0).cumulative()
     comparison = stroboscopic_compare(drive, effective, num_periods=20)
     assert len(comparison.distances) == 20
     assert comparison.max_distance <= 1e-10
+    with pytest.raises(DimensionMismatchError):
+        stroboscopic_compare(
+            drive, effective, initial_state=random_density_matrix(2 * drive.dim)
+        )
 
 
 def test_stroboscopic_accuracy_improves_with_order():

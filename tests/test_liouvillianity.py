@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from floquet_lindblad import (
+    DimensionMismatchError,
     DissipatorMatrix,
     MultiIndex,
     NotLindbladCandidateError,
@@ -194,6 +195,31 @@ def test_roundtrip_of_zero_superoperator():
     dissipator = extract_dissipator(superop)
     hamiltonian = extract_hamiltonian(superop, dissipator)
     assert roundtrip_residual(superop, hamiltonian, dissipator) == 0.0
+
+
+def test_roundtrip_rejects_a_superoperator_on_other_sites():
+    """A one-site superoperator does not compare with a two-site
+    decomposition."""
+    rng = np.random.default_rng(73)
+    superop = random_liouvillian(rng, 4)
+    dissipator = extract_dissipator(superop)
+    hamiltonian = extract_hamiltonian(superop, dissipator)
+    with pytest.raises(DimensionMismatchError):
+        roundtrip_residual(random_liouvillian(rng, 2), hamiltonian, dissipator)
+
+
+def test_form_rejects_a_hamiltonian_on_other_sites():
+    """One-site Hamiltonian coefficients, or their 2 x 2 matrix, enter
+    neither the rebuild nor the residual of a two-site form."""
+    rng = np.random.default_rng(79)
+    superop = random_liouvillian(rng, 4)
+    dissipator = extract_dissipator(superop)
+    small = extract_hamiltonian(random_liouvillian(rng, 2))
+    for hamiltonian in (small, small.to_matrix()):
+        with pytest.raises(DimensionMismatchError):
+            lindblad_form_superop(hamiltonian, dissipator)
+        with pytest.raises(DimensionMismatchError):
+            roundtrip_residual(superop, hamiltonian, dissipator)
 
 
 def test_psd_report_flags_negative_spectrum():
