@@ -60,7 +60,6 @@ from .liouvillianity import (
     Decomposition,
     PerOrderCheck,
     decompose,
-    extract_dissipator,
     psd_report,
 )
 from .locality import certify, coefficient_bounds
@@ -75,6 +74,7 @@ from .magnus import (
     van_vleck_orders,
 )
 from .models import ModelParams, analytic_reference, build_model
+from .pauli import pauli_coefficients
 
 __all__ = ["main", "build_parser"]
 
@@ -441,20 +441,24 @@ def _cumulative_record(config: RunConfig, decomposition: Decomposition) -> dict:
     }
 
 
-def cmd_analyze(config: RunConfig) -> str:
-    """Build the JSON certification report for one drive.
-
-    Every order term is decomposed once; the cumulative decompositions
-    (signed tables included) are their running sums.
-    """
-    drive = config.drive()
-    expansion = config.expansion(drive)
-    order_records = []
-    max_abs = []
+def _running_decompositions(expansion):
+    """``(order, term, cumulative)`` for every computed order: each order
+    term is decomposed once, and the cumulative decompositions (signed
+    tables included) are their running sums."""
     cumulative = None
     for order in range(expansion.max_order + 1):
         term = decompose(expansion.term(order))
         cumulative = term if cumulative is None else cumulative + term
+        yield order, term, cumulative
+
+
+def cmd_analyze(config: RunConfig) -> str:
+    """Build the JSON certification report for one drive."""
+    drive = config.drive()
+    expansion = config.expansion(drive)
+    order_records = []
+    max_abs = []
+    for order, term, cumulative in _running_decompositions(expansion):
         max_abs.append(term.dissipator.max_abs())
         if order not in config.orders:
             continue
@@ -499,10 +503,10 @@ def _scan_point(config: RunConfig, parameter: str, value: float) -> list[str]:
     params = replace(config.params, **{parameter: value})
     expansion = config.expansion(build_model(params))
     rows = []
-    for order in config.orders:
-        dissipator = extract_dissipator(
-            expansion.cumulative(order), weight_limit=config.weight_limit
-        )
+    for order, _, cumulative in _running_decompositions(expansion):
+        if order not in config.orders:
+            continue
+        dissipator = cumulative.dissipator.restricted(config.weight_limit)
         report = psd_report(dissipator, tol_psd=config.tol_psd)
         rows.append(
             ",".join(
@@ -554,9 +558,8 @@ def cmd_scan(config: RunConfig) -> str:
 def _fit_point(config: RunConfig, product: float) -> float:
     params = replace(config.params, jz=product / config.params.tau)
     expansion = bch_orders(build_model(params), 2)
-    dissipator = extract_dissipator(
-        expansion.cumulative(2), weight_limit=config.weight_limit
-    )
+    *_, (_, _, cumulative) = _running_decompositions(expansion)
+    dissipator = cumulative.dissipator.restricted(config.weight_limit)
     return psd_report(dissipator, tol_psd=config.tol_psd).min_eigenvalue
 
 
@@ -643,9 +646,14 @@ def _compare_point(
         exact = exact_effective(drive)
     except BranchCutError:
         return [None for _ in config.orders], True
+    # Compared in Pauli coefficients (a unitary transform): the exact
+    # generator is transformed once, the sparse orders never materialized.
+    exact = pauli_coefficients(exact.matrix, 2 * drive.num_sites)
     residuals = []
     for order in config.orders:
-        difference = exact.matrix - expansion.cumulative(order).matrix
+        codes, values = expansion.cumulative(order).pauli_terms
+        difference = exact.copy()
+        difference[codes] -= values
         residuals.append(float(np.linalg.norm(difference)))
     return residuals, False
 

@@ -14,6 +14,10 @@ generator becomes the dense matrix
         + sum_i gamma_i (L_i x conj(L_i)
                          - (1/2) (L_i^dag L_i x I + I x L_i^T conj(L_i))).
 
+The same generator is also built as a sparse doubled Pauli sum, with
+coefficient ``Tr[F_j A] Tr[F_k B^T]`` of ``F_j x F_k`` for every
+``A rho B`` piece (:meth:`PiecewiseLiouvillian.segment_generators`).
+
 Drives are piecewise constant over one period: each
 :class:`LindbladSegment` holds a duration plus Hamiltonian and jump terms
 with declared site supports, and a :class:`PiecewiseLiouvillian` strings
@@ -32,7 +36,13 @@ import numpy as np
 
 from .core import devectorize, vectorize
 from .errors import DimensionMismatchError
-from .pauli import embed_local
+from .pauli import (
+    code_two_counts,
+    embed_local,
+    matrix_from_pauli_terms,
+    merge_pauli_terms,
+    pauli_coefficients,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from .liouvillianity import DissipatorMatrix, HamiltonianCoefficients
@@ -53,6 +63,11 @@ __all__ = [
 
 #: Largest supported number of spin-1/2 sites (Hilbert dimension 2^6).
 MAX_NUM_SITES = 6
+
+#: L-site Pauli coefficients of a segment's ``H``, ``L_i`` or
+#: ``L_i^dag L_i`` at or below this fraction of that operator's own
+#: largest one are transform roundoff, dropped from the sparse build.
+INPUT_RTOL = 1e-14
 
 
 def _check_term(
@@ -171,41 +186,77 @@ class LindbladSegment:
         )
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    """A dense superoperator on a ``system_dim``-dimensional system.
+    """A superoperator on a ``system_dim``-dimensional system.
 
-    The matrix acts on row-major vectorized density matrices and is
-    treated as immutable.
+    ``matrix`` acts on row-major vectorized density matrices. A sparse
+    superoperator (:meth:`from_pauli_terms`) materializes it on first
+    use, once; ``+``, ``-``, scalar ``*`` and :meth:`norm` stay sparse
+    when every operand is. Treated as immutable.
     """
 
-    matrix: np.ndarray
-    system_dim: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=complex)
-        expected = self.system_dim**2
+    def __init__(self, matrix: np.ndarray, system_dim: int) -> None:
+        arr = np.asarray(matrix, dtype=complex)
+        expected = system_dim**2
         if arr.shape != (expected, expected):
             raise DimensionMismatchError(
-                f"superoperator for dimension {self.system_dim} must have "
+                f"superoperator for dimension {system_dim} must have "
                 f"shape {(expected, expected)}, got {arr.shape}"
             )
-        object.__setattr__(self, "matrix", arr)
+        self._matrix, self.system_dim = arr, system_dim
+        #: ``(codes, values)`` of a sparse superoperator, else None.
+        self.pauli_terms: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def from_pauli_terms(
+        cls, codes: np.ndarray, values: np.ndarray, system_dim: int
+    ) -> "Superoperator":
+        """``sum_i values[i] F_codes[i]`` over the doubled (2L-site) Pauli
+        basis, ``system_dim = 2^L``, codes ascending and distinct; the
+        code of ``F_j x F_k`` is ``code(j) 4^L + code(k)``."""
+        codes = np.asarray(codes, dtype=np.int64)
+        values = np.asarray(values, dtype=complex)
+        if system_dim < 2 or system_dim & (system_dim - 1):
+            raise DimensionMismatchError(f"dimension {system_dim} is not 2^L")
+        if codes.ndim != 1 or codes.shape != values.shape or (
+            codes.size and (codes[0] < 0 or codes[-1] >= system_dim**4)
+        ) or np.any(np.diff(codes) <= 0):
+            raise DimensionMismatchError(
+                "Pauli terms need ascending distinct codes below 4^(2L), "
+                "one value each"
+            )
+        superop = cls.__new__(cls)
+        superop._matrix, superop.system_dim = None, system_dim
+        superop.pauli_terms = (codes, values)
+        return superop
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            sites = 2 * (self.system_dim.bit_length() - 1)
+            self._matrix = matrix_from_pauli_terms(*self.pauli_terms, sites)
+        return self._matrix
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Apply to a density matrix, returning a matrix."""
         return apply_superop(self, rho)
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
+    def _combine(self, other: "Superoperator", sign: float) -> "Superoperator":
         self._check_compatible(other)
-        return Superoperator(self.matrix + other.matrix, self.system_dim)
+        if self.pauli_terms is None or other.pauli_terms is None:
+            return Superoperator(self.matrix + sign * other.matrix, self.system_dim)
+        return _weighted_sum((1.0, sign), (self, other), self.system_dim)
+
+    def __add__(self, other: "Superoperator") -> "Superoperator":
+        return self._combine(other, 1.0)
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
-        self._check_compatible(other)
-        return Superoperator(self.matrix - other.matrix, self.system_dim)
+        return self._combine(other, -1.0)
 
     def __mul__(self, scalar: complex) -> "Superoperator":
-        return Superoperator(self.matrix * scalar, self.system_dim)
+        if self.pauli_terms is None:
+            return Superoperator(self.matrix * scalar, self.system_dim)
+        return _weighted_sum((scalar,), (self,), self.system_dim)
 
     __rmul__ = __mul__
 
@@ -217,8 +268,24 @@ class Superoperator:
             )
 
     def norm(self) -> float:
-        """Frobenius norm of the matrix."""
+        """Frobenius norm of the matrix (the 2-norm of a sparse one's
+        values: the Pauli basis is orthonormal)."""
+        if self.pauli_terms is not None:
+            return float(np.linalg.norm(self.pauli_terms[1]))
         return float(np.linalg.norm(self.matrix))
+
+
+def _weighted_sum(weights, superops, system_dim: int) -> Superoperator:
+    """``sum_i weights[i] superops[i]`` of sparse superoperators, scaled
+    in place and merged once."""
+    parts = [superop.pauli_terms for superop in superops]
+    codes = np.concatenate([np.empty(0, dtype=np.int64)] + [c for c, _ in parts])
+    values = np.concatenate([np.empty(0, dtype=complex)] + [v for _, v in parts])
+    start = 0
+    for weight, (part, _) in zip(weights, parts):
+        values[start : start + part.size] *= weight
+        start += part.size
+    return Superoperator.from_pauli_terms(*merge_pauli_terms(codes, values), system_dim)
 
 
 @dataclass(frozen=True)
@@ -261,6 +328,14 @@ class PiecewiseLiouvillian:
             for seg in self.segments
         )
 
+    def segment_generators(self) -> tuple[Superoperator, ...]:
+        """:attr:`segment_superops` as sparse doubled Pauli sums, built
+        without any dense superoperator. They are cheap to build, so the
+        drive does not keep them."""
+        return tuple(
+            _segment_generator(seg, self.num_sites) for seg in self.segments
+        )
+
     @cached_property
     def segment_windows(self) -> tuple[tuple[float, float], ...]:
         """Start and end time of every segment within one period."""
@@ -270,6 +345,41 @@ class PiecewiseLiouvillian:
             windows.append((start, start + seg.duration))
             start += seg.duration
         return tuple(windows)
+
+
+def _significant_coefficients(operator: np.ndarray, num_sites: int):
+    """Codes and values of the L-site Pauli coefficients of ``operator``
+    above ``INPUT_RTOL`` times their largest magnitude."""
+    coefficients = pauli_coefficients(operator, num_sites)
+    magnitudes = np.abs(coefficients)
+    codes = np.flatnonzero(magnitudes > INPUT_RTOL * magnitudes.max())
+    return codes, coefficients[codes]
+
+
+def _segment_generator(segment: LindbladSegment, num_sites: int) -> Superoperator:
+    """One segment's generator as a sparse doubled Pauli sum, written in
+    the signed table ``t[j, k] = Tr[F_j A] Tr[F_k B]`` of its ``A rho B``
+    pieces: ``t[j, 0] = -i sqrt(d) h_j`` and ``t[0, k] = i sqrt(d) h_k``
+    (the identity part cancels), and per jump ``r u_j conj(u_k)`` plus
+    ``-r sqrt(d) g_j / 2`` in row and column 0, with ``h``, ``u`` and
+    ``g`` the coefficients of ``H``, ``L`` and ``L^dag L``. The Pauli
+    coefficient is ``t[j, k] (-1)^(#2s in k)``, the sign of transposing.
+    """
+    size, root = 4**num_sites, np.sqrt(2.0**num_sites)
+    codes, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    if segment.hamiltonian_terms:
+        h_codes, h = _significant_coefficients(segment.hamiltonian(num_sites), num_sites)
+        h_codes, h = h_codes[h_codes != 0], h[h_codes != 0]
+        codes += [h_codes * size, h_codes]
+        values += [-1j * root * h, 1j * root * h]
+    for rate, operator in segment.jumps(num_sites):
+        u_codes, u = _significant_coefficients(operator, num_sites)
+        g_codes, g = _significant_coefficients(operator.conj().T @ operator, num_sites)
+        codes += [(u_codes[:, None] * size + u_codes).reshape(-1), g_codes * size, g_codes]
+        values += [rate * np.outer(u, u.conj()).reshape(-1)] + [-0.5 * rate * root * g] * 2
+    codes, values = merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
+    values[code_two_counts(num_sites)[codes % size] % 2 == 1] *= -1.0
+    return Superoperator.from_pauli_terms(codes, values, 2**num_sites)
 
 
 def liouvillian_superop(

@@ -20,6 +20,10 @@ a_jk``, ``t[j, 0] = sqrt(d) (-i h_j - K_j / 2)``, ``t[0, k] = sqrt(d)
 (i h_k - K_k / 2)`` and ``t[0, 0] = -sqrt(d) K_0``. Extraction reads
 ``a_jk`` and ``h_j``; the rebuild writes ``t`` and makes one inverse
 transform, which is unitary, so the round-trip residual compares tables.
+A sparse superoperator (an expansion term) is scattered into its table
+and validated there, with no 2L-site transform: trace preservation is
+``K(t) = sum_jk t[j, k] F_k F_j = 0`` and Hermiticity preservation is
+``t = t^dag``.
 
 When the expansion order ``n`` and drive locality ``k`` are known, the
 locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
@@ -55,6 +59,7 @@ from .lindblad import (
 from .magnus import EffectiveExpansion
 from .pauli import (
     MultiIndex,
+    _string_products,
     code_two_counts,
     matrix_from_pauli_coefficients,
     pauli_coefficients,
@@ -275,13 +280,41 @@ class SignedLindbladForm:
         )
 
 
-def _validate_candidate(superop: Superoperator) -> None:
-    if not is_trace_preserving(superop, tol=VALIDATION_TOL):
+def _table_defects(
+    codes: np.ndarray, signed: np.ndarray, num_sites: int
+) -> tuple[float, float, float]:
+    """Trace and Hermiticity defects of the sparse signed table ``t``
+    (``signed`` at doubled ``codes``) and their scale. As ``S rho =
+    sum_jk t[j, k] F_j rho F_k``, ``||K||_F`` with ``K = sum_jk t[j, k]
+    F_k F_j`` is the residual of :func:`is_trace_preserving` and
+    ``||t - t^dag||_F`` bounds the entry defect of
+    :func:`is_hermiticity_preserving` from above; the scale
+    ``max(1, ||t||_F / 4^L)`` is at most their ``max(1, max|S|)``.
+    """
+    size = 4**num_sites
+    rows, cols = np.divmod(codes, size)
+    _, gram = _string_products(cols, rows, signed, num_sites, False)
+    transposed = cols * size + rows
+    partner = np.minimum(np.searchsorted(codes, transposed), codes.size - 1)
+    # An unpaired t[j, k] faces a zero t[k, j]: two defect entries.
+    defect = np.where(
+        codes[partner] == transposed,
+        signed - signed[partner].conj(),
+        np.sqrt(2.0) * signed,
+    )
+    scale = max(1.0, float(np.linalg.norm(signed)) / size)
+    return float(np.linalg.norm(gram)), float(np.linalg.norm(defect)), scale
+
+
+def _validate_candidate(
+    trace_preserving: bool, hermiticity_preserving: bool
+) -> None:
+    if not trace_preserving:
         raise NotLindbladCandidateError(
             "superoperator is not trace preserving within "
             f"{VALIDATION_TOL:g}"
         )
-    if not is_hermiticity_preserving(superop, tol=VALIDATION_TOL):
+    if not hermiticity_preserving:
         raise NotLindbladCandidateError(
             "superoperator is not Hermiticity preserving within "
             f"{VALIDATION_TOL:g}"
@@ -304,15 +337,35 @@ def _codes(index_set: tuple[MultiIndex, ...]) -> np.ndarray:
 def _signed_table(
     superop: Superoperator, validate: bool
 ) -> tuple[np.ndarray, int]:
-    """The signed table ``t`` of ``superop`` (module docstring). One
-    Pauli transform."""
+    """The signed table ``t`` of ``superop`` (module docstring): a sparse
+    one scattered and validated in table space, a dense one transformed
+    and validated densely."""
     num_sites = _sites_from_superop(superop)
+    size = 4**num_sites
+    signs = (-1.0) ** code_two_counts(num_sites)
+    if superop.pauli_terms is None:
+        if validate:
+            _validate_candidate(
+                is_trace_preserving(superop, tol=VALIDATION_TOL),
+                is_hermiticity_preserving(superop, tol=VALIDATION_TOL),
+            )
+        table = pauli_coefficients(superop.matrix, 2 * num_sites)
+        table = table.reshape(size, size)
+        table *= signs
+        return table, num_sites
+    codes, values = superop.pauli_terms
+    signed = values * signs[codes % size]
     if validate:
-        _validate_candidate(superop)
-    table = pauli_coefficients(superop.matrix, 2 * num_sites)
-    table = table.reshape(4**num_sites, 4**num_sites)
-    table *= (-1.0) ** code_two_counts(num_sites)
-    return table, num_sites
+        trace_defect, hermiticity_defect, scale = _table_defects(
+            codes, signed, num_sites
+        )
+        _validate_candidate(
+            trace_defect <= VALIDATION_TOL * scale,
+            hermiticity_defect <= VALIDATION_TOL * scale,
+        )
+    table = np.zeros(size * size, dtype=complex)
+    table[codes] = signed
+    return table.reshape(size, size), num_sites
 
 
 def _form_table(

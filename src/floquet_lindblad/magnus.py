@@ -25,7 +25,9 @@ Kick-free (van Vleck) flavor: built from the Fourier components
     L^(1) = sum_{m >= 1} [L_{-m}, L_m] / (i m omega),  omega = 2 pi / T,
 
 truncated at ``m_max`` with a reported cutoff-error estimate of twice the
-magnitude of the last retained term. The ``1/(i m omega)`` weight is the
+larger Frobenius norm of the last two retained harmonic terms
+(``m = m_max - 1`` and ``m_max``; two, because the alternate harmonics
+of binary-like drives vanish). The ``1/(i m omega)`` weight is the
 unique constant for which the first-order term is trace- and
 Hermiticity-preserving and reduces, for purely coherent drives, to the
 standard kick-free correction ``sum_{m >= 1} [H_m, H_{-m}] / (m omega)``
@@ -41,19 +43,28 @@ stroboscopic weights are ``tau_a tau_b / 2T``. Every harmonic is a scalar
 combination ``L_m = sum_s c_s(m) L_s`` of the segment generators, so the
 van Vleck weights are
 ``sum_{m <= m_max} 2 Im(conj(c_a(m)) c_b(m)) / (m omega)`` and the cutoff
-costs scalar work only. The dense :func:`fourier_component` is kept as
-the public reference the tests check this sum against.
+costs scalar work only. :func:`fourier_component` is kept as the public
+reference the tests check this sum against.
+
+Every term is a sparse doubled Pauli sum (a sparse
+:class:`~floquet_lindblad.lindblad.Superoperator`), formed from the sparse
+segment generators by merging sums and by the one product kernel
+:func:`~floquet_lindblad.pauli.pauli_product`; its ``.matrix`` is built on
+first use. Only :func:`floquet_propagator` and :func:`exact_effective`
+work densely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .core import matrix_exp, matrix_log_principal
 from .errors import DimensionMismatchError, UnsupportedOrderError
-from .lindblad import PiecewiseLiouvillian, Superoperator
+from .lindblad import PiecewiseLiouvillian, Superoperator, _weighted_sum
+from .pauli import pauli_product
 
 __all__ = [
     "EffectiveExpansion",
@@ -112,8 +123,13 @@ class EffectiveExpansion:
         return total
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _commutator(a: Superoperator, b: Superoperator) -> Superoperator:
+    """``[a, b]`` of two sparse superoperators."""
+    doubled_sites = 2 * (a.system_dim.bit_length() - 1)
+    return Superoperator.from_pauli_terms(
+        *pauli_product(a.pauli_terms, b.pauli_terms, doubled_sites, True),
+        a.system_dim,
+    )
 
 
 def is_binary_drive(drive: PiecewiseLiouvillian) -> bool:
@@ -138,22 +154,22 @@ def _segment_coefficients(drive: PiecewiseLiouvillian, m: int) -> np.ndarray:
     )
 
 
-def _harmonic(drive: PiecewiseLiouvillian, m: int) -> np.ndarray:
-    """The dense Fourier component ``L_m = sum_s c_s(m) L_s``."""
-    pairs = zip(_segment_coefficients(drive, m), drive.segment_superops)
-    return sum(c * superop.matrix for c, superop in pairs)
+def _harmonic(drive: PiecewiseLiouvillian, generators, m: int) -> Superoperator:
+    """The Fourier component ``L_m = sum_s c_s(m) L_s``."""
+    return _weighted_sum(_segment_coefficients(drive, m), generators, drive.dim)
 
 
-def _pair_sums(drive: PiecewiseLiouvillian, weights: np.ndarray) -> np.ndarray:
+def _pair_sums(
+    drive: PiecewiseLiouvillian,
+    generators: tuple[Superoperator, ...],
+    weights: np.ndarray,
+) -> Iterator[Superoperator]:
     """``sum_{a > b} weights[k, a, b] [L_a, L_b]`` for every row ``k``,
-    forming each segment commutator once."""
-    matrices = [s.matrix for s in drive.segment_superops]
-    sums = np.zeros((len(weights),) + matrices[0].shape, dtype=complex)
-    for a in range(len(matrices)):
-        for b in range(a):
-            commutator = _commutator(matrices[a], matrices[b])
-            sums += weights[:, a, b, None, None] * commutator
-    return sums
+    one row at a time, forming each segment commutator once."""
+    pairs = [(a, b) for a in range(len(generators)) for b in range(a)]
+    commutators = [_commutator(generators[a], generators[b]) for a, b in pairs]
+    for row in weights:
+        yield _weighted_sum([row[a, b] for a, b in pairs], commutators, drive.dim)
 
 
 def bch_orders(
@@ -177,7 +193,7 @@ def bch_orders(
             f"closed-form orders need two equal durations, got {durations}"
         )
     tau = drive.segments[0].duration
-    first, second = (s.matrix for s in drive.segment_superops)
+    first, second = drive.segment_generators()
     inner = _commutator(second, first)
     terms = [0.5 * (first + second)]
     if max_order >= 1:
@@ -187,10 +203,9 @@ def bch_orders(
     if max_order >= 3:
         terms.append(
             (tau**3 / 48.0)
-            * _commutator(first, _commutator(second, -inner))
+            * _commutator(first, _commutator(second, -1.0 * inner))
         )
-    superops = tuple(Superoperator(t, drive.dim) for t in terms)
-    return EffectiveExpansion(FLAVOR_STROBOSCOPIC, superops, drive)
+    return EffectiveExpansion(FLAVOR_STROBOSCOPIC, tuple(terms), drive)
 
 
 def fm_general(
@@ -201,13 +216,13 @@ def fm_general(
         raise UnsupportedOrderError(
             f"general piecewise orders cover 0..1, got {max_order}"
         )
-    terms = [_harmonic(drive, 0)]
+    generators = drive.segment_generators()
+    terms = [_harmonic(drive, generators, 0)]
     if max_order >= 1:
         durations = np.array([seg.duration for seg in drive.segments])
         weights = np.outer(durations, durations) / (2.0 * drive.period)
-        terms.append(_pair_sums(drive, weights[None])[0])
-    superops = tuple(Superoperator(t, drive.dim) for t in terms)
-    return EffectiveExpansion(FLAVOR_STROBOSCOPIC, superops, drive)
+        terms.append(next(_pair_sums(drive, generators, weights[None])))
+    return EffectiveExpansion(FLAVOR_STROBOSCOPIC, tuple(terms), drive)
 
 
 def fourier_component(drive: PiecewiseLiouvillian, m: int) -> Superoperator:
@@ -220,7 +235,7 @@ def fourier_component(drive: PiecewiseLiouvillian, m: int) -> Superoperator:
 
     for ``m != 0``, and to the duration-weighted average for ``m = 0``.
     """
-    return Superoperator(_harmonic(drive, m), drive.dim)
+    return _harmonic(drive, drive.segment_generators(), m)
 
 
 def van_vleck_orders(
@@ -238,7 +253,8 @@ def van_vleck_orders(
         )
     if m_max < 1:
         raise UnsupportedOrderError(f"m_max must be positive, got {m_max}")
-    terms = [_harmonic(drive, 0)]
+    generators = drive.segment_generators()
+    terms = [_harmonic(drive, generators, 0)]
     tail_estimate: float | None = None
     if max_order >= 1:
         harmonics = np.arange(1, m_max + 1)
@@ -250,14 +266,13 @@ def van_vleck_orders(
             / (harmonics * 2.0 * np.pi / drive.period)[:, None, None]
         )
         # The truncated sum, then the last (at most two) harmonic terms.
-        first, *tail = _pair_sums(
-            drive, np.concatenate([w.sum(axis=0)[None], w[-2:]])
+        rows = _pair_sums(
+            drive, generators, np.concatenate([w.sum(axis=0)[None], w[-2:]])
         )
-        terms.append(first)
-        tail_estimate = 2.0 * max(float(np.linalg.norm(t)) for t in tail)
-    superops = tuple(Superoperator(t, drive.dim) for t in terms)
+        terms.append(next(rows))
+        tail_estimate = 2.0 * max(map(Superoperator.norm, rows))
     return EffectiveExpansion(
-        FLAVOR_VAN_VLECK, superops, drive, tail_estimate=tail_estimate
+        FLAVOR_VAN_VLECK, tuple(terms), drive, tail_estimate=tail_estimate
     )
 
 

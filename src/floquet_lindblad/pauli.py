@@ -17,6 +17,12 @@ A multi-index is packed into an integer code ``sum_l j_l * 4^(L-1-l)``
 arrays indexed by code, which keeps superoperator-sized transforms (2L
 sites) cheap: one unitary 4 x 4 contraction per site instead of a dense
 inner product per basis element.
+
+Sparse sums
+-----------
+A sparse Pauli sum is a pair ``(codes, values)`` of ascending distinct
+codes and nonzero coefficients. :func:`pauli_product` multiplies two by
+digit lookup, one per site and pair of strings.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ __all__ = [
     "pauli_coefficients",
     "matrix_from_pauli_coefficients",
     "quadratic_product_coefficients",
+    "merge_pauli_terms",
+    "pauli_product",
+    "matrix_from_pauli_terms",
     "embed_local",
     "code_weights",
     "code_two_counts",
@@ -77,6 +86,15 @@ def _build_product_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 PAULI_PRODUCT_INDEX, PAULI_PRODUCT_PHASE = _build_product_tables()
+
+#: ``PAULI_PRODUCT_PHASE[a, b] = 1j ** _PHASE_POWER[4 a + b]``, while
+#: ``PAULI_PRODUCT_INDEX[a, b] = a ^ b``, so whole codes multiply by XOR.
+_PHASE_POWER = (np.rint(np.angle(PAULI_PRODUCT_PHASE) / (np.pi / 2)) % 4).astype(
+    np.uint8
+).reshape(-1)
+
+#: ``1j ** p`` for a product, ``1j ** p - 1j ** -p`` for a commutator.
+_PHASES = {False: 1j ** np.arange(4), True: np.array([0, 2j, 0, -2j])}
 
 #: Per-site transform with rows (1/sqrt(2)) vec(conj(sigma^p)); unitary.
 _SITE_TRANSFORM = (PAULI.conj().reshape(4, 4) / np.sqrt(2.0)).copy()
@@ -318,21 +336,81 @@ def quadratic_product_coefficients(
         raise DimensionMismatchError(
             f"entries shape {entries.shape} does not match {codes.size} codes"
         )
-    # Visiting only the nonzero entries keeps the temporaries at one
-    # value per nonzero instead of (n, n, L) index and phase tensors.
     k_pos, j_pos = np.nonzero(entries.T != 0)
-    left, right = codes[k_pos], codes[j_pos]
-    prod_codes = np.zeros(k_pos.size, dtype=np.int64)
-    phases = np.ones(k_pos.size, dtype=complex)
-    for position in range(num_sites):
-        shift = 2 * (num_sites - 1 - position)
-        left_digit, right_digit = (left >> shift) & 3, (right >> shift) & 3
-        prod_codes = (prod_codes << 2) + PAULI_PRODUCT_INDEX[left_digit, right_digit]
-        phases *= PAULI_PRODUCT_PHASE[left_digit, right_digit]
+    product_codes, values = _string_products(
+        codes[k_pos], codes[j_pos], entries[j_pos, k_pos], num_sites, False
+    )
     coefficients = np.zeros(4**num_sites, dtype=complex)
-    contributions = entries[j_pos, k_pos] * phases * (2.0 ** (-num_sites / 2.0))
-    np.add.at(coefficients, prod_codes, contributions)
+    coefficients[product_codes] = values
     return coefficients
+
+
+def merge_pauli_terms(
+    codes: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse sum of listed terms: equal codes added, exact zeros
+    dropped. A list as long as its code range is summed in that range."""
+    direct = codes.size and codes.max() < codes.size
+    slots, inverse = (None, codes) if direct else np.unique(codes, return_inverse=True)
+    sums = np.zeros(codes.max() + 1 if direct else slots.size, dtype=complex)
+    np.add.at(sums, inverse, values)
+    kept = np.flatnonzero(sums)
+    return (kept if direct else slots[kept]), sums[kept]
+
+
+def _string_products(left, right, weights, num_sites: int, commutator: bool):
+    """The sparse sum of ``weights[i] F_left[i] F_right[i]`` (or of the
+    commutators): ``F_a F_b = 2^(-L/2) prod_l 1j^p(a_l, b_l) F_(a ^ b)``."""
+    left, right = np.broadcast_arrays(left, right)
+    power = np.zeros(left.shape, dtype=np.uint8)  # only p mod 4 matters
+    for shift in range(0, 2 * num_sites, 2):
+        power += _PHASE_POWER[(((left >> shift) & 3) << 2) | ((right >> shift) & 3)]
+    values = weights * (_PHASES[commutator] * 2.0 ** (-num_sites / 2.0))[power & 3]
+    return merge_pauli_terms((left ^ right).reshape(-1), values.reshape(-1))
+
+
+def pauli_product(
+    left: tuple[np.ndarray, np.ndarray],
+    right: tuple[np.ndarray, np.ndarray],
+    num_sites: int,
+    commutator: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse sum of ``A B`` (or ``[A, B]``) from those of ``A`` and
+    ``B``: one digit lookup per site and pair of strings, ``2^16`` pairs
+    per pass. Commuting pairs drop out of a commutator exactly. When the
+    lookups outnumber the ``8^L`` multiply-adds of the dense product,
+    that is taken instead, through the transforms."""
+    (left_codes, left_values), (right_codes, right_values) = left, right
+    if num_sites * left_codes.size * right_codes.size > 8**num_sites:
+        a = matrix_from_pauli_terms(left_codes, left_values, num_sites)
+        b = matrix_from_pauli_terms(right_codes, right_values, num_sites)
+        coefficients = pauli_coefficients(a @ b - b @ a if commutator else a @ b, num_sites)
+        codes = np.flatnonzero(coefficients)
+        return codes, coefficients[codes]
+    codes, values = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
+    rows = max(1, 2**16 // max(1, right_codes.size))
+    for start in range(0, left_codes.size, rows):
+        chunk = slice(start, start + rows)
+        products = _string_products(
+            left_codes[chunk, None],
+            right_codes,
+            left_values[chunk, None] * right_values,
+            num_sites,
+            commutator,
+        )
+        codes, values = merge_pauli_terms(
+            np.concatenate([codes, products[0]]), np.concatenate([values, products[1]])
+        )
+    return codes, values
+
+
+def matrix_from_pauli_terms(
+    codes: np.ndarray, values: np.ndarray, num_sites: int
+) -> np.ndarray:
+    """The dense matrix of a sparse Pauli sum (one inverse transform)."""
+    coefficients = np.zeros(4**num_sites, dtype=complex)
+    coefficients[codes] = values
+    return matrix_from_pauli_coefficients(coefficients, num_sites)
 
 
 def embed_local(
