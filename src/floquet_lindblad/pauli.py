@@ -96,6 +96,11 @@ _PHASE_POWER = (np.rint(np.angle(PAULI_PRODUCT_PHASE) / (np.pi / 2)) % 4).astype
 #: ``1j ** p`` for a product, ``1j ** p - 1j ** -p`` for a commutator.
 _PHASES = {False: 1j ** np.arange(4), True: np.array([0, 2j, 0, -2j])}
 
+#: One digit lookup of :func:`pauli_product` costs about as much as this
+#: many multiply-adds of a dense product (equal times at 2.6e6 string
+#: pairs on 10 sites, measured on a 2-core VM with OpenBLAS).
+_LOOKUP_COST = 40
+
 #: Per-site transform with rows (1/sqrt(2)) vec(conj(sigma^p)); unitary.
 _SITE_TRANSFORM = (PAULI.conj().reshape(4, 4) / np.sqrt(2.0)).copy()
 
@@ -378,30 +383,31 @@ def pauli_product(
     """The sparse sum of ``A B`` (or ``[A, B]``) from those of ``A`` and
     ``B``: one digit lookup per site and pair of strings, ``2^16`` pairs
     per pass. Commuting pairs drop out of a commutator exactly. When the
-    lookups outnumber the ``8^L`` multiply-adds of the dense product,
-    that is taken instead, through the transforms."""
+    lookups would cost more than the ``8^L`` multiply-adds of the dense
+    product, that is taken instead, through the transforms."""
     (left_codes, left_values), (right_codes, right_values) = left, right
-    if num_sites * left_codes.size * right_codes.size > 8**num_sites:
+    lookups = num_sites * left_codes.size * right_codes.size
+    if _LOOKUP_COST * lookups > 8**num_sites:
         a = matrix_from_pauli_terms(left_codes, left_values, num_sites)
         b = matrix_from_pauli_terms(right_codes, right_values, num_sites)
         coefficients = pauli_coefficients(a @ b - b @ a if commutator else a @ b, num_sites)
         codes = np.flatnonzero(coefficients)
         return codes, coefficients[codes]
-    codes, values = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))]
     rows = max(1, 2**16 // max(1, right_codes.size))
     for start in range(0, left_codes.size, rows):
         chunk = slice(start, start + rows)
-        products = _string_products(
-            left_codes[chunk, None],
-            right_codes,
-            left_values[chunk, None] * right_values,
-            num_sites,
-            commutator,
+        parts.append(
+            _string_products(
+                left_codes[chunk, None],
+                right_codes,
+                left_values[chunk, None] * right_values,
+                num_sites,
+                commutator,
+            )
         )
-        codes, values = merge_pauli_terms(
-            np.concatenate([codes, products[0]]), np.concatenate([values, products[1]])
-        )
-    return codes, values
+    codes, values = zip(*parts)
+    return merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
 
 
 def matrix_from_pauli_terms(
