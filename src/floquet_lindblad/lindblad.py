@@ -14,9 +14,9 @@ generator becomes the dense matrix
         + sum_i gamma_i (L_i x conj(L_i)
                          - (1/2) (L_i^dag L_i x I + I x L_i^T conj(L_i))).
 
-The same generator is also built as a sparse doubled Pauli sum, with
-coefficient ``Tr[F_j A] Tr[F_k B^T]`` of ``F_j x F_k`` for every
-``A rho B`` piece (:meth:`PiecewiseLiouvillian.segment_generators`).
+The same generator is also built as a sparse doubled Pauli sum from the
+L-site Pauli coefficients of ``H`` and the ``L_i``
+(:meth:`PiecewiseLiouvillian.segment_generators`).
 
 Drives are piecewise constant over one period: each
 :class:`LindbladSegment` holds a duration plus Hamiltonian and jump terms
@@ -37,7 +37,6 @@ import numpy as np
 from .core import devectorize, vectorize
 from .errors import DimensionMismatchError
 from .pauli import (
-    code_two_counts,
     embed_local,
     matrix_from_pauli_terms,
     merge_pauli_terms,
@@ -241,31 +240,16 @@ class Superoperator:
         """Apply to a density matrix, returning a matrix."""
         return apply_superop(self, rho)
 
-    def _combine(self, other: "Superoperator", sign: float) -> "Superoperator":
-        self._check_compatible(other)
-        if self.pauli_terms is None or other.pauli_terms is None:
-            return Superoperator(self.matrix + sign * other.matrix, self.system_dim)
-        return _weighted_sum((1.0, sign), (self, other), self.system_dim)
-
     def __add__(self, other: "Superoperator") -> "Superoperator":
-        return self._combine(other, 1.0)
+        return _weighted_sum((1.0, 1.0), (self, other), self.system_dim)
 
     def __sub__(self, other: "Superoperator") -> "Superoperator":
-        return self._combine(other, -1.0)
+        return _weighted_sum((1.0, -1.0), (self, other), self.system_dim)
 
     def __mul__(self, scalar: complex) -> "Superoperator":
-        if self.pauli_terms is None:
-            return Superoperator(self.matrix * scalar, self.system_dim)
         return _weighted_sum((scalar,), (self,), self.system_dim)
 
     __rmul__ = __mul__
-
-    def _check_compatible(self, other: "Superoperator") -> None:
-        if self.system_dim != other.system_dim:
-            raise DimensionMismatchError(
-                f"system dimensions differ: {self.system_dim} vs "
-                f"{other.system_dim}"
-            )
 
     def norm(self) -> float:
         """Frobenius norm of the matrix (the 2-norm of a sparse one's
@@ -276,14 +260,22 @@ class Superoperator:
 
 
 def _weighted_sum(weights, superops, system_dim: int) -> Superoperator:
-    """``sum_i weights[i] superops[i]`` of sparse superoperators, scaled
-    in place and merged once."""
+    """``sum_i weights[i] superops[i]``: sparse, scaled in place and merged
+    once, when every summand is sparse, else dense."""
+    for superop in superops:
+        if superop.system_dim != system_dim:
+            raise DimensionMismatchError(
+                f"system dimensions differ: {system_dim} vs {superop.system_dim}"
+            )
     parts = [superop.pauli_terms for superop in superops]
+    if None in parts:
+        matrix = sum(w * superop.matrix for w, superop in zip(weights, superops))
+        return Superoperator(matrix, system_dim)
     codes = np.concatenate([np.empty(0, dtype=np.int64)] + [c for c, _ in parts])
     values = np.concatenate([np.empty(0, dtype=complex)] + [v for _, v in parts])
     start = 0
     for weight, (part, _) in zip(weights, parts):
-        values[start : start + part.size] *= weight
+        values[start : start + part.size] *= weight  # in place: no copies
         start += part.size
     return Superoperator.from_pauli_terms(*merge_pauli_terms(codes, values), system_dim)
 
@@ -332,8 +324,19 @@ class PiecewiseLiouvillian:
         """:attr:`segment_superops` as sparse doubled Pauli sums, built
         without any dense superoperator. They are cheap to build, so the
         drive does not keep them."""
+        from .liouvillianity import _sparse_form_superop
+
+        sites = self.num_sites
         return tuple(
-            _segment_generator(seg, self.num_sites) for seg in self.segments
+            _sparse_form_superop(
+                _significant(seg.hamiltonian(sites)),
+                [
+                    (rate, _significant(op), _significant(op.conj().T @ op))
+                    for rate, op in seg.jumps(sites)
+                ],
+                sites,
+            )
+            for seg in self.segments
         )
 
     @cached_property
@@ -347,39 +350,13 @@ class PiecewiseLiouvillian:
         return tuple(windows)
 
 
-def _significant_coefficients(operator: np.ndarray, num_sites: int):
-    """Codes and values of the L-site Pauli coefficients of ``operator``
-    above ``INPUT_RTOL`` times their largest magnitude."""
-    coefficients = pauli_coefficients(operator, num_sites)
+def _significant(operator: np.ndarray):
+    """Codes and values of the Pauli coefficients of ``operator`` above
+    ``INPUT_RTOL`` times their largest magnitude."""
+    coefficients = pauli_coefficients(operator, len(operator).bit_length() - 1)
     magnitudes = np.abs(coefficients)
     codes = np.flatnonzero(magnitudes > INPUT_RTOL * magnitudes.max())
     return codes, coefficients[codes]
-
-
-def _segment_generator(segment: LindbladSegment, num_sites: int) -> Superoperator:
-    """One segment's generator as a sparse doubled Pauli sum, written in
-    the signed table ``t[j, k] = Tr[F_j A] Tr[F_k B]`` of its ``A rho B``
-    pieces: ``t[j, 0] = -i sqrt(d) h_j`` and ``t[0, k] = i sqrt(d) h_k``
-    (the identity part cancels), and per jump ``r u_j conj(u_k)`` plus
-    ``-r sqrt(d) g_j / 2`` in row and column 0, with ``h``, ``u`` and
-    ``g`` the coefficients of ``H``, ``L`` and ``L^dag L``. The Pauli
-    coefficient is ``t[j, k] (-1)^(#2s in k)``, the sign of transposing.
-    """
-    size, root = 4**num_sites, np.sqrt(2.0**num_sites)
-    codes, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
-    if segment.hamiltonian_terms:
-        h_codes, h = _significant_coefficients(segment.hamiltonian(num_sites), num_sites)
-        h_codes, h = h_codes[h_codes != 0], h[h_codes != 0]
-        codes += [h_codes * size, h_codes]
-        values += [-1j * root * h, 1j * root * h]
-    for rate, operator in segment.jumps(num_sites):
-        u_codes, u = _significant_coefficients(operator, num_sites)
-        g_codes, g = _significant_coefficients(operator.conj().T @ operator, num_sites)
-        codes += [(u_codes[:, None] * size + u_codes).reshape(-1), g_codes * size, g_codes]
-        values += [rate * np.outer(u, u.conj()).reshape(-1)] + [-0.5 * rate * root * g] * 2
-    codes, values = merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
-    values[code_two_counts(num_sites)[codes % size] % 2 == 1] *= -1.0
-    return Superoperator.from_pauli_terms(codes, values, 2**num_sites)
 
 
 def liouvillian_superop(

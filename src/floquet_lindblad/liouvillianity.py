@@ -20,7 +20,8 @@ a_jk``, ``t[j, 0] = sqrt(d) (-i h_j - K_j / 2)``, ``t[0, k] = sqrt(d)
 (i h_k - K_k / 2)`` and ``t[0, 0] = -sqrt(d) K_0``. Extraction reads
 ``a_jk`` and ``h_j``; the rebuild writes ``t`` and makes one inverse
 transform, which is unitary, so the round-trip residual compares tables.
-A sparse superoperator (an expansion term) is scattered into its table
+The sparse segment generators are written straight into this table. A
+sparse superoperator (an expansion term) is scattered into its table
 and validated there, with no 2L-site transform: trace preservation is
 ``K(t) = sum_jk t[j, k] F_k F_j = 0`` and Hermiticity preservation is
 ``t = t^dag``.
@@ -62,6 +63,7 @@ from .pauli import (
     _string_products,
     code_two_counts,
     matrix_from_pauli_coefficients,
+    merge_pauli_terms,
     pauli_coefficients,
     quadratic_product_coefficients,
 )
@@ -293,7 +295,8 @@ def _table_defects(
     """
     size = 4**num_sites
     rows, cols = np.divmod(codes, size)
-    _, gram = _string_products(cols, rows, signed, num_sites, False)
+    products = _string_products(cols, rows, signed, num_sites, False)
+    _, gram = merge_pauli_terms(*products)
     transposed = cols * size + rows
     partner = np.minimum(np.searchsorted(codes, transposed), codes.size - 1)
     # An unpaired t[j, k] faces a zero t[k, j]: two defect entries.
@@ -405,6 +408,27 @@ def _form_superop(
     table *= (-1.0) ** code_two_counts(num_sites)
     matrix = matrix_from_pauli_coefficients(table.reshape(-1), 2 * num_sites)
     return Superoperator(matrix, 2**num_sites)
+
+
+def _sparse_form_superop(h, jumps, num_sites: int) -> Superoperator:
+    """The generator with Hamiltonian coefficients ``h`` and jumps
+    ``[(rate, u, g)]`` (``h``, ``u``, ``g`` sparse L-site sums of ``H``,
+    ``L``, ``L^dag L``) as a sparse doubled Pauli sum, written in its
+    signed table with ``a_jk = sum rate u_j conj(u_k)`` (identity index
+    included) and ``K = sum rate g``, and no dense array; the identity
+    part of ``H`` cancels in ``t[0, 0]``."""
+    size, root = 4**num_sites, np.sqrt(2.0**num_sites)
+    h_codes, h_values = h
+    codes = [h_codes * size, h_codes]
+    values = [-1j * root * h_values, 1j * root * h_values]
+    for rate, (u_codes, u), (g_codes, g) in jumps:
+        codes += [(u_codes[:, None] * size + u_codes).reshape(-1)]
+        values += [rate * np.outer(u, u.conj()).reshape(-1)]
+        codes += [g_codes * size, g_codes]
+        values += [-0.5 * rate * root * g] * 2
+    codes, signed = merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
+    signed *= (-1.0) ** code_two_counts(num_sites)[codes % size]
+    return Superoperator.from_pauli_terms(codes, signed, 2**num_sites)
 
 
 def _dissipator_from_table(table: np.ndarray, num_sites: int) -> DissipatorMatrix:

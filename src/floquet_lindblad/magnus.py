@@ -48,9 +48,9 @@ reference the tests check this sum against.
 
 Every term is a sparse doubled Pauli sum (a sparse
 :class:`~floquet_lindblad.lindblad.Superoperator`), formed from the sparse
-segment generators by merging sums and by the one product kernel
-:func:`~floquet_lindblad.pauli.pauli_product`; its ``.matrix`` is built on
-first use. Only :func:`floquet_propagator` and :func:`exact_effective`
+segment generators by merging sums and by the one commutator kernel
+:func:`~floquet_lindblad.pauli.pauli_commutator`; its ``.matrix`` is built
+on first use. Only :func:`floquet_propagator` and :func:`exact_effective`
 work densely.
 """
 
@@ -64,7 +64,7 @@ import numpy as np
 from .core import matrix_exp, matrix_log_principal
 from .errors import DimensionMismatchError, UnsupportedOrderError
 from .lindblad import PiecewiseLiouvillian, Superoperator, _weighted_sum
-from .pauli import pauli_product
+from .pauli import pauli_commutator
 
 __all__ = [
     "EffectiveExpansion",
@@ -117,17 +117,15 @@ class EffectiveExpansion:
             raise UnsupportedOrderError(
                 f"order {cap} outside computed range 0..{self.max_order}"
             )
-        total = self.order_terms[0]
-        for term in self.order_terms[1 : cap + 1]:
-            total = total + term
-        return total
+        terms = self.order_terms[: cap + 1]
+        return _weighted_sum([1.0] * len(terms), terms, self.drive.dim)
 
 
 def _commutator(a: Superoperator, b: Superoperator) -> Superoperator:
     """``[a, b]`` of two sparse superoperators."""
     doubled_sites = 2 * (a.system_dim.bit_length() - 1)
     return Superoperator.from_pauli_terms(
-        *pauli_product(a.pauli_terms, b.pauli_terms, doubled_sites, True),
+        *pauli_commutator(a.pauli_terms, b.pauli_terms, doubled_sites),
         a.system_dim,
     )
 

@@ -32,7 +32,7 @@ from floquet_lindblad.models import ModelParams, build_model
 from floquet_lindblad.pauli import (
     code_weights,
     matrix_from_pauli_terms,
-    pauli_product,
+    pauli_commutator,
 )
 
 
@@ -216,10 +216,10 @@ def test_expansion_flavors_match_dense_commutators(drive):
 
 
 @pytest.mark.parametrize("count", [3, 256])
-@pytest.mark.parametrize("commutator_mode", [False, True])
-def test_product_kernel_sparse_and_dense_branches(monkeypatch, count, commutator_mode):
-    """Both branches of ``pauli_product`` give the dense product: 3x3
-    strings on 6 sites go pair by pair, 256x256 through the transforms."""
+def test_commutator_kernel_sparse_and_dense_branches(monkeypatch, count):
+    """Both branches of ``pauli_commutator`` give the dense commutator:
+    3x3 strings on 6 sites go pair by pair, 256x256 through the
+    transforms."""
     rng = np.random.default_rng(count)
     sites = 6
     sums = []
@@ -232,10 +232,9 @@ def test_product_kernel_sparse_and_dense_branches(monkeypatch, count, commutator
         pauli, "pauli_coefficients",
         lambda *a: calls.append(a) or pauli_coefficients(*a),
     )
-    codes, values = pauli_product(*sums, sites, commutator_mode)
+    codes, values = pauli_commutator(*sums, sites)
     assert bool(calls) == (count == 256)
-    product = commutator(*dense) if commutator_mode else dense[0] @ dense[1]
-    reference = pauli_coefficients(product, sites)
+    reference = pauli_coefficients(commutator(*dense), sites)
     result = np.zeros_like(reference)
     result[codes] = values
     assert np.max(np.abs(result - reference)) <= 1e-12 * np.max(np.abs(reference))
