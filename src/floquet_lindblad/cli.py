@@ -39,8 +39,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import HERMITICITY_RTOL
-from .dynamics import random_density_matrix, stroboscopic_compare
+from .core import HERMITICITY_RTOL, block_logs
+from .dynamics import stroboscopic_compares
 from .errors import (
     BranchCutError,
     ConfigError,
@@ -67,14 +67,14 @@ from .magnus import (
     DEFAULT_M_MAX,
     FLAVOR_STROBOSCOPIC,
     FLAVOR_VAN_VLECK,
+    TransferBlocks,
     bch_orders,
-    exact_effective,
     fm_general,
     is_binary_drive,
+    transfer,
     van_vleck_orders,
 )
 from .models import ModelParams, analytic_reference, build_model
-from .pauli import pauli_coefficients
 
 __all__ = ["main", "build_parser"]
 
@@ -642,19 +642,21 @@ def _compare_point(
     the exact logarithm failed on a branch ambiguity."""
     drive = build_model(replace(config.params, tau=tau_scale))
     expansion = config.expansion(drive)
+    blocks = TransferBlocks(drive)
     try:
-        exact = exact_effective(drive)
+        logs = block_logs(blocks.propagator())
     except BranchCutError:
         return [None for _ in config.orders], True
-    # Compared in Pauli coefficients (a unitary transform): the exact
-    # generator is transformed once, the sparse orders never materialized.
-    exact = pauli_coefficients(exact.matrix, 2 * drive.num_sites)
+    # Compared as L-site transfer matrices (a unitary change of basis):
+    # squared differences on the blocks plus the order's entries off them.
     residuals = []
     for order in config.orders:
-        codes, values = expansion.cumulative(order).pauli_terms
-        difference = exact.copy()
-        difference[codes] -= values
-        residuals.append(float(np.linalg.norm(difference)))
+        stacks, outside = blocks.split(transfer(expansion.cumulative(order)))
+        inside = sum(
+            float(np.sum(np.abs(log / drive.period - stack) ** 2))
+            for log, stack in zip(logs, stacks)
+        )
+        residuals.append(float(np.sqrt(inside + outside)))
     return residuals, False
 
 
@@ -722,20 +724,19 @@ def cmd_compare_exact(config: RunConfig) -> str:
         slope = float(np.polyfit(xs, ys, 1)[0])
         slopes[str(order)] = slope if np.isfinite(slope) else None
     expansion = config.expansion(drive)
-    if initial_state is None:
-        initial_state = random_density_matrix(drive.dim)
-    stroboscopic = {}
-    for order in config.orders:
-        comparison = stroboscopic_compare(
-            drive,
-            expansion.cumulative(order),
-            num_periods=num_periods,
-            initial_state=initial_state,
-        )
-        stroboscopic[str(order)] = {
+    comparisons = stroboscopic_compares(
+        drive,
+        [expansion.cumulative(order) for order in config.orders],
+        num_periods=num_periods,
+        initial_state=initial_state,
+    )
+    stroboscopic = {
+        str(order): {
             "distances": list(comparison.distances),
             "max_distance": comparison.max_distance,
         }
+        for order, comparison in zip(config.orders, comparisons)
+    }
     document = {
         "schema_version": SCHEMA_VERSION,
         "metadata": config.metadata("compare-exact"),

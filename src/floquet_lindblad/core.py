@@ -215,9 +215,10 @@ def herm_eigs(
 
 
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square matrix (scaling and squaring)."""
-    arr = _require_square(matrix)
-    return scipy.linalg.expm(arr)
+    """Matrix exponential of a square matrix, or of each matrix in a
+    stack of shape ``(k, m, m)`` (scaling and squaring)."""
+    arr = np.asarray(matrix)
+    return scipy.linalg.expm(arr if arr.ndim == 3 else _require_square(arr))
 
 
 def matrix_log_principal(
@@ -225,22 +226,40 @@ def matrix_log_principal(
     branch_tol: float = BRANCH_ANGLE_TOL,
     condition_limit: float = LOG_CONDITION_LIMIT,
 ) -> np.ndarray:
-    """Principal matrix logarithm via diagonalization, with guard rails.
+    """Principal matrix logarithm via diagonalization, with the guard
+    rails of :func:`block_logs` (the matrix is its one block).
 
-    The input is diagonalized, the principal scalar logarithm is applied to
-    the eigenvalues, and the similarity transform is undone. Two failure
-    modes are detected rather than silently producing a wrong branch:
+    :raises BranchCutError: for the branch ambiguity case.
+    :raises ConditioningError: for the ill-conditioned case.
+    """
+    return block_logs([_require_square(matrix)], branch_tol, condition_limit)[0]
 
-    * an eigenvalue at zero, or within ``branch_tol`` angular distance of
-      the negative real axis, makes the principal branch ambiguous;
-    * an eigenvector matrix with condition number above
+
+def block_logs(
+    stacks: list[np.ndarray],
+    branch_tol: float = BRANCH_ANGLE_TOL,
+    condition_limit: float = LOG_CONDITION_LIMIT,
+) -> list[np.ndarray]:
+    """Principal logarithms of the blocks of a block-diagonal matrix,
+    given as stacks of equal-size blocks, each ``(k, m, m)`` or ``(m, m)``.
+
+    Each block is diagonalized, the principal scalar logarithm is applied
+    to the eigenvalues, and the similarity transform is undone. Two
+    failure modes of the whole matrix are detected rather than silently
+    producing a wrong branch:
+
+    * an eigenvalue at zero (relative to the largest modulus), or within
+      ``branch_tol`` angular distance of the negative real axis, makes
+      the principal branch ambiguous;
+    * a block-diagonal eigenvector matrix with condition number (largest
+      singular value over all blocks over the smallest) above
       ``condition_limit`` makes the transform numerically untrustworthy.
 
     :raises BranchCutError: for the branch ambiguity case.
     :raises ConditioningError: for the ill-conditioned case.
     """
-    arr = _require_square(matrix).astype(complex)
-    eigenvalues, eigenvectors = np.linalg.eig(arr)
+    solved = [np.linalg.eig(np.asarray(stack, dtype=complex)) for stack in stacks]
+    eigenvalues = np.concatenate([values.reshape(-1) for values, _ in solved])
     moduli = np.abs(eigenvalues)
     scale = float(np.max(moduli)) if moduli.size else 0.0
     if scale == 0.0 or np.any(moduli <= 1e-300 * max(scale, 1.0)):
@@ -248,19 +267,22 @@ def matrix_log_principal(
             "matrix has a zero (or numerically zero) eigenvalue; "
             "no logarithm exists"
         )
-    angles = np.angle(eigenvalues)
-    off_axis = np.pi - np.abs(angles)
+    off_axis = np.pi - np.abs(np.angle(eigenvalues))
     if np.any(off_axis < branch_tol):
         worst = float(np.min(off_axis))
         raise BranchCutError(
             f"eigenvalue within {worst:.3e} rad of the negative real axis "
             f"(limit {branch_tol:.3e}); principal branch is ambiguous"
         )
-    condition = float(np.linalg.cond(eigenvectors))
+    singular = [np.linalg.svd(vectors, compute_uv=False) for _, vectors in solved]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = float(max(map(np.max, singular)) / min(map(np.min, singular)))
     if not np.isfinite(condition) or condition > condition_limit:
         raise ConditioningError(
             f"eigenvector condition number {condition:.3e} exceeds "
             f"{condition_limit:.3e}; logarithm unreliable"
         )
-    log_eigs = np.log(eigenvalues)
-    return eigenvectors @ np.diag(log_eigs) @ np.linalg.inv(eigenvectors)
+    return [
+        (vectors * np.log(values)[..., None, :]) @ np.linalg.inv(vectors)
+        for values, vectors in solved
+    ]

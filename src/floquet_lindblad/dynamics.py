@@ -20,7 +20,8 @@ from .core import herm_eigs, matrix_exp, vectorize
 from .errors import DimensionMismatchError
 from .lindblad import PiecewiseLiouvillian, Superoperator
 from .liouvillianity import SignedLindbladForm
-from .magnus import floquet_propagator
+from .magnus import TransferBlocks
+from .pauli import matrix_from_pauli_coefficients, pauli_coefficients
 
 __all__ = [
     "trace_distance",
@@ -84,30 +85,42 @@ def stroboscopic_compare(
     :raises DimensionMismatchError: if ``initial_state`` is not
         ``drive.dim x drive.dim``.
     """
-    dim = drive.dim
+    return stroboscopic_compares(drive, [effective], num_periods, initial_state)[0]
+
+
+def stroboscopic_compares(
+    drive: PiecewiseLiouvillian,
+    effectives: list[Superoperator],
+    num_periods: int = 20,
+    initial_state: np.ndarray | None = None,
+) -> list[StroboscopicComparison]:
+    """:func:`stroboscopic_compare` for several effective generators, with
+    the exact propagator formed once. The state evolves as its L-site
+    Pauli vector, in transfer blocks that cover every generator."""
+    dim, sites = drive.dim, drive.num_sites
     if initial_state is None:
         initial_state = random_density_matrix(dim)
     elif np.shape(initial_state) != (dim, dim):
         raise DimensionMismatchError(
             f"initial state shape {np.shape(initial_state)} is not {(dim, dim)}"
         )
-    exact_step = floquet_propagator(drive).matrix
-    effective_step = matrix_exp(effective.matrix * drive.period)
-    exact_vec = vectorize(initial_state)
-    effective_vec = exact_vec.copy()
-    distances = []
+    blocks = TransferBlocks(drive, effectives)
+    exact_step = blocks.propagator()
+    states = [pauli_coefficients(initial_state, sites)]
     for _ in range(num_periods):
-        exact_vec = exact_step @ exact_vec
-        effective_vec = effective_step @ effective_vec
-        distances.append(
-            trace_distance(
-                exact_vec.reshape(dim, dim),
-                effective_vec.reshape(dim, dim),
-            )
+        states.append(blocks.apply(exact_step, states[-1]))
+    comparisons = []
+    for effective in blocks.others:
+        step = [matrix_exp(b * drive.period) for b in blocks.split(effective)[0]]
+        vector, distances = states[0], []
+        for exact in states[1:]:
+            vector = blocks.apply(step, vector)
+            difference = matrix_from_pauli_coefficients(exact - vector, sites)
+            distances.append(trace_distance(difference, 0.0 * difference))
+        comparisons.append(
+            StroboscopicComparison(tuple(distances), max(distances, default=0.0))
         )
-    return StroboscopicComparison(
-        tuple(distances), max(distances) if distances else 0.0
-    )
+    return comparisons
 
 
 def choi_matrix(superop: Superoperator) -> np.ndarray:

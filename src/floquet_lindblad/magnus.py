@@ -50,8 +50,13 @@ Every term is a sparse doubled Pauli sum (a sparse
 :class:`~floquet_lindblad.lindblad.Superoperator`), formed from the sparse
 segment generators by merging sums and by the one commutator kernel
 :func:`~floquet_lindblad.pauli.pauli_commutator`; its ``.matrix`` is built
-on first use. Only :func:`floquet_propagator` and :func:`exact_effective`
-work densely.
+on first use.
+
+The exact path (:func:`floquet_propagator`, :func:`exact_effective`)
+works in the L-site Pauli transfer basis, ``R[a, b] = Tr[F_a S(F_b)]``,
+where composition, ``exp`` and ``log`` stay matrix operations and a local
+generator is sparse and block diagonal (:class:`TransferBlocks`). Only
+the returned vec-basis superoperators are dense.
 """
 
 from __future__ import annotations
@@ -61,10 +66,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import matrix_exp, matrix_log_principal
+from .core import block_logs, kron, matrix_exp
 from .errors import DimensionMismatchError, UnsupportedOrderError
 from .lindblad import PiecewiseLiouvillian, Superoperator, _weighted_sum
-from .pauli import pauli_commutator
+from .pauli import PAULI, pauli_coefficients, pauli_commutator, pauli_transfer
 
 __all__ = [
     "EffectiveExpansion",
@@ -274,13 +279,106 @@ def van_vleck_orders(
     )
 
 
+def transfer(superop: Superoperator) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~floquet_lindblad.pauli.pauli_transfer` of a superoperator; a
+    dense one goes through one 2L-site transform first."""
+    num_sites = superop.system_dim.bit_length() - 1
+    terms = superop.pauli_terms
+    if terms is None:
+        coefficients = pauli_coefficients(superop.matrix, 2 * num_sites)
+        terms = np.flatnonzero(coefficients), coefficients[coefficients != 0]
+    return pauli_transfer(*terms, num_sites)
+
+
+class TransferBlocks:
+    """The L-site Pauli indices of a drive, split into the connected
+    components of the union of the transfer patterns of its segment
+    generators and of ``others`` (no entry is dropped by a threshold).
+
+    These matrices, and their products, exponentials and logarithms, are
+    block diagonal in the split. Blocks of equal size ``m`` form one
+    stack ``(k, m, m)``; row ``i`` of ``groups[g]`` holds the ascending
+    indices of block ``i`` of stack ``g``.
+    """
+
+    def __init__(self, drive: PiecewiseLiouvillian, others=()) -> None:
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
+        self.drive, size = drive, 4**drive.num_sites
+        self.generators = [transfer(g) for g in drive.segment_generators()]
+        self.others = [transfer(other) for other in others]
+        patterns = [codes for codes, _ in self.generators + self.others]
+        rows, cols = np.divmod(np.concatenate(patterns), size)
+        graph = coo_array((np.ones(rows.size), (rows, cols)), shape=(size, size))
+        _, self._labels = connected_components(graph, directed=False)
+        counts = np.bincount(self._labels)
+        members = np.argsort(self._labels, kind="stable")
+        starts = np.cumsum(counts) - counts
+        # Stacks are views of one flat buffer; entry (a, b) of a block
+        # sits at _row[a] + _pos[b], with _pos the place inside the block.
+        self.groups, self._bounds = [], [0]
+        self._row, self._pos = np.empty((2, size), dtype=np.int64)
+        for width in np.unique(counts):
+            components = np.flatnonzero(counts == width)
+            indices = members[starts[components, None] + np.arange(width)]
+            self._pos[indices] = np.arange(width)
+            self._row[indices] = self._bounds[-1] + width * np.arange(
+                indices.size
+            ).reshape(indices.shape)
+            self._bounds.append(self._bounds[-1] + width * indices.size)
+            self.groups.append(indices)
+
+    def split(self, matrix: tuple[np.ndarray, np.ndarray]):
+        """The blocks of a transfer matrix, one stack per group, and the
+        squared Frobenius norm of its entries outside them."""
+        codes, values = matrix
+        rows, cols = np.divmod(codes, 4**self.drive.num_sites)
+        inside = self._labels[rows] == self._labels[cols]
+        flat = np.zeros(self._bounds[-1], dtype=complex)
+        flat[self._row[rows[inside]] + self._pos[cols[inside]]] = values[inside]
+        stacks = [
+            flat[start:end].reshape(indices.shape + indices.shape[1:])
+            for indices, start, end in zip(self.groups, self._bounds, self._bounds[1:])
+        ]
+        return stacks, float(np.sum(np.abs(values[~inside]) ** 2))
+
+    def propagator(self) -> list[np.ndarray]:
+        """Blocks of the one-period propagator: ordered product of segment
+        exponentials, earliest segment rightmost."""
+        step = None
+        for segment, generator in zip(self.drive.segments, self.generators):
+            factors = [matrix_exp(b * segment.duration) for b in self.split(generator)[0]]
+            step = factors if step is None else list(map(np.matmul, factors, step))
+        return step
+
+    def apply(self, stacks: list[np.ndarray], vectors: np.ndarray) -> np.ndarray:
+        """The block-diagonal transfer matrix of ``stacks`` times the
+        Pauli vectors ``vectors`` (along their first axis)."""
+        out = np.empty_like(vectors)
+        for indices, blocks in zip(self.groups, stacks):
+            out[indices] = np.einsum("kij,kj...->ki...", blocks, vectors[indices])
+        return out
+
+    def superoperator(self, stacks: list[np.ndarray]) -> Superoperator:
+        """The dense vec-basis superoperator ``V R V^dag`` of the
+        block-diagonal transfer matrix ``R`` of ``stacks``."""
+        sites = self.drive.num_sites
+        # Column b of V is vec(F_b): vec(sigma^p) / sqrt 2 per site, with the
+        # row digits reordered from (i_l, j_l) pairs to all i, then all j.
+        axes = [*range(0, 2 * sites, 2), *range(1, 2 * sites, 2), 2 * sites]
+        basis = kron(*[PAULI.reshape(4, 4).T / np.sqrt(2.0)] * sites)
+        basis = basis.reshape((2,) * 2 * sites + (-1,)).transpose(axes)
+        basis = basis.reshape(4**sites, -1)
+        matrix = basis @ self.apply(stacks, basis.conj().T)
+        return Superoperator(matrix, self.drive.dim)
+
+
 def floquet_propagator(drive: PiecewiseLiouvillian) -> Superoperator:
     """One-period propagator: ordered product of segment exponentials,
     earliest segment rightmost."""
-    out = np.eye(drive.dim**2, dtype=complex)
-    for segment, superop in zip(drive.segments, drive.segment_superops):
-        out = matrix_exp(superop.matrix * segment.duration) @ out
-    return Superoperator(out, drive.dim)
+    blocks = TransferBlocks(drive)
+    return blocks.superoperator(blocks.propagator())
 
 
 def exact_effective(drive: PiecewiseLiouvillian) -> Superoperator:
@@ -289,6 +387,6 @@ def exact_effective(drive: PiecewiseLiouvillian) -> Superoperator:
     Uses the principal matrix logarithm; propagates its branch-cut and
     conditioning errors unchanged.
     """
-    propagator = floquet_propagator(drive)
-    log = matrix_log_principal(propagator.matrix)
-    return Superoperator(log / drive.period, drive.dim)
+    blocks = TransferBlocks(drive)
+    logs = block_logs(blocks.propagator())
+    return blocks.superoperator([log / drive.period for log in logs])

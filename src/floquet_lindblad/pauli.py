@@ -396,18 +396,50 @@ def pauli_commutator(
         coefficients = pauli_coefficients(a @ b - b @ a, num_sites)
         codes = np.flatnonzero(coefficients)
         return codes, coefficients[codes]
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))]
-    rows = max(1, 2**16 // max(1, right_codes.size))
-    for start in range(0, left_codes.size, rows):
-        chunk = slice(start, start + rows)
-        products = _string_products(
-            left_codes[chunk, None],
+    return _merged_passes(
+        left_codes.size,
+        right_codes.size,
+        lambda rows: _string_products(
+            left_codes[rows, None],
             right_codes,
-            left_values[chunk, None] * right_values,
+            left_values[rows, None] * right_values,
             num_sites,
             True,
+        ),
+    )
+
+
+def pauli_transfer(
+    codes: np.ndarray, values: np.ndarray, num_sites: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer matrix ``R[a, b] = Tr[F_a S(F_b)]`` on ``num_sites``
+    sites of ``S = sum_i values[i] F_codes[i]`` on twice as many, as a
+    sparse sum over positions ``a 4^L + b``. Row-major ``F_j x F_k`` maps
+    ``F_b`` to ``F_j F_b F_k^T``, and ``F_k^T`` is ``F_k`` times ``-1``
+    per ``sigma^2``: two passes of string products."""
+    size = 4**num_sites
+    left, right = np.divmod(codes, size)
+    weights = values * (1 - 2 * (code_two_counts(num_sites)[right] & 1))
+    columns = np.arange(size)
+
+    def entries(rows):
+        middle, partial = _string_products(
+            left[rows, None], columns, weights[rows, None], num_sites, False
         )
-        parts.append(merge_pauli_terms(*products))
+        outer = np.repeat(right[rows], size)
+        targets, products = _string_products(middle, outer, partial, num_sites, False)
+        return targets * size + np.tile(columns, outer.size // size), products
+
+    return _merged_passes(codes.size, size, entries)
+
+
+def _merged_passes(count: int, width: int, terms):
+    """The sparse sum of ``terms(rows)`` over slices of ``count`` rows of
+    ``width`` terms each, ``2^16`` terms per pass."""
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))]
+    step = max(1, 2**16 // max(1, width))
+    for start in range(0, count, step):
+        parts.append(merge_pauli_terms(*terms(slice(start, start + step))))
     codes, values = zip(*parts)
     return merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
 
