@@ -411,8 +411,11 @@ class RunConfig:
         return meta
 
 
-def _worker_count() -> int:
-    return min(8, os.cpu_count() or 1)
+def _grid_map(point, grid) -> list:
+    """``point(value)`` at every grid value, in grid order, on a thread
+    pool (a serial grid is slower on multi-point scans)."""
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
+        return list(ex.map(lambda value: point(float(value)), grid))
 
 
 def _cumulative_record(config: RunConfig, decomposition: Decomposition) -> dict:
@@ -542,13 +545,7 @@ def cmd_scan(config: RunConfig) -> str:
             raise ConfigError("scan.start: tau grid must stay positive")
     elif grid[0] < 0.0:
         raise ConfigError("scan.start: rate grids must stay nonnegative")
-    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-        row_lists = list(
-            ex.map(
-                lambda value: _scan_point(config, parameter, float(value)),
-                grid,
-            )
-        )
+    row_lists = _grid_map(lambda value: _scan_point(config, parameter, value), grid)
     lines = [CSV_HEADER]
     for rows in row_lists:
         lines.extend(rows)
@@ -578,10 +575,7 @@ def cmd_fit_modelc(config: RunConfig) -> str:
             "does not cover it"
         )
     params = config.params
-    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-        min_eigs = list(
-            ex.map(lambda value: _fit_point(config, float(value)), grid)
-        )
+    min_eigs = _grid_map(lambda value: _fit_point(config, value), grid)
     scale = params.gamma * 2.0 ** (params.num_sites - 1)
     normalized = []
     fit_error = None
@@ -690,10 +684,7 @@ def cmd_compare_exact(config: RunConfig) -> str:
             raise ConfigError(
                 "compare.initial_state: must be Hermitian with unit trace"
             )
-    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-        results = list(
-            ex.map(lambda value: _compare_point(config, float(value)), grid)
-        )
+    results = _grid_map(lambda value: _compare_point(config, value), grid)
     branch_failures = [
         float(tau) for tau, (_, failed) in zip(grid, results) if failed
     ]

@@ -259,6 +259,18 @@ class Superoperator:
         return float(np.linalg.norm(self.matrix))
 
 
+def _pauli_terms(superop: Superoperator) -> tuple[np.ndarray, np.ndarray]:
+    """The doubled Pauli sum ``(codes, values)`` of any superoperator: a
+    sparse one's own terms, a dense one's nonzero coefficients from one
+    2L-site transform."""
+    if superop.pauli_terms is not None:
+        return superop.pauli_terms
+    sites = 2 * (superop.system_dim.bit_length() - 1)
+    coefficients = pauli_coefficients(superop.matrix, sites)
+    codes = np.flatnonzero(coefficients)
+    return codes, coefficients[codes]
+
+
 def _weighted_sum(weights, superops, system_dim: int) -> Superoperator:
     """``sum_i weights[i] superops[i]``: sparse, scaled in place and merged
     once, when every summand is sparse, else dense."""
@@ -322,8 +334,11 @@ class PiecewiseLiouvillian:
 
     def segment_generators(self) -> tuple[Superoperator, ...]:
         """:attr:`segment_superops` as sparse doubled Pauli sums, built
-        without any dense superoperator. They are cheap to build, so the
-        drive does not keep them."""
+        once without any dense superoperator."""
+        return self._segment_generators
+
+    @cached_property
+    def _segment_generators(self) -> tuple[Superoperator, ...]:
         from .liouvillianity import _sparse_form_superop
 
         sites = self.num_sites

@@ -20,11 +20,12 @@ a_jk``, ``t[j, 0] = sqrt(d) (-i h_j - K_j / 2)``, ``t[0, k] = sqrt(d)
 (i h_k - K_k / 2)`` and ``t[0, 0] = -sqrt(d) K_0``. Extraction reads
 ``a_jk`` and ``h_j``; the rebuild writes ``t`` and makes one inverse
 transform, which is unitary, so the round-trip residual compares tables.
-The sparse segment generators are written straight into this table. A
-sparse superoperator (an expansion term) is scattered into its table
-and validated there, with no 2L-site transform: trace preservation is
-``K(t) = sum_jk t[j, k] F_k F_j = 0`` and Hermiticity preservation is
-``t = t^dag``.
+The sparse segment generators are written straight into this table.
+Every superoperator reaches it one way: its doubled Pauli sum (a sparse
+one's own terms, with no 2L-site transform; a dense one's from one
+transform) is scattered into the table and validated there: trace
+preservation is ``K(t) = sum_jk t[j, k] F_k F_j = 0`` and Hermiticity
+preservation is ``t = t^dag``.
 
 When the expansion order ``n`` and drive locality ``k`` are known, the
 locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
@@ -32,7 +33,7 @@ locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
 beyond the cap.
 
 Both ``a_jk`` and ``h_j`` are linear in ``S``: :func:`decompose` gets
-both from one Pauli transform, and the decompositions of summands add.
+both from one signed table, and the decompositions of summands add.
 Positive semidefiniteness is certified block by block, over the
 connected components of ``[a_jk]`` (:func:`psd_report`).
 """
@@ -51,12 +52,7 @@ from .errors import (
     HermiticityError,
     NotLindbladCandidateError,
 )
-from .lindblad import (
-    Superoperator,
-    is_hermiticity_preserving,
-    is_trace_preserving,
-    liouvillian_superop,
-)
+from .lindblad import Superoperator, _pauli_terms, liouvillian_superop
 from .magnus import EffectiveExpansion
 from .pauli import (
     MultiIndex,
@@ -109,13 +105,22 @@ def _sites_from_superop(superop: Superoperator) -> int:
 
 
 class _Indexed:
-    """Position lookup over the ``index_set`` of a frozen dataclass."""
+    """Position lookup over the ``index_set`` of a frozen dataclass; an
+    index outside the set raises :class:`DimensionMismatchError`."""
 
     index_set: tuple[MultiIndex, ...]
 
     @cached_property
     def _positions(self) -> dict[MultiIndex, int]:
         return {index: p for p, index in enumerate(self.index_set)}
+
+    def _position(self, index: MultiIndex) -> int:
+        try:
+            return self._positions[index]
+        except KeyError:
+            raise DimensionMismatchError(
+                f"index {index} not in index set"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class DissipatorMatrix(_Indexed):
 
     def position(self, index: MultiIndex) -> int:
         """Row position of a multi-index within the index set."""
-        return self._positions[index]
+        return self._position(index)
 
     def entry(self, row: MultiIndex, col: MultiIndex) -> complex:
         """Coefficient ``a_jk`` for a pair of multi-indices."""
@@ -209,12 +214,7 @@ class HamiltonianCoefficients(_Indexed):
         object.__setattr__(self, "index_set", tuple(self.index_set))
 
     def coefficient(self, index: MultiIndex) -> float:
-        try:
-            return float(self.values[self._positions[index]])
-        except KeyError:
-            raise DimensionMismatchError(
-                f"index {index} not in index set"
-            ) from None
+        return float(self.values[self._position(index)])
 
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix ``sum_j h_j F_j``."""
@@ -309,21 +309,6 @@ def _table_defects(
     return float(np.linalg.norm(gram)), float(np.linalg.norm(defect)), scale
 
 
-def _validate_candidate(
-    trace_preserving: bool, hermiticity_preserving: bool
-) -> None:
-    if not trace_preserving:
-        raise NotLindbladCandidateError(
-            "superoperator is not trace preserving within "
-            f"{VALIDATION_TOL:g}"
-        )
-    if not hermiticity_preserving:
-        raise NotLindbladCandidateError(
-            "superoperator is not Hermiticity preserving within "
-            f"{VALIDATION_TOL:g}"
-        )
-
-
 @lru_cache(maxsize=None)
 def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
     """Every multi-index of weight >= 1, which is every code but 0, by
@@ -340,32 +325,20 @@ def _codes(index_set: tuple[MultiIndex, ...]) -> np.ndarray:
 def _signed_table(
     superop: Superoperator, validate: bool
 ) -> tuple[np.ndarray, int]:
-    """The signed table ``t`` of ``superop`` (module docstring): a sparse
-    one scattered and validated in table space, a dense one transformed
-    and validated densely."""
+    """The signed table ``t`` of ``superop`` (module docstring), scattered
+    from its doubled Pauli sum and validated in table space."""
     num_sites = _sites_from_superop(superop)
     size = 4**num_sites
-    signs = (-1.0) ** code_two_counts(num_sites)
-    if superop.pauli_terms is None:
-        if validate:
-            _validate_candidate(
-                is_trace_preserving(superop, tol=VALIDATION_TOL),
-                is_hermiticity_preserving(superop, tol=VALIDATION_TOL),
-            )
-        table = pauli_coefficients(superop.matrix, 2 * num_sites)
-        table = table.reshape(size, size)
-        table *= signs
-        return table, num_sites
-    codes, values = superop.pauli_terms
-    signed = values * signs[codes % size]
+    codes, values = _pauli_terms(superop)
+    signed = values * (-1.0) ** code_two_counts(num_sites)[codes % size]
     if validate:
-        trace_defect, hermiticity_defect, scale = _table_defects(
-            codes, signed, num_sites
-        )
-        _validate_candidate(
-            trace_defect <= VALIDATION_TOL * scale,
-            hermiticity_defect <= VALIDATION_TOL * scale,
-        )
+        *defects, scale = _table_defects(codes, signed, num_sites)
+        for defect, what in zip(defects, ("trace", "Hermiticity")):
+            if not defect <= VALIDATION_TOL * scale:
+                raise NotLindbladCandidateError(
+                    f"superoperator is not {what} preserving within "
+                    f"{VALIDATION_TOL:g}"
+                )
     table = np.zeros(size * size, dtype=complex)
     table[codes] = signed
     return table.reshape(size, size), num_sites
@@ -493,8 +466,8 @@ class Decomposition:
 
 
 def decompose(superop: Superoperator) -> Decomposition:
-    """Full ``[a_jk]`` and ``h_j`` of ``superop`` from one doubled-space
-    Pauli transform, with the checks of :func:`extract_dissipator` and
+    """Full ``[a_jk]`` and ``h_j`` of ``superop`` from one signed table,
+    with the checks of :func:`extract_dissipator` and
     :func:`extract_hamiltonian` (validation included)."""
     table, num_sites = _signed_table(superop, True)
     dissipator = _dissipator_from_table(table, num_sites)

@@ -68,8 +68,8 @@ import numpy as np
 
 from .core import block_logs, kron, matrix_exp
 from .errors import DimensionMismatchError, UnsupportedOrderError
-from .lindblad import PiecewiseLiouvillian, Superoperator, _weighted_sum
-from .pauli import PAULI, pauli_coefficients, pauli_commutator, pauli_transfer
+from .lindblad import PiecewiseLiouvillian, Superoperator, _pauli_terms, _weighted_sum
+from .pauli import PAULI, pauli_commutator, pauli_transfer
 
 __all__ = [
     "EffectiveExpansion",
@@ -280,14 +280,10 @@ def van_vleck_orders(
 
 
 def transfer(superop: Superoperator) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~floquet_lindblad.pauli.pauli_transfer` of a superoperator; a
-    dense one goes through one 2L-site transform first."""
-    num_sites = superop.system_dim.bit_length() - 1
-    terms = superop.pauli_terms
-    if terms is None:
-        coefficients = pauli_coefficients(superop.matrix, 2 * num_sites)
-        terms = np.flatnonzero(coefficients), coefficients[coefficients != 0]
-    return pauli_transfer(*terms, num_sites)
+    """:func:`~floquet_lindblad.pauli.pauli_transfer` of the doubled Pauli
+    sum of a superoperator; a dense one takes the one 2L-site transform
+    that extraction takes."""
+    return pauli_transfer(*_pauli_terms(superop), superop.system_dim.bit_length() - 1)
 
 
 class TransferBlocks:

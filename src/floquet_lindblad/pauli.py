@@ -247,26 +247,28 @@ class FrobeniusBasis:
         return code_weights(self.num_sites)
 
 
+# One table at a time: on 12 sites it takes 200 MB.
+@lru_cache(maxsize=1)
+def _code_digits(num_sites: int) -> np.ndarray:
+    """The ``L`` base-4 digits of every code, ``(L, 4^L)``, one row per
+    site (least significant first)."""
+    codes = np.arange(4**num_sites, dtype=np.int64)
+    digits = np.empty((num_sites, codes.size), dtype=np.uint8)
+    for position, row in enumerate(digits):
+        row[:] = (codes >> (2 * position)) & 3
+    return digits
+
+
 @lru_cache(maxsize=None)
 def code_weights(num_sites: int) -> np.ndarray:
     """Array over all 4^L codes giving each index's weight."""
-    codes = np.arange(4**num_sites, dtype=np.int64)
-    weights = np.zeros_like(codes)
-    for position in range(num_sites):
-        digit = (codes >> (2 * position)) & 3
-        weights += (digit != 0).astype(np.int64)
-    return weights
+    return np.sum(_code_digits(num_sites) != 0, axis=0, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def code_two_counts(num_sites: int) -> np.ndarray:
     """Array over all 4^L codes counting sigma^2 entries per index."""
-    codes = np.arange(4**num_sites, dtype=np.int64)
-    counts = np.zeros_like(codes)
-    for position in range(num_sites):
-        digit = (codes >> (2 * position)) & 3
-        counts += (digit == 2).astype(np.int64)
-    return counts
+    return np.sum(_code_digits(num_sites) == 2, axis=0, dtype=np.int64)
 
 
 def _as_site_tensor(matrix: np.ndarray, num_sites: int) -> np.ndarray:

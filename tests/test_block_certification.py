@@ -221,6 +221,25 @@ def test_hamiltonian_coefficient_lookup():
         hamiltonian.coefficient(MultiIndex((1, 1)))
 
 
+def test_dissipator_lookup_rejects_an_index_outside_the_set():
+    """Position and entry lookups raise the package's
+    DimensionMismatchError for an index outside the set: one of the wrong
+    length, and one pruned by the weight limit."""
+    dissipator = extract_dissipator(ring_expansion("C", 3).cumulative(1))
+    inside = dissipator.index_set[0]
+    for matrix, outside in (
+        (dissipator, MultiIndex((1, 1))),
+        (dissipator.restricted(2), MultiIndex((1, 1, 0))),
+    ):
+        for lookup in (
+            lambda: matrix.position(outside),
+            lambda: matrix.entry(outside, inside),
+            lambda: matrix.entry(inside, outside),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                lookup()
+
+
 def planted_matrix(sizes, padding, noise, seed):
     """Random Hermitian blocks of the given sizes on a random permutation
     of ``sum(sizes) + padding`` indices, plus Hermitian noise of entries

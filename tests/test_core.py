@@ -19,6 +19,7 @@ from floquet_lindblad import (
     matrix_log_principal,
     vectorize,
 )
+from floquet_lindblad.core import coupled_components
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -212,3 +213,64 @@ def test_matrix_log_rejects_near_defective_input():
     matrix = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ConditioningError):
         matrix_log_principal(matrix)
+
+
+def brute_force_components(matrix, tol):
+    """Components of the edge graph by dense transitive closure
+    (Warshall), ordered by first position, and the largest absolute row
+    sum outside their diagonal blocks."""
+    magnitudes = np.abs(matrix)
+    edges = ~(magnitudes <= tol)
+    edges = edges | edges.T
+    supported = edges.any(axis=1)
+    reach = edges | np.eye(len(matrix), dtype=bool)
+    for k in range(len(matrix)):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    components = []
+    for start in np.flatnonzero(supported):
+        members = np.flatnonzero(reach[start])
+        if members[0] == start:
+            components.append(members)
+    same_block = reach & supported[:, None] & supported[None, :]
+    outside = np.where(same_block, 0.0, magnitudes)
+    delta = float(outside.sum(axis=1).max()) if matrix.size else 0.0
+    return components, delta
+
+
+def coupled_cases():
+    rng = np.random.default_rng(5)
+    yield np.zeros((0, 0))
+    yield np.zeros((4, 4))
+    for size in (1, 2, 5, 9, 14):
+        for density in (0.05, 0.15, 0.4):
+            matrix = random_complex(rng, size) * (rng.random((size, size)) < density)
+            # Sub-tolerance entries stay out of the graph but count in delta.
+            matrix += 1e-9 * (rng.random((size, size)) < 0.3)
+            yield matrix
+    planted = np.zeros((6, 6), dtype=complex)
+    planted[0, 0] = 1.0  # a diagonal entry alone makes a block
+    planted[4, 2] = np.nan
+    planted[3, 5] = 1e-6  # exactly the tolerance: no edge
+    planted[3, 1] = 2e-7
+    yield planted
+
+
+@pytest.mark.parametrize("matrix", list(coupled_cases()))
+def test_coupled_components_match_a_dense_closure(matrix):
+    """Components in order of first position with ascending positions,
+    indices without an edge left out, a NaN entry counted as an edge, and
+    delta the largest absolute row sum outside the blocks."""
+    tol = 1e-6
+    components, delta = coupled_components(matrix, tol)
+    expected, expected_delta = brute_force_components(matrix, tol)
+    assert len(components) == len(expected)
+    for component, reference in zip(components, expected):
+        assert component.dtype == np.int64
+        np.testing.assert_array_equal(component, reference)
+        assert np.all(np.diff(component) > 0)
+    firsts = [component[0] for component in components]
+    assert firsts == sorted(firsts)
+    assert delta == pytest.approx(expected_delta, rel=1e-12, abs=0.0)
+    if np.isnan(matrix).any():
+        assert [list(c) for c in components] == [[0], [2, 4]]
+        assert delta == pytest.approx(1e-6 + 2e-7)

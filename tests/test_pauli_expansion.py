@@ -282,7 +282,7 @@ def sparse_form(superop):
 
 def table_defects(superop):
     num_sites = superop.system_dim.bit_length() - 1
-    codes, values = superop.pauli_terms
+    codes, values = lindblad._pauli_terms(superop)
     signs = (-1.0) ** pauli.code_two_counts(num_sites)[codes % 4**num_sites]
     return liouvillianity._table_defects(codes, values * signs, num_sites)
 
@@ -308,15 +308,27 @@ def verdict_cases():
         yield f"gkls-plus-identity{num_sites}", sparse_form(shifted)
 
 
-@pytest.mark.parametrize("name, term", list(verdict_cases()))
+SPARSE_CASES = list(verdict_cases())
+# The dense form of every case takes the same one path through its table.
+DENSE_CASES = [
+    (f"{name}-dense", Superoperator(term.matrix, term.system_dim))
+    for name, term in SPARSE_CASES
+]
+
+
+@pytest.mark.parametrize("name, term", SPARSE_CASES + DENSE_CASES)
 def test_table_verdicts_agree_with_the_dense_validators(name, term):
     """Table-space trace and Hermiticity verdicts agree with the dense
     predicates; the trace defect is the dense residual and the
-    Hermiticity defect bounds the dense entry defect from above."""
+    Hermiticity defect bounds the dense entry defect from above.
+    Extraction accepts exactly what the dense predicates accept, and a
+    dense input decomposes as its sparse form does."""
     trace_defect, hermiticity_defect, scale = table_defects(term)
     tol = liouvillianity.VALIDATION_TOL
-    assert (trace_defect <= tol * scale) == is_trace_preserving(term, tol)
-    assert (hermiticity_defect <= tol * scale) == is_hermiticity_preserving(term, tol)
+    trace_ok = is_trace_preserving(term, tol)
+    hermiticity_ok = is_hermiticity_preserving(term, tol)
+    assert (trace_defect <= tol * scale) == trace_ok
+    assert (hermiticity_defect <= tol * scale) == hermiticity_ok
     dim = term.system_dim
     matrix = term.matrix
     residual = np.linalg.norm(np.eye(dim).reshape(-1) @ matrix)
@@ -325,9 +337,23 @@ def test_table_verdicts_agree_with_the_dense_validators(name, term):
     entry_defect = np.max(np.abs(blocks - blocks.transpose(1, 0, 3, 2).conj()))
     assert hermiticity_defect >= entry_defect - 1e-13
     assert scale <= max(1.0, np.max(np.abs(matrix)))
-    if name.startswith(("random", "gkls")):
+    accepted = trace_ok and hermiticity_ok
+    assert accepted != name.startswith(("random", "gkls"))
+    if not accepted:
         with pytest.raises(liouvillianity.NotLindbladCandidateError):
             liouvillianity.extract_dissipator(term)
+        return
+    liouvillianity.extract_dissipator(term)
+    if name.endswith("-dense"):
+        dense = liouvillianity.decompose(term)
+        sparse = liouvillianity.decompose(dict(SPARSE_CASES)[name[: -len("-dense")]])
+        atol = 1e-13 * max(1.0, sparse.dissipator.max_abs())
+        np.testing.assert_allclose(
+            dense.dissipator.entries, sparse.dissipator.entries, rtol=0, atol=atol
+        )
+        np.testing.assert_allclose(
+            dense.hamiltonian.values, sparse.hamiltonian.values, rtol=0, atol=atol
+        )
 
 
 def forbid_materialization(monkeypatch, num_sites):

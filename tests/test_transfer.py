@@ -261,7 +261,7 @@ def test_six_site_compare_exact_forms_no_dense_superoperator(monkeypatch, tmp_pa
     monkeypatch.setattr(lindblad, "liouvillian_superop", refuse)
     monkeypatch.setattr(lindblad, "matrix_from_pauli_terms", refuse)
     monkeypatch.setattr(PiecewiseLiouvillian, "segment_superops", property(refuse))
-    for module in (magnus, dynamics):
+    for module in (lindblad, dynamics):
         monkeypatch.setattr(module, "pauli_coefficients", lambda m, sites: (
             refuse() if sites > 6 else pauli_coefficients(m, sites)
         ))
