@@ -9,13 +9,13 @@ Conventions
   each eigenvector's first significant component is rotated to be real
   and positive.
 * All functions accept and return plain ``numpy`` arrays; inputs are
-  never mutated.
+  never mutated. A matrix given by its nonzeros is three arrays
+  ``(rows, cols, values)``; every other entry is zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchCutError,
@@ -122,65 +122,73 @@ def _checked_hermitian(matrix: np.ndarray, rtol: float) -> np.ndarray:
     return arr
 
 
+def component_labels(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Component label of every node ``0..size-1`` of the undirected graph
+    with edges ``(rows[i], cols[i])``, numbered in the order of each
+    component's smallest node; a node without edges is its own component.
+
+    Every root is hooked under the smallest root it shares an edge with,
+    then each node is pointed at its root, until no edge joins two roots.
+    """
+    parent = np.arange(size)
+    while True:
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        ends = parent[rows], parent[cols]
+        low, high = np.minimum(*ends), np.maximum(*ends)
+        joined = low < high
+        if not joined.any():
+            return np.unique(parent, return_inverse=True)[1]
+        np.minimum.at(parent, high[joined], low[joined])
+
+
 def coupled_components(
-    matrix: np.ndarray, tol: float
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, tol: float
 ) -> tuple[tuple[np.ndarray, ...], float]:
-    """Connected components of the graph whose edges are the entries of
-    ``matrix`` above ``tol`` in magnitude.
+    """Connected components of the graph whose edges are the nonzeros
+    ``values`` at ``(rows, cols)`` above ``tol`` in magnitude.
 
     A non-finite entry is an edge too, so it lands in a solved block and
     its NaN reaches the spectrum. Indices without any edge (in their row
-    or column) belong to no component. Each component is an ascending array of positions, and
-    the components come back ordered by their first position.
+    or column) belong to no component. Each component is an ascending
+    array of positions, and the components come back ordered by their
+    first position.
 
     :return: ``(components, delta)``, where ``delta`` is the largest
         absolute row sum of the entries outside the diagonal blocks of
         the components. For a Hermitian matrix, Weyl's inequality puts
         every eigenvalue of the block-diagonal part within ``delta`` of
-        the corresponding eigenvalue of ``matrix``.
+        the corresponding eigenvalue of the matrix.
     """
-    magnitudes = np.abs(_require_square(matrix))
-    adjacency = ~(magnitudes <= tol)
-    adjacency |= adjacency.T
-    in_support = np.any(adjacency, axis=1)
-    visited = ~in_support
-    components = []
-    for start in np.nonzero(in_support)[0]:
-        if visited[start]:
-            continue
-        visited[start] = True
-        stack = [start]
-        component = []
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for neighbor in np.nonzero(adjacency[node] & ~visited)[0]:
-                visited[neighbor] = True
-                stack.append(neighbor)
-        positions = np.array(sorted(component), dtype=np.int64)
-        magnitudes[np.ix_(positions, positions)] = 0.0
-        components.append(positions)
-    delta = float(np.max(np.sum(magnitudes, axis=1))) if magnitudes.size else 0.0
-    return tuple(components), delta
+    magnitudes = np.abs(values)
+    edges = ~(magnitudes <= tol)
+    size = 1 + max(rows.max(initial=-1), cols.max(initial=-1))
+    labels = component_labels(rows[edges], cols[edges], size)
+    labels[np.setdiff1d(np.arange(size), [rows[edges], cols[edges]])] = -1
+    blocks = np.unique(labels[labels >= 0])
+    components = tuple(np.flatnonzero(labels == block) for block in blocks)
+    dropped = (labels[rows] < 0) | (labels[rows] != labels[cols])
+    sums = np.bincount(rows[dropped], weights=magnitudes[dropped])
+    return components, float(sums.max()) if sums.size else 0.0
 
 
-def block_eigenvalues(
-    matrix: np.ndarray, components: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, ...]:
-    """Ascending eigenvalues of the principal blocks ``matrix[c, c]``.
-
-    Hermiticity is checked once, for the whole matrix at its largest
-    entry (as :func:`herm_eigs` does), so a block of small entries is
-    never judged on its own scale; each block of the Hermitian part is
-    then solved on its own.
-
-    :raises HermiticityError: if the Hermiticity check fails.
-    """
-    arr = _checked_hermitian(matrix, HERMITICITY_RTOL)
-    blocks = (arr[np.ix_(positions, positions)] for positions in components)
-    return tuple(
-        np.linalg.eigvalsh(0.5 * (block + block.conj().T)) for block in blocks
-    )
+def principal_blocks(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    components: tuple[np.ndarray, ...],
+) -> list[np.ndarray]:
+    """Dense principal blocks ``M[c, c]``, one per ascending position
+    array ``c``, of the matrix ``M`` with ``values`` at ``(rows, cols)``
+    and zeros elsewhere."""
+    blocks = []
+    for positions in components:
+        inside = np.isin(rows, positions) & np.isin(cols, positions)
+        block = np.zeros((positions.size, positions.size), dtype=complex)
+        place = np.searchsorted(positions, [rows[inside], cols[inside]])
+        block[place[0], place[1]] = values[inside]
+        blocks.append(block)
+    return blocks
 
 
 def herm_eigs(
@@ -217,6 +225,8 @@ def herm_eigs(
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix, or of each matrix in a
     stack of shape ``(k, m, m)`` (scaling and squaring)."""
+    import scipy.linalg  # the package's one scipy use, loaded on demand
+
     arr = np.asarray(matrix)
     return scipy.linalg.expm(arr if arr.ndim == 3 else _require_square(arr))
 

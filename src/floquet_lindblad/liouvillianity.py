@@ -23,9 +23,13 @@ transform, which is unitary, so the round-trip residual compares tables.
 The sparse segment generators are written straight into this table.
 Every superoperator reaches it one way: its doubled Pauli sum (a sparse
 one's own terms, with no 2L-site transform; a dense one's from one
-transform) is scattered into the table and validated there: trace
+transform) becomes the table's nonzeros, validated there: trace
 preservation is ``K(t) = sum_jk t[j, k] F_k F_j = 0`` and Hermiticity
 preservation is ``t = t^dag``.
+
+The table and ``[a_jk]`` are held as their nonzeros (codes, or flat
+positions, with values), never as ``4^L x 4^L`` arrays:
+:attr:`DissipatorMatrix.entries` is a dense view, built on first use.
 
 When the expansion order ``n`` and drive locality ``k`` are known, the
 locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
@@ -33,9 +37,10 @@ locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
 beyond the cap.
 
 Both ``a_jk`` and ``h_j`` are linear in ``S``: :func:`decompose` gets
-both from one signed table, and the decompositions of summands add.
-Positive semidefiniteness is certified block by block, over the
-connected components of ``[a_jk]`` (:func:`psd_report`).
+both from one signed table, and the decompositions of summands add by
+merging nonzeros. Positive semidefiniteness is certified block by block,
+over the connected components of the nonzeros of ``[a_jk]``
+(:func:`psd_report`).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import block_eigenvalues, coupled_components, herm_eigs
+from .core import HERMITICITY_RTOL, coupled_components, herm_eigs, principal_blocks
 from .errors import (
     DecompositionInconsistencyError,
     DimensionMismatchError,
@@ -58,10 +63,11 @@ from .pauli import (
     MultiIndex,
     _string_products,
     code_two_counts,
+    code_weights,
     matrix_from_pauli_coefficients,
+    matrix_from_pauli_terms,
     merge_pauli_terms,
     pauli_coefficients,
-    quadratic_product_coefficients,
 )
 
 __all__ = [
@@ -105,8 +111,8 @@ def _sites_from_superop(superop: Superoperator) -> int:
 
 
 class _Indexed:
-    """Position lookup over the ``index_set`` of a frozen dataclass; an
-    index outside the set raises :class:`DimensionMismatchError`."""
+    """Position lookup over an ``index_set``; an index outside the set
+    raises :class:`DimensionMismatchError`."""
 
     index_set: tuple[MultiIndex, ...]
 
@@ -122,42 +128,87 @@ class _Indexed:
                 f"index {index} not in index set"
             ) from None
 
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        size = 4**self.num_sites
+        if len(self.index_set) == size - 1:  # the full set is by code
+            if self.index_set is _nonidentity_indices(self.num_sites):
+                return np.arange(1, size)
+        return np.array([index.code for index in self.index_set], dtype=np.int64)
 
-@dataclass(frozen=True)
+
 class DissipatorMatrix(_Indexed):
     """Hermitian coefficient matrix ``[a_jk]`` over a retained index set.
 
     ``entries[p, q]`` couples ``index_set[p]`` to ``index_set[q]``.
     ``weight_limit`` records the pair-weight cap used during extraction
-    (None for a full extraction).
+    (None for a full extraction). The matrix is held as its nonzeros (a
+    NaN is one); ``entries`` is a read-only dense view, built once on
+    first use. Treated as immutable.
     """
 
-    index_set: tuple[MultiIndex, ...]
-    entries: np.ndarray
-    num_sites: int
-    weight_limit: int | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=complex)
-        count = len(self.index_set)
+    def __init__(
+        self,
+        index_set: tuple[MultiIndex, ...],
+        entries: np.ndarray,
+        num_sites: int,
+        weight_limit: int | None = None,
+    ) -> None:
+        arr = np.asarray(entries, dtype=complex)
+        count = len(index_set)
         if arr.shape != (count, count):
             raise DimensionMismatchError(
                 f"entries shape {arr.shape} does not match index set size "
                 f"{count}"
             )
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "index_set", tuple(self.index_set))
+        keys = np.flatnonzero(arr)
+        terms = (keys, arr.reshape(-1)[keys])
+        self._hold(tuple(index_set), terms, num_sites, weight_limit)
+
+    @classmethod
+    def _of(cls, index_set, terms, num_sites, weight_limit=None) -> "DissipatorMatrix":
+        """The matrix of ``terms = (keys, values)``: ``values`` at the
+        ascending distinct flat positions ``keys`` (``row * size + col``),
+        with no dense array."""
+        matrix = cls.__new__(cls)
+        matrix._hold(index_set, terms, num_sites, weight_limit)
+        return matrix
+
+    def _hold(self, index_set, terms, num_sites, weight_limit) -> None:
+        self.index_set, self._terms = index_set, terms
+        self.num_sites, self.weight_limit = num_sites, weight_limit
 
     @property
     def size(self) -> int:
         return len(self.index_set)
+
+    @cached_property
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)``, row major."""
+        keys, values = self._terms
+        return (*np.divmod(keys, max(self.size, 1)), values)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        dense = np.zeros(self.size * self.size, dtype=complex)
+        keys, values = self._terms
+        dense[keys] = values
+        dense.flags.writeable = False
+        return dense.reshape(self.size, self.size)
 
     def max_abs(self) -> float:
         return self._max_abs
 
     @cached_property
     def _max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries))) if self.size else 0.0
+        values = self._terms[1]
+        return float(np.max(np.abs(values))) if values.size else 0.0
+
+    @cached_property
+    def _skew(self) -> float:
+        """``max|a - a^dag|``, the Hermiticity defect."""
+        _, skew = _adjoint_sum(*self._terms, self.size, -1.0)
+        return float(np.max(np.abs(skew))) if skew.size else 0.0
 
     def position(self, index: MultiIndex) -> int:
         """Row position of a multi-index within the index set."""
@@ -165,10 +216,16 @@ class DissipatorMatrix(_Indexed):
 
     def entry(self, row: MultiIndex, col: MultiIndex) -> complex:
         """Coefficient ``a_jk`` for a pair of multi-indices."""
-        return complex(self.entries[self.position(row), self.position(col)])
+        key = self.position(row) * self.size + self.position(col)
+        keys, values = self._terms
+        slot = np.searchsorted(keys, key)
+        return complex(values[slot]) if key in keys[slot : slot + 1] else 0j
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.entries))) if self.size else 0.0
+        rows, cols, values = self._nonzeros
+        diagonal = np.zeros(self.size, dtype=complex)
+        diagonal[rows[rows == cols]] = values[rows == cols]
+        return float(np.real(np.sum(diagonal)))
 
     def structural_tol(self) -> float:
         """Magnitude at or below which an entry counts as a structural
@@ -182,16 +239,43 @@ class DissipatorMatrix(_Indexed):
         weight exceeds the cap set to exact zeros."""
         if weight_limit is None:
             return self
-        weights = np.array([index.weight for index in self.index_set])
-        kept = np.nonzero(weights <= max(weight_limit - 1, 0))[0]
-        pair_weights = weights[kept][:, None] + weights[kept][None, :]
-        entries = np.where(
-            pair_weights <= weight_limit,
-            self.entries[np.ix_(kept, kept)],
-            0.0,
+        weights = code_weights(self.num_sites)[self._codes]
+        kept = np.flatnonzero(weights <= max(weight_limit - 1, 0))
+        rows, cols, values = self._nonzeros
+        stays = np.isin(rows, kept) & np.isin(cols, kept)
+        stays &= weights[rows] + weights[cols] <= weight_limit
+        rows, cols = np.searchsorted(kept, [rows[stays], cols[stays]])
+        return DissipatorMatrix._of(
+            tuple(self.index_set[p] for p in kept),
+            (rows * kept.size + cols, values[stays]),
+            self.num_sites,
+            weight_limit,
         )
-        index_set = tuple(self.index_set[p] for p in kept)
-        return DissipatorMatrix(index_set, entries, self.num_sites, weight_limit)
+
+    def _blocks(self, components) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+        """The dense principal blocks over ``components`` and their
+        ascending eigenvalues. Hermiticity is checked once, for the whole
+        matrix at its largest entry (as :func:`herm_eigs` does), so a
+        block of small entries is never judged on its own scale; each
+        block of the Hermitian part is then solved on its own, and a block
+        with a non-finite entry has only NaN eigenvalues.
+
+        :raises HermiticityError: if the Hermiticity check fails.
+        """
+        scale, defect = self.max_abs(), self._skew
+        if scale > 0.0 and defect > HERMITICITY_RTOL * scale:
+            raise HermiticityError(
+                f"matrix deviates from Hermiticity by {defect:.3e} "
+                f"(limit {HERMITICITY_RTOL * scale:.3e})"
+            )
+        blocks = principal_blocks(*self._nonzeros, components)
+        return blocks, tuple(
+            np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+            if np.isfinite(block).all()
+            # LAPACK may return finite values for a NaN block, or fail.
+            else np.full(len(block), np.nan)
+            for block in blocks
+        )
 
 
 @dataclass(frozen=True)
@@ -219,8 +303,7 @@ class HamiltonianCoefficients(_Indexed):
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix ``sum_j h_j F_j``."""
         coeffs = np.zeros(4**self.num_sites, dtype=complex)
-        for index, value in zip(self.index_set, self.values):
-            coeffs[index.code] = value
+        coeffs[self._codes] = self.values
         return matrix_from_pauli_coefficients(coeffs, self.num_sites)
 
 
@@ -282,6 +365,31 @@ class SignedLindbladForm:
         )
 
 
+def _sum(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse sum of ``(keys, values)`` parts, added in order."""
+    keys, values = zip(*parts)
+    return merge_pauli_terms(np.concatenate(keys), np.concatenate(values))
+
+
+def _adjoint_sum(keys, values, size: int, sign: float):
+    """The nonzeros of ``M + sign M^dag`` for the ``size x size`` matrix
+    ``M`` with ``values`` at the flat positions ``keys``."""
+    rows, cols = np.divmod(keys, max(size, 1))
+    return _sum((keys, values), (cols * size + rows, sign * values.conj()))
+
+
+def _gram(dissipator: "DissipatorMatrix") -> tuple[np.ndarray, np.ndarray]:
+    """The sparse Pauli sum of ``K = sum_jk a_jk F_k F_j``, added in the
+    order of :func:`~floquet_lindblad.pauli.quadratic_product_coefficients`
+    (by column)."""
+    rows, cols, values = dissipator._nonzeros
+    order = np.lexsort((rows, cols))
+    left, right = dissipator._codes[[cols[order], rows[order]]]
+    return merge_pauli_terms(
+        *_string_products(left, right, values[order], dissipator.num_sites, False)
+    )
+
+
 def _table_defects(
     codes: np.ndarray, signed: np.ndarray, num_sites: int
 ) -> tuple[float, float, float]:
@@ -295,18 +403,10 @@ def _table_defects(
     """
     size = 4**num_sites
     rows, cols = np.divmod(codes, size)
-    products = _string_products(cols, rows, signed, num_sites, False)
-    _, gram = merge_pauli_terms(*products)
-    transposed = cols * size + rows
-    partner = np.minimum(np.searchsorted(codes, transposed), codes.size - 1)
-    # An unpaired t[j, k] faces a zero t[k, j]: two defect entries.
-    defect = np.where(
-        codes[partner] == transposed,
-        signed - signed[partner].conj(),
-        np.sqrt(2.0) * signed,
-    )
+    _, gram = merge_pauli_terms(*_string_products(cols, rows, signed, num_sites, False))
+    _, skew = _adjoint_sum(codes, signed, size, -1.0)
     scale = max(1.0, float(np.linalg.norm(signed)) / size)
-    return float(np.linalg.norm(gram)), float(np.linalg.norm(defect)), scale
+    return float(np.linalg.norm(gram)), float(np.linalg.norm(skew)), scale
 
 
 @lru_cache(maxsize=None)
@@ -318,19 +418,15 @@ def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
     )
 
 
-def _codes(index_set: tuple[MultiIndex, ...]) -> np.ndarray:
-    return np.array([index.code for index in index_set], dtype=np.int64)
-
-
 def _signed_table(
     superop: Superoperator, validate: bool
-) -> tuple[np.ndarray, int]:
-    """The signed table ``t`` of ``superop`` (module docstring), scattered
-    from its doubled Pauli sum and validated in table space."""
+) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """The signed table ``t`` of ``superop`` (module docstring) as its
+    nonzeros ``(codes, values)``, from its doubled Pauli sum, validated in
+    table space."""
     num_sites = _sites_from_superop(superop)
-    size = 4**num_sites
     codes, values = _pauli_terms(superop)
-    signed = values * (-1.0) ** code_two_counts(num_sites)[codes % size]
+    signed = values * (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
     if validate:
         *defects, scale = _table_defects(codes, signed, num_sites)
         for defect, what in zip(defects, ("trace", "Hermiticity")):
@@ -339,36 +435,40 @@ def _signed_table(
                     f"superoperator is not {what} preserving within "
                     f"{VALIDATION_TOL:g}"
                 )
-    table = np.zeros(size * size, dtype=complex)
-    table[codes] = signed
-    return table.reshape(size, size), num_sites
+    return (codes, signed), num_sites
 
 
 def _form_table(
     hamiltonian: "HamiltonianCoefficients | np.ndarray | None",
     dissipator: DissipatorMatrix,
-) -> np.ndarray:
-    """The signed table of ``(H, [a_jk])``. A dense ``H`` enters through
-    its Pauli coefficients; its identity part cancels in ``t[0, 0]``."""
-    num_sites, entries = dissipator.num_sites, dissipator.entries
-    h_coeffs = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the signed table of ``(H, [a_jk])``. A dense ``H``
+    enters through its Pauli coefficients; its identity part cancels in
+    ``t[0, 0]``."""
+    num_sites = dissipator.num_sites
+    size = 4**num_sites
+    h_coeffs = np.zeros(size, dtype=complex)
     if isinstance(hamiltonian, HamiltonianCoefficients):
         if hamiltonian.num_sites != num_sites:
             raise DimensionMismatchError(
                 f"hamiltonian on {hamiltonian.num_sites} sites, not {num_sites}"
             )
-        h_coeffs = np.zeros(4**num_sites, dtype=complex)
-        h_coeffs[_codes(hamiltonian.index_set)] = hamiltonian.values
+        h_coeffs[hamiltonian._codes] = hamiltonian.values
     elif hamiltonian is not None:
         h_coeffs = pauli_coefficients(hamiltonian, num_sites)
-    codes = _codes(dissipator.index_set)
-    table = np.zeros((4**num_sites, 4**num_sites), dtype=complex)
-    rows, cols = np.nonzero(entries)
-    np.add.at(table, (codes[rows], codes[cols]), entries[rows, cols])
-    half_k = 0.5 * quadratic_product_coefficients(codes, entries, num_sites)
-    table[:, 0] += np.sqrt(2**num_sites) * (-1j * h_coeffs - half_k)
-    table[0, :] += np.sqrt(2**num_sites) * (1j * h_coeffs - half_k)
-    return table
+    half_k = np.zeros(size, dtype=complex)
+    gram_codes, gram = _gram(dissipator)
+    half_k[gram_codes] = 0.5 * gram
+    column = np.sqrt(2**num_sites) * (-1j * h_coeffs - half_k)
+    row = np.sqrt(2**num_sites) * (1j * h_coeffs - half_k)
+    rows, cols, values = dissipator._nonzeros
+    codes = dissipator._codes
+    in_column, in_row = np.flatnonzero(column), np.flatnonzero(row)
+    return _sum(
+        (codes[rows] * size + codes[cols], values),
+        (in_column * size, column[in_column]),
+        (in_row, row[in_row]),
+    )
 
 
 def _form_superop(
@@ -377,9 +477,9 @@ def _form_superop(
 ) -> Superoperator:
     """:func:`lindblad_form_superop`: one inverse Pauli transform."""
     num_sites = dissipator.num_sites
-    table = _form_table(hamiltonian, dissipator)
-    table *= (-1.0) ** code_two_counts(num_sites)
-    matrix = matrix_from_pauli_coefficients(table.reshape(-1), 2 * num_sites)
+    codes, table = _form_table(hamiltonian, dissipator)
+    table = table * (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
+    matrix = matrix_from_pauli_terms(codes, table, 2 * num_sites)
     return Superoperator(matrix, 2**num_sites)
 
 
@@ -404,27 +504,36 @@ def _sparse_form_superop(h, jumps, num_sites: int) -> Superoperator:
     return Superoperator.from_pauli_terms(codes, signed, 2**num_sites)
 
 
-def _dissipator_from_table(table: np.ndarray, num_sites: int) -> DissipatorMatrix:
-    entries = table[1:, 1:]
-    scale = float(np.max(np.abs(entries)))
-    defect = float(np.max(np.abs(entries - entries.conj().T)))
-    if defect > max(1e-10 * scale, 1e-12):
+def _dissipator_from_table(table, num_sites: int) -> DissipatorMatrix:
+    size = 4**num_sites
+    codes, signed = table
+    rows, cols = np.divmod(codes, size)
+    inner = (rows > 0) & (cols > 0)
+    keys = (rows[inner] - 1) * (size - 1) + cols[inner] - 1
+    raw = DissipatorMatrix._of(
+        _nonidentity_indices(num_sites), (keys, signed[inner]), num_sites
+    )
+    if raw._skew > max(1e-10 * raw.max_abs(), 1e-12):
         raise HermiticityError(
             f"extracted coefficient matrix deviates from Hermiticity by "
-            f"{defect:.3e}"
+            f"{raw._skew:.3e}"
         )
-    entries = 0.5 * (entries + entries.conj().T)
-    return DissipatorMatrix(_nonidentity_indices(num_sites), entries, num_sites)
+    keys, values = _adjoint_sum(*raw._terms, size - 1, 1.0)
+    return DissipatorMatrix._of(raw.index_set, (keys, 0.5 * values), num_sites)
 
 
 def _hamiltonian_from_table(
-    table: np.ndarray, dissipator: DissipatorMatrix
+    table, dissipator: DissipatorMatrix
 ) -> HamiltonianCoefficients:
     num_sites = dissipator.num_sites
-    gram_coeffs = quadratic_product_coefficients(
-        _codes(dissipator.index_set), dissipator.entries, num_sites
-    )
-    raw = 1j * (table[1:, 0] / np.sqrt(2**num_sites) + 0.5 * gram_coeffs[1:])
+    size = 4**num_sites
+    codes, signed = table
+    column, gram = np.zeros((2, size), dtype=complex)
+    first = codes % size == 0
+    column[codes[first] // size] = signed[first]
+    gram_codes, gram_values = _gram(dissipator)
+    gram[gram_codes] = gram_values
+    raw = 1j * (column[1:] / np.sqrt(2**num_sites) + 0.5 * gram[1:])
     scale = max(1.0, float(np.max(np.abs(raw))))
     residue = float(np.max(np.abs(raw.imag)))
     if residue > VALIDATION_TOL * scale:
@@ -439,30 +548,33 @@ def _hamiltonian_from_table(
 @dataclass(frozen=True)
 class Decomposition:
     """The decomposition ``(h_j, [a_jk])`` of one superoperator and its
-    signed table. All three are linear in the superoperator, so ``+``
-    adds each of them."""
+    signed table, held as its nonzeros ``(codes, values)``. All three are
+    linear in the superoperator, so ``+`` adds each of them."""
 
     hamiltonian: HamiltonianCoefficients
     dissipator: DissipatorMatrix
-    table: np.ndarray
+    table: tuple[np.ndarray, np.ndarray]
 
     def __add__(self, other: "Decomposition") -> "Decomposition":
-        if self.table.shape != other.table.shape:
+        a, b = self.dissipator, other.dissipator
+        if a.num_sites != b.num_sites:
             raise DimensionMismatchError(
                 "decompositions on different sites cannot be added"
             )
-        h, a = self.hamiltonian, self.dissipator
+        h = self.hamiltonian
         return Decomposition(
             replace(h, values=h.values + other.hamiltonian.values),
-            replace(a, entries=a.entries + other.dissipator.entries),
-            self.table + other.table,
+            DissipatorMatrix._of(a.index_set, _sum(a._terms, b._terms), a.num_sites),
+            _sum(self.table, other.table),
         )
 
     def residual(self) -> float:
         """:func:`roundtrip_residual` of the decomposed superoperator."""
-        form_table = _form_table(self.hamiltonian, self.dissipator)
-        difference = float(np.linalg.norm(self.table - form_table))
-        return difference / max(1.0, float(np.linalg.norm(self.table)))
+        codes, values = self.table
+        form_codes, form_values = _form_table(self.hamiltonian, self.dissipator)
+        _, difference = _sum((codes, values), (form_codes, -form_values))
+        scale = max(1.0, float(np.linalg.norm(values)))
+        return float(np.linalg.norm(difference)) / scale
 
 
 def decompose(superop: Superoperator) -> Decomposition:
@@ -534,11 +646,11 @@ def psd_report(
 
 def block_report(
     dissipator: DissipatorMatrix, tol_psd: float | None = None
-) -> tuple[LiouvillianityReport, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+) -> tuple[LiouvillianityReport, tuple, list[np.ndarray], tuple]:
     """:func:`psd_report` with the partition behind it: the connected
     components of the entries above
-    :meth:`DissipatorMatrix.structural_tol` (position arrays) and the
-    eigenvalues of each block.
+    :meth:`DissipatorMatrix.structural_tol` (position arrays), their
+    dense blocks and the eigenvalues of each block.
 
     The spectrum is the ascending union of the block eigenvalues and one
     exact zero per index outside every block. Let delta be the largest
@@ -546,20 +658,18 @@ def block_report(
     within delta of the dense eigenvalue (Weyl). When delta exceeds
     ``1e-3 * tol_psd`` that bound no longer settles the verdict, and the
     spectrum comes from one block holding every index instead: the dense
-    solve, done in the same call as the blocks. A NaN eigenvalue (from a
-    non-finite entry) becomes the minimum, so it never passes.
+    solve. A NaN eigenvalue (from a non-finite entry) becomes the
+    minimum, so it never passes.
     """
     if tol_psd is None:
         tol_psd = PSD_RTOL * max(1.0, dissipator.max_abs())
     components, delta = coupled_components(
-        dissipator.entries, dissipator.structural_tol()
+        *dissipator._nonzeros, dissipator.structural_tol()
     )
-    solved = components
+    blocks, values = dissipator._blocks(components)
+    spectrum = values
     if delta > BLOCK_DROP_RATIO * tol_psd:
-        solved = (*components, np.arange(dissipator.size))
-    values = block_eigenvalues(dissipator.entries, solved)
-    # The spectrum is the blocks' values, or the dense block's if solved.
-    spectrum = values[len(components):] or values
+        spectrum = dissipator._blocks((np.arange(dissipator.size),))[1]
     uncoupled = dissipator.size - sum(block.size for block in spectrum)
     eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *spectrum]))
     min_eig = float(np.min(eigenvalues)) if eigenvalues.size else 0.0
@@ -571,7 +681,7 @@ def block_report(
         is_liouvillian=is_liouvillian,
         breaking_degree=0.0 if is_liouvillian else -min_eig,
     )
-    return report, components, values[: len(components)]
+    return report, components, blocks, values
 
 
 def canonical_decomposition(
@@ -593,7 +703,7 @@ def canonical_decomposition(
         if abs(lam) <= CHANNEL_DROP_RTOL * scale:
             continue
         coeffs = np.zeros(4**dissipator.num_sites, dtype=complex)
-        coeffs[_codes(dissipator.index_set)] = eigenvectors[:, position]
+        coeffs[dissipator._codes] = eigenvectors[:, position]
         operator = matrix_from_pauli_coefficients(
             coeffs, dissipator.num_sites
         ) * np.sqrt(abs(lam))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import block_eigenvalues, coupled_components, herm_eigs
+from .core import coupled_components, herm_eigs
 from .errors import (
     DimensionMismatchError,
     StructureViolationError,
@@ -177,19 +177,20 @@ class BlockStructure:
 def _block_structure(
     dissipator: DissipatorMatrix,
     components: tuple[np.ndarray, ...],
+    entries: list[np.ndarray],
     values: tuple[np.ndarray, ...],
 ) -> BlockStructure:
     ordered = sorted(
-        zip(components, values),
-        key=lambda pair: dissipator.index_set[pair[0][0]].code,
+        zip(components, entries, values),
+        key=lambda block: dissipator.index_set[block[0][0]].code,
     )
     blocks = tuple(
         Block(
             index_set=tuple(dissipator.index_set[p] for p in positions),
-            entries=dissipator.entries[np.ix_(positions, positions)],
+            entries=block,
             eigenvalues=eigenvalues,
         )
-        for positions, eigenvalues in ordered
+        for positions, block, eigenvalues in ordered
     )
     return BlockStructure(
         blocks=blocks,
@@ -211,9 +212,8 @@ def block_partition(
     """
     if tol is None:
         tol = dissipator.structural_tol()
-    components, _ = coupled_components(dissipator.entries, tol)
-    values = block_eigenvalues(dissipator.entries, components)
-    return _block_structure(dissipator, components, values)
+    components, _ = coupled_components(*dissipator._nonzeros, tol)
+    return _block_structure(dissipator, components, *dissipator._blocks(components))
 
 
 def certify(
@@ -222,8 +222,8 @@ def certify(
     """:func:`~floquet_lindblad.liouvillianity.psd_report` and
     :func:`block_partition` (default tolerance) from one partition and
     one eigensolve of every block."""
-    report, components, values = block_report(dissipator, tol_psd)
-    return report, _block_structure(dissipator, components, values)
+    report, *partition = block_report(dissipator, tol_psd)
+    return report, _block_structure(dissipator, *partition)
 
 
 @dataclass(frozen=True)

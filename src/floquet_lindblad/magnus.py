@@ -66,7 +66,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import block_logs, kron, matrix_exp
+from .core import block_logs, component_labels, kron, matrix_exp
 from .errors import DimensionMismatchError, UnsupportedOrderError
 from .lindblad import PiecewiseLiouvillian, Superoperator, _pauli_terms, _weighted_sum
 from .pauli import PAULI, pauli_commutator, pauli_transfer
@@ -298,16 +298,12 @@ class TransferBlocks:
     """
 
     def __init__(self, drive: PiecewiseLiouvillian, others=()) -> None:
-        from scipy.sparse import coo_array
-        from scipy.sparse.csgraph import connected_components
-
         self.drive, size = drive, 4**drive.num_sites
         self.generators = [transfer(g) for g in drive.segment_generators()]
         self.others = [transfer(other) for other in others]
         patterns = [codes for codes, _ in self.generators + self.others]
         rows, cols = np.divmod(np.concatenate(patterns), size)
-        graph = coo_array((np.ones(rows.size), (rows, cols)), shape=(size, size))
-        _, self._labels = connected_components(graph, directed=False)
+        self._labels = component_labels(rows, cols, size)
         counts = np.bincount(self._labels)
         members = np.argsort(self._labels, kind="stable")
         starts = np.cumsum(counts) - counts

@@ -2,6 +2,10 @@
 validation, overrides, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,29 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_analyze_loads_no_scipy(tmp_path):
+    """An ``analyze`` run in a fresh interpreter imports no scipy module:
+    only the matrix exponential of the exact path needs it."""
+    config = write_config(tmp_path, model_a_config())
+    out = tmp_path / "out.json"
+    script = "\n".join(
+        [
+            "import sys",
+            "from floquet_lindblad.cli import main",
+            f"assert main(['analyze', '--config', {config!r}, '--out', {str(out)!r}]) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert json.loads(out.read_text())["orders"]
 
 
 def test_analyze_reports_certification(tmp_path, capsys):

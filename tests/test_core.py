@@ -19,7 +19,7 @@ from floquet_lindblad import (
     matrix_log_principal,
     vectorize,
 )
-from floquet_lindblad.core import coupled_components
+from floquet_lindblad.core import component_labels, coupled_components, principal_blocks
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -215,17 +215,24 @@ def test_matrix_log_rejects_near_defective_input():
         matrix_log_principal(matrix)
 
 
+def closure(matrix, tol):
+    """Reachability over the entries above ``tol`` (NaN included), every
+    node reaching itself, by Warshall's algorithm."""
+    edges = ~(np.abs(matrix) <= tol)
+    reach = edges | edges.T | np.eye(len(matrix), dtype=bool)
+    for k in range(len(matrix)):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    return reach
+
+
 def brute_force_components(matrix, tol):
     """Components of the edge graph by dense transitive closure
     (Warshall), ordered by first position, and the largest absolute row
     sum outside their diagonal blocks."""
     magnitudes = np.abs(matrix)
     edges = ~(magnitudes <= tol)
-    edges = edges | edges.T
-    supported = edges.any(axis=1)
-    reach = edges | np.eye(len(matrix), dtype=bool)
-    for k in range(len(matrix)):
-        reach |= reach[:, k, None] & reach[None, k, :]
+    supported = (edges | edges.T).any(axis=1)
+    reach = closure(matrix, tol)
     components = []
     for start in np.flatnonzero(supported):
         members = np.flatnonzero(reach[start])
@@ -257,12 +264,26 @@ def coupled_cases():
 
 @pytest.mark.parametrize("matrix", list(coupled_cases()))
 def test_coupled_components_match_a_dense_closure(matrix):
-    """Components in order of first position with ascending positions,
-    indices without an edge left out, a NaN entry counted as an edge, and
-    delta the largest absolute row sum outside the blocks."""
+    """Components of the nonzeros in order of first position with
+    ascending positions, indices without an edge left out, a NaN entry
+    counted as an edge, and delta the largest absolute row sum outside
+    the blocks; the blocks scattered from the nonzeros are the dense
+    principal blocks, and every node's label (edgeless nodes included)
+    names its closure, numbered by smallest member."""
     tol = 1e-6
-    components, delta = coupled_components(matrix, tol)
+    rows, cols = np.nonzero(matrix)
+    values = matrix[rows, cols]
+    components, delta = coupled_components(rows, cols, values, tol)
     expected, expected_delta = brute_force_components(matrix, tol)
+    for block, component in zip(
+        principal_blocks(rows, cols, values, components), components
+    ):
+        np.testing.assert_array_equal(block, matrix[np.ix_(component, component)])
+    edges = ~(np.abs(values) <= tol)
+    labels = component_labels(rows[edges], cols[edges], len(matrix))
+    reach = closure(matrix, tol)
+    smallest = np.array([np.flatnonzero(row)[0] for row in reach], dtype=np.int64)
+    np.testing.assert_array_equal(labels, np.unique(smallest, return_inverse=True)[1])
     assert len(components) == len(expected)
     for component, reference in zip(components, expected):
         assert component.dtype == np.int64

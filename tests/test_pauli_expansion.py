@@ -357,8 +357,9 @@ def test_table_verdicts_agree_with_the_dense_validators(name, term):
 
 
 def forbid_materialization(monkeypatch, num_sites):
-    """Make any lazy ``.matrix``, any dense segment superoperator and any
-    Pauli transform on more than ``num_sites`` sites raise."""
+    """Make any lazy ``.matrix``, any dense segment superoperator, any
+    dense view of a coefficient matrix and any Pauli transform on more
+    than ``num_sites`` sites raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense superoperator materialized")
@@ -367,6 +368,7 @@ def forbid_materialization(monkeypatch, num_sites):
     monkeypatch.setattr(
         PiecewiseLiouvillian, "segment_superops", property(refuse)
     )
+    monkeypatch.setattr(liouvillianity.DissipatorMatrix, "entries", property(refuse))
 
     def local_only(matrix, sites):
         if sites > num_sites:
@@ -394,14 +396,83 @@ def test_six_site_orders_stay_sparse_and_local(monkeypatch, name, coupling, coun
     )
     expansion = bch_orders(drive, 3)
     locality = drive_locality(drive)
-    weights = code_weights(12)
+    weights = code_weights(6)
     for order, (term, count) in enumerate(zip(expansion.order_terms, counts)):
         codes, _ = term.pauli_terms
         assert codes.size == count
-        assert weights[codes].max() <= max_weight_bound(order, locality)
+        doubled = weights[codes // 4**6] + weights[codes % 4**6]
+        assert doubled.max() <= max_weight_bound(order, locality)
         trace_defect, hermiticity_defect, scale = table_defects(term)
         assert trace_defect <= 1e-12 * scale
         assert hermiticity_defect <= 1e-12 * scale
+
+
+#: Per order of the 6-site ``analyze`` report (tau 0.2, coupling 1,
+#: gamma 0.5): verdict, d_n, block sizes, and the cumulative and term
+#: minimum eigenvalues, recorded once from the dense certification path.
+SIX_SITE_ANALYZE = {
+    "C": [
+        (True, 6, {1}, 0.0, 0.0),
+        (False, 18, {3}, -1.191300234460844, -4.525483399593899),
+        (False, 36, {2, 4}, -0.4885147435579364, -1.0300644532791856),
+    ],
+    "D": [
+        (True, 12, {2}, 0.0, 0.0),
+        (False, 24, {4}, -0.3081318457076026, -1.5999999999999983),
+        (False, 72, {5, 7}, -0.12242724972678977, -0.3216602066212942),
+    ],
+}
+
+
+def sparse_distance(first, second):
+    """Frobenius distance of two sparse sums ``(codes, values)``."""
+    codes = np.concatenate([first[0], second[0]])
+    values = np.concatenate([first[1], -second[1]])
+    return np.linalg.norm(pauli.merge_pauli_terms(codes, values)[1])
+
+
+@pytest.mark.parametrize("name, coupling", [("C", "jz"), ("D", "jx")])
+def test_six_site_analyze_certifies_from_nonzeros(
+    monkeypatch, tmp_path, capsys, name, coupling
+):
+    """L=6 ``analyze`` through ``cli.main`` with every dense
+    superoperator, dense coefficient view and 2L-site transform
+    forbidden: verdicts, ``d_n``, block sizes and minimum eigenvalues as
+    the dense path gave them, and running sums of the term
+    decompositions equal to the direct cumulative decompositions."""
+    forbid_materialization(monkeypatch, 6)
+    model = {"name": name, "num_sites": 6, "tau": 0.2, coupling: 1.0, "gamma": 0.5}
+    path = tmp_path / "analyze.json"
+    path.write_text(json.dumps({"schema_version": 1, "model": model}))
+    assert main(["analyze", "--config", str(path)]) == 0
+    records = json.loads(capsys.readouterr().out)["orders"]
+    assert [record["order"] for record in records] == [0, 1, 2]
+    for record, expected in zip(records, SIX_SITE_ANALYZE[name]):
+        verdict, d_n, sizes, cumulative_min, term_min = expected
+        cumulative = record["cumulative"]
+        assert cumulative["verdict"] is verdict
+        assert cumulative["block_structure"]["d_n"] == d_n
+        blocks = cumulative["block_structure"]["blocks"]
+        assert {block["size"] for block in blocks} == sizes
+        assert len(cumulative["spectrum"]) == 4**6 - 1
+        assert cumulative["min_eigenvalue"] == pytest.approx(cumulative_min, rel=1e-9)
+        assert record["term"]["min_eigenvalue"] == pytest.approx(term_min, rel=1e-9)
+        assert cumulative["roundtrip_residual"] <= 1e-12
+    params = ModelParams(name=name, tau=0.2, num_sites=6, gamma=0.5, **{coupling: 1.0})
+    expansion = bch_orders(build_model(params), 2)
+    summed = None
+    for order, term in enumerate(expansion.order_terms):
+        term = liouvillianity.decompose(term)
+        summed = term if summed is None else summed + term
+        direct = liouvillianity.decompose(expansion.cumulative(order))
+        scale = max(1.0, np.linalg.norm(direct.table[1]))
+        assert sparse_distance(summed.table, direct.table) <= 1e-12 * scale
+        assert sparse_distance(
+            summed.dissipator._terms, direct.dissipator._terms
+        ) <= 1e-12 * scale
+        np.testing.assert_allclose(
+            summed.hamiltonian.values, direct.hamiltonian.values, rtol=0.0, atol=1e-12 * scale
+        )
 
 
 def test_cli_analyze_and_scan_form_no_dense_superoperator(monkeypatch, tmp_path, capsys):
