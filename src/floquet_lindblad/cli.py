@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -411,13 +409,6 @@ class RunConfig:
         return meta
 
 
-def _grid_map(point, grid) -> list:
-    """``point(value)`` at every grid value, in grid order, on a thread
-    pool (a serial grid is slower on multi-point scans)."""
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-        return list(ex.map(lambda value: point(float(value)), grid))
-
-
 def _cumulative_record(config: RunConfig, decomposition: Decomposition) -> dict:
     dissipator = decomposition.dissipator.restricted(config.weight_limit)
     report, structure = certify(dissipator, tol_psd=config.tol_psd)
@@ -545,7 +536,7 @@ def cmd_scan(config: RunConfig) -> str:
             raise ConfigError("scan.start: tau grid must stay positive")
     elif grid[0] < 0.0:
         raise ConfigError("scan.start: rate grids must stay nonnegative")
-    row_lists = _grid_map(lambda value: _scan_point(config, parameter, value), grid)
+    row_lists = [_scan_point(config, parameter, float(value)) for value in grid]
     lines = [CSV_HEADER]
     for rows in row_lists:
         lines.extend(rows)
@@ -575,7 +566,7 @@ def cmd_fit_modelc(config: RunConfig) -> str:
             "does not cover it"
         )
     params = config.params
-    min_eigs = _grid_map(lambda value: _fit_point(config, value), grid)
+    min_eigs = [_fit_point(config, float(value)) for value in grid]
     scale = params.gamma * 2.0 ** (params.num_sites - 1)
     normalized = []
     fit_error = None
@@ -684,7 +675,7 @@ def cmd_compare_exact(config: RunConfig) -> str:
             raise ConfigError(
                 "compare.initial_state: must be Hermitian with unit trace"
             )
-    results = _grid_map(lambda value: _compare_point(config, value), grid)
+    results = [_compare_point(config, float(value)) for value in grid]
     branch_failures = [
         float(tau) for tau, (_, failed) in zip(grid, results) if failed
     ]

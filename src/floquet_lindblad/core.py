@@ -179,14 +179,23 @@ def principal_blocks(
     components: tuple[np.ndarray, ...],
 ) -> list[np.ndarray]:
     """Dense principal blocks ``M[c, c]``, one per ascending position
-    array ``c``, of the matrix ``M`` with ``values`` at ``(rows, cols)``
-    and zeros elsewhere."""
+    array ``c`` (disjoint), of the matrix ``M`` with ``values`` at
+    ``(rows, cols)`` and zeros elsewhere, in one pass: the nonzeros inside
+    a block are grouped by component with one stable sort."""
+    sizes = [positions.size for positions in components]
+    members = np.concatenate([np.empty(0, dtype=np.int64), *components])
+    size = 1 + max(rows.max(initial=-1), cols.max(initial=-1), members.max(initial=-1))
+    label, slot = np.full((2, size), -1)
+    label[members] = np.repeat(np.arange(len(sizes)), sizes)
+    slot[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inside = np.flatnonzero(label[rows] == label[cols])  # label -1 sorts first
+    inside = inside[np.argsort(label[rows[inside]], kind="stable")]
+    bounds = np.searchsorted(label[rows[inside]], np.arange(len(sizes) + 1))
+    rows, cols, values = slot[rows[inside]], slot[cols[inside]], values[inside]
     blocks = []
-    for positions in components:
-        inside = np.isin(rows, positions) & np.isin(cols, positions)
-        block = np.zeros((positions.size, positions.size), dtype=complex)
-        place = np.searchsorted(positions, [rows[inside], cols[inside]])
-        block[place[0], place[1]] = values[inside]
+    for width, start, end in zip(sizes, bounds, bounds[1:]):
+        block = np.zeros((width, width), dtype=complex)
+        block[rows[start:end], cols[start:end]] = values[start:end]
         blocks.append(block)
     return blocks
 

@@ -14,8 +14,8 @@ generator becomes the dense matrix
         + sum_i gamma_i (L_i x conj(L_i)
                          - (1/2) (L_i^dag L_i x I + I x L_i^T conj(L_i))).
 
-The same generator is also built as a sparse doubled Pauli sum from the
-L-site Pauli coefficients of ``H`` and the ``L_i``
+The same generator is also built as a sparse doubled Pauli sum from
+each term's Pauli coefficients on its own sites
 (:meth:`PiecewiseLiouvillian.segment_generators`).
 
 Drives are piecewise constant over one period: each
@@ -37,6 +37,7 @@ import numpy as np
 from .core import devectorize, vectorize
 from .errors import DimensionMismatchError
 from .pauli import (
+    _embedded_codes,
     embed_local,
     matrix_from_pauli_terms,
     merge_pauli_terms,
@@ -344,10 +345,11 @@ class PiecewiseLiouvillian:
         sites = self.num_sites
         return tuple(
             _sparse_form_superop(
-                _significant(seg.hamiltonian(sites)),
+                _significant(sites, seg.hamiltonian_terms),
                 [
-                    (rate, _significant(op), _significant(op.conj().T @ op))
-                    for rate, op in seg.jumps(sites)
+                    (jump.rate, _significant(sites, [jump]),
+                     _significant(sites, [jump], gram=True))
+                    for jump in seg.jump_terms
                 ],
                 sites,
             )
@@ -365,13 +367,25 @@ class PiecewiseLiouvillian:
         return tuple(windows)
 
 
-def _significant(operator: np.ndarray):
-    """Codes and values of the Pauli coefficients of ``operator`` above
-    ``INPUT_RTOL`` times their largest magnitude."""
-    coefficients = pauli_coefficients(operator, len(operator).bit_length() - 1)
-    magnitudes = np.abs(coefficients)
-    codes = np.flatnonzero(magnitudes > INPUT_RTOL * magnitudes.max())
-    return codes, coefficients[codes]
+def _significant(num_sites: int, terms, gram: bool = False):
+    """Codes and values of the L-site Pauli coefficients of the sum of
+    the terms' matrices (``L^dag L`` with ``gram``) above ``INPUT_RTOL``
+    times their largest magnitude. Each term is transformed on its own
+    sites (all of them if undeclared), as
+    ``Tr[(F_j x 1) (M x 1)] = 2^((L-k)/2) Tr[F_j M]``."""
+    codes, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    for term in terms:
+        matrix = term.matrix.conj().T @ term.matrix if gram else term.matrix
+        support = term.sites
+        if support is None:  # checked against the full space, as embedded
+            support, matrix = range(num_sites), _embed_term(matrix, None, num_sites)
+        codes.append(_embedded_codes(support, num_sites))
+        scale = 2.0 ** ((num_sites - len(support)) / 2)
+        values.append(scale * pauli_coefficients(matrix, len(support)))
+    codes, values = merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
+    magnitudes = np.abs(values)
+    kept = magnitudes > INPUT_RTOL * magnitudes.max(initial=0.0)
+    return codes[kept], values[kept]
 
 
 def liouvillian_superop(

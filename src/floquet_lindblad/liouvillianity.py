@@ -240,9 +240,10 @@ class DissipatorMatrix(_Indexed):
         if weight_limit is None:
             return self
         weights = code_weights(self.num_sites)[self._codes]
-        kept = np.flatnonzero(weights <= max(weight_limit - 1, 0))
+        cap = max(weight_limit - 1, 0)
+        kept = np.flatnonzero(weights <= cap)
         rows, cols, values = self._nonzeros
-        stays = np.isin(rows, kept) & np.isin(cols, kept)
+        stays = (weights[rows] <= cap) & (weights[cols] <= cap)
         stays &= weights[rows] + weights[cols] <= weight_limit
         rows, cols = np.searchsorted(kept, [rows[stays], cols[stays]])
         return DissipatorMatrix._of(

@@ -465,14 +465,7 @@ def embed_local(
     :param sites: distinct site labels in ``0..num_sites-1``.
     :param num_sites: total number of sites.
     """
-    site_list = [int(s) for s in sites]
-    if len(set(site_list)) != len(site_list):
-        raise InvalidIndexError(f"duplicate sites in {site_list}")
-    for site in site_list:
-        if not 0 <= site < num_sites:
-            raise InvalidIndexError(
-                f"site {site} out of range for {num_sites} sites"
-            )
+    site_list = _checked_sites(sites, num_sites)
     count = len(site_list)
     local_dim = 2**count
     arr = np.asarray(operator, dtype=complex)
@@ -488,3 +481,25 @@ def embed_local(
     perm = list(inverse) + [num_sites + int(p) for p in inverse]
     dim = 2**num_sites
     return tensor.transpose(perm).reshape(dim, dim)
+
+
+def _checked_sites(sites: Iterable[int], num_sites: int) -> list[int]:
+    site_list = [int(s) for s in sites]
+    if len(set(site_list)) != len(site_list):
+        raise InvalidIndexError(f"duplicate sites in {site_list}")
+    for site in site_list:
+        if not 0 <= site < num_sites:
+            raise InvalidIndexError(f"site {site} out of range for {num_sites} sites")
+    return site_list
+
+
+def _embedded_codes(sites: Iterable[int], num_sites: int) -> np.ndarray:
+    """The L-site code of every code on the ordered tuple ``sites``
+    (indexed by local code), identity on the other sites: the index of
+    ``F_j`` embedded by :func:`embed_local`."""
+    site_list = _checked_sites(sites, num_sites)
+    local = np.arange(4 ** len(site_list))
+    codes = np.zeros_like(local)
+    for position, site in enumerate(reversed(site_list)):
+        codes |= ((local >> 2 * position) & 3) << 2 * (num_sites - 1 - site)
+    return codes

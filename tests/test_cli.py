@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,37 @@ def test_output_file_and_byte_determinism(tmp_path, capsys):
     assert code == 0 and out == ""
     assert first.read_bytes() == second.read_bytes()
     json.loads(first.read_text(encoding="utf-8"))
+
+
+RING = {"name": "C", "tau": 0.2, "num_sites": 3, "jz": 1.0, "gamma": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("scan", {"scan": {"parameter": "gamma", "start": 0.1, "stop": 0.5, "count": 4}}),
+        ("fit-modelc", {"fit": {"start": 0.05, "stop": 0.45, "count": 4}}),
+        ("compare-exact", {"compare": {"start": 0.05, "stop": 0.2, "count": 3, "num_periods": 3}}),
+    ],
+)
+def test_grid_commands_start_no_thread(monkeypatch, tmp_path, command, section):
+    """``scan``, ``fit-modelc`` and ``compare-exact`` take their grid
+    points in order on the calling thread, and two runs give
+    byte-identical reports."""
+
+    def refuse(self):
+        raise AssertionError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    config = write_config(
+        tmp_path, {"schema_version": 1, "model": RING, "orders": [0, 1, 2], **section}
+    )
+    reports = []
+    for name in ("first", "second"):
+        out = tmp_path / f"{name}.out"
+        assert main([command, "--config", config, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and reports[0]
 
 
 def test_custom_drive_matches_named_model(tmp_path, capsys):

@@ -4,6 +4,8 @@ matrix exponential and principal logarithm."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floquet_lindblad import (
     BranchCutError,
@@ -295,3 +297,41 @@ def test_coupled_components_match_a_dense_closure(matrix):
     if np.isnan(matrix).any():
         assert [list(c) for c in components] == [[0], [2, 4]]
         assert delta == pytest.approx(1e-6 + 2e-7)
+
+
+@given(
+    size=st.integers(0, 12),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    partition=st.sampled_from(["all", "some", "whole"]),
+    with_nan=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_principal_blocks_are_the_dense_slices(size, density, seed, partition, with_nan):
+    """Blocks scattered from the nonzeros of a sparse Hermitian matrix,
+    listed in any order, are bit for bit ``M[ix_(c, c)]`` for disjoint
+    components in any order: a random partition of every index, part of
+    one, or the single all-index component of the dense fallback; a NaN
+    entry lands where it stands."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(random_complex(rng, size) * (rng.random((size, size)) < density), 1)
+    diagonal = rng.standard_normal(size) * (rng.random(size) < density)
+    matrix = upper + upper.conj().T + np.diag(diagonal)
+    if with_nan and size:
+        matrix[tuple(rng.integers(size, size=2))] = np.nan
+    rows, cols = np.nonzero(matrix)
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    if partition == "whole":
+        components = (np.arange(size),)
+    else:
+        labels = rng.integers(0, max(1, size), size)
+        kept = np.unique(labels)
+        if partition == "some":
+            kept = kept[rng.random(kept.size) < 0.5]
+        components = tuple(np.flatnonzero(labels == label) for label in rng.permutation(kept))
+    blocks = principal_blocks(rows, cols, matrix[rows, cols], components)
+    assert len(blocks) == len(components)
+    for block, component in zip(blocks, components):
+        assert block.dtype == complex
+        np.testing.assert_array_equal(block, matrix[np.ix_(component, component)])

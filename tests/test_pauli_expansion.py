@@ -158,6 +158,57 @@ def test_input_cutoff_is_relative_to_each_operator():
     assert codes.size == 2
 
 
+GENERATOR_DRIVES = [
+    pytest.param(
+        build_model(
+            ModelParams(name=name, tau=0.2, num_sites=num_sites, gamma=0.5, **{coupling: 1.0})
+        ),
+        id=f"{name}-L{num_sites}",
+    )
+    for name, coupling in (("C", "jz"), ("D", "jx"))
+    for num_sites in (3, 4, 5, 6)
+] + [
+    pytest.param(random_drive(seed, 3, 2, False), id=f"custom-{seed}")
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("drive", GENERATOR_DRIVES)
+def test_segment_generators_transform_each_term_on_its_own_sites(monkeypatch, drive):
+    """Declared-support terms are never embedded in the full space, and
+    no Pauli transform runs on more sites than a term's support; at
+    L <= 4 the kept codes are those of the dense route."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("term embedded in the full space")
+
+    transformed = []
+
+    def counted(matrix, num_sites):
+        transformed.append(num_sites)
+        return pauli_coefficients(matrix, num_sites)
+
+    drive = PiecewiseLiouvillian(drive.segments, drive.num_sites)  # nothing cached
+    support = max(
+        len(term.sites)
+        for segment in drive.segments
+        for term in segment.hamiltonian_terms + segment.jump_terms
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "embed_local", refuse)
+        patch.setattr(pauli, "embed_local", refuse)
+        patch.setattr(lindblad, "pauli_coefficients", counted)
+        patch.setattr(pauli, "pauli_coefficients", counted)
+        generators = drive.segment_generators()
+    assert transformed and max(transformed) <= support
+    if drive.num_sites > 4:
+        return
+    for generator, dense in zip(generators, dense_generators(drive)):
+        magnitudes = np.abs(pauli_coefficients(dense, 2 * drive.num_sites))
+        expected = np.flatnonzero(magnitudes > 1e-12 * magnitudes.max())
+        np.testing.assert_array_equal(generator.pauli_terms[0], expected)
+
+
 @given(drives)
 @settings(max_examples=25)
 def test_expansion_flavors_match_dense_commutators(drive):

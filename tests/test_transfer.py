@@ -219,10 +219,15 @@ def test_log_guards_one_bad_block_among_good_ones():
 
 
 def test_model_d_exact_log_is_ill_conditioned():
-    """Model D at L=4 keeps failing the conditioning guard on its two
-    parity blocks, as the dense logarithm does."""
+    """Model D at L=4 keeps failing the conditioning guard on its
+    transfer blocks, as the dense logarithm does. The blocks come from
+    exact zeros of the generators built on each term's own sites; its
+    components of sizes 1, 1, 56, 64, 64 and 70 are those left when
+    entries at or below 1e-14 of the largest are dropped."""
     drive = build_model(ModelParams(name="D", tau=0.2, num_sites=4, jx=1.0, gamma=0.5))
-    assert [g.shape for g in TransferBlocks(drive).groups] == [(2, 128)]
+    assert [g.shape for g in TransferBlocks(drive).groups] == [
+        (2, 1), (1, 56), (2, 64), (1, 70)
+    ]
     with pytest.raises(ConditioningError):
         exact_effective(drive)
     values, vectors = np.linalg.eig(dense_propagator(drive))
