@@ -73,6 +73,7 @@ from .magnus import (
     van_vleck_orders,
 )
 from .models import ModelParams, analytic_reference, build_model
+from .pauli import merge_pauli_terms
 
 __all__ = ["main", "build_parser"]
 
@@ -277,6 +278,8 @@ def _parse_grid(section: dict, path: str, geometric: bool = False) -> np.ndarray
     if geometric:
         if start <= 0.0:
             raise ConfigError(f"{path}.start: must be positive")
+        if stop <= 0.0:
+            raise ConfigError(f"{path}.stop: must be positive")
         return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)
 
@@ -620,29 +623,35 @@ def cmd_fit_modelc(config: RunConfig) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _compare_point(
-    config: RunConfig, tau_scale: float
-) -> tuple[list[float | None], bool]:
-    """Residuals per requested order at one scaled period, and whether
-    the exact logarithm failed on a branch ambiguity."""
-    drive = build_model(replace(config.params, tau=tau_scale))
-    expansion = config.expansion(drive)
-    blocks = TransferBlocks(drive)
-    try:
-        logs = block_logs(blocks.propagator())
-    except BranchCutError:
-        return [None for _ in config.orders], True
-    # Compared as L-site transfer matrices (a unitary change of basis):
-    # squared differences on the blocks plus the order's entries off them.
-    residuals = []
-    for order in config.orders:
-        stacks, outside = blocks.split(transfer(expansion.cumulative(order)))
-        inside = sum(
-            float(np.sum(np.abs(log / drive.period - stack) ** 2))
-            for log, stack in zip(logs, stacks)
-        )
-        residuals.append(float(np.sqrt(inside + outside)))
-    return residuals, False
+def _compare_grid(config: RunConfig, expansion, grid: np.ndarray):
+    """``(residuals per requested order, whether the exact logarithm failed
+    on a branch ambiguity)`` at every grid period, in turn. The order-k
+    term is homogeneous of degree k in the period (the segment generators
+    stay fixed), so the blocks and each term's transfer are formed once and
+    scaled by ``s = value / tau`` per point."""
+    blocks = TransferBlocks(expansion.drive)
+    terms = [transfer(term) for term in expansion.order_terms]
+    for value in grid:
+        scale = float(value) / config.params.tau
+        try:
+            logs = block_logs(blocks.propagator(scale))
+        except BranchCutError:
+            yield [None for _ in config.orders], True
+            continue
+        # Compared as L-site transfer matrices (a unitary change of basis):
+        # squared differences on the blocks plus the order's entries off them.
+        period, residuals = scale * expansion.drive.period, []
+        for order in config.orders:
+            codes, values = zip(*terms[: order + 1])
+            values = [scale**k * part for k, part in enumerate(values)]
+            cumulative = merge_pauli_terms(*map(np.concatenate, (codes, values)))
+            stacks, outside = blocks.split(cumulative)
+            inside = sum(
+                float(np.sum(np.abs(log / period - stack) ** 2))
+                for log, stack in zip(logs, stacks)
+            )
+            residuals.append(float(np.sqrt(inside + outside)))
+        yield residuals, False
 
 
 def cmd_compare_exact(config: RunConfig) -> str:
@@ -675,7 +684,8 @@ def cmd_compare_exact(config: RunConfig) -> str:
             raise ConfigError(
                 "compare.initial_state: must be Hermitian with unit trace"
             )
-    results = [_compare_point(config, float(value)) for value in grid]
+    expansion = config.expansion(drive)
+    results = list(_compare_grid(config, expansion, grid))
     branch_failures = [
         float(tau) for tau, (_, failed) in zip(grid, results) if failed
     ]
@@ -705,7 +715,6 @@ def cmd_compare_exact(config: RunConfig) -> str:
         xs, ys = zip(*kept)
         slope = float(np.polyfit(xs, ys, 1)[0])
         slopes[str(order)] = slope if np.isfinite(slope) else None
-    expansion = config.expansion(drive)
     comparisons = stroboscopic_compares(
         drive,
         [expansion.cumulative(order) for order in config.orders],

@@ -109,18 +109,20 @@ def stroboscopic_compares(
     states = [pauli_coefficients(initial_state, sites)]
     for _ in range(num_periods):
         states.append(blocks.apply(exact_step, states[-1]))
-    comparisons = []
-    for effective in blocks.others:
+    # One inverse transform and one stacked SVD for every period of every
+    # generator: differences[:, i, p] is period p + 1 of generator i.
+    differences = np.empty((4**sites, len(blocks.others), num_periods), complex)
+    for position, effective in enumerate(blocks.others):
         step = [matrix_exp(b * drive.period) for b in blocks.split(effective)[0]]
-        vector, distances = states[0], []
-        for exact in states[1:]:
+        vector = states[0]
+        for period, exact in enumerate(states[1:]):
             vector = blocks.apply(step, vector)
-            difference = matrix_from_pauli_coefficients(exact - vector, sites)
-            distances.append(trace_distance(difference, 0.0 * difference))
-        comparisons.append(
-            StroboscopicComparison(tuple(distances), max(distances, default=0.0))
-        )
-    return comparisons
+            differences[:, position, period] = exact - vector
+    matrices = matrix_from_pauli_coefficients(differences.reshape(4**sites, -1), sites)
+    singular = np.linalg.svd(np.moveaxis(matrices, -1, 0), compute_uv=False)
+    distances = 0.5 * np.sum(singular, axis=-1).reshape(differences.shape[1:])
+    rows = [tuple(map(float, row)) for row in distances]
+    return [StroboscopicComparison(row, max(row, default=0.0)) for row in rows]
 
 
 def choi_matrix(superop: Superoperator) -> np.ndarray:

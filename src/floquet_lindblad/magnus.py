@@ -335,12 +335,14 @@ class TransferBlocks:
         ]
         return stacks, float(np.sum(np.abs(values[~inside]) ** 2))
 
-    def propagator(self) -> list[np.ndarray]:
+    def propagator(self, scale: float = 1.0) -> list[np.ndarray]:
         """Blocks of the one-period propagator: ordered product of segment
-        exponentials, earliest segment rightmost."""
+        exponentials, earliest segment rightmost, every duration times
+        ``scale``."""
         step = None
         for segment, generator in zip(self.drive.segments, self.generators):
-            factors = [matrix_exp(b * segment.duration) for b in self.split(generator)[0]]
+            duration = scale * segment.duration
+            factors = [matrix_exp(b * duration) for b in self.split(generator)[0]]
             step = factors if step is None else list(map(np.matmul, factors, step))
         return step
 

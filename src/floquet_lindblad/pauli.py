@@ -304,24 +304,25 @@ def pauli_coefficients(matrix: np.ndarray, num_sites: int) -> np.ndarray:
 def matrix_from_pauli_coefficients(
     coefficients: np.ndarray, num_sites: int
 ) -> np.ndarray:
-    """Inverse of :func:`pauli_coefficients`: assemble ``sum_j c_j F_j``."""
+    """Inverse of :func:`pauli_coefficients`: assemble ``sum_j c_j F_j``.
+    Axes after the first are carried along, ``(4^L, ...) -> (2^L, 2^L, ...)``."""
     coeffs = np.asarray(coefficients, dtype=complex)
-    if coeffs.shape != (4**num_sites,):
+    if coeffs.shape[:1] != (4**num_sites,):
         raise DimensionMismatchError(
             f"expected {4 ** num_sites} coefficients, got shape {coeffs.shape}"
         )
-    tensor = coeffs.reshape((4,) * num_sites)
+    batch = coeffs.shape[1:]
+    tensor = coeffs.reshape((4,) * num_sites + batch)
     inverse = _SITE_TRANSFORM.conj().T
     for axis in range(num_sites):
         tensor = np.moveaxis(
             np.tensordot(inverse, tensor, axes=([1], [axis])), 0, axis
         )
-    tensor = tensor.reshape((2, 2) * num_sites)
-    separate = [2 * site for site in range(num_sites)] + [
-        2 * site + 1 for site in range(num_sites)
-    ]
-    dim = 2**num_sites
-    return tensor.transpose(separate).reshape(dim, dim)
+    # Site digits (i_l, j_l) in pairs, reordered to all i, then all j.
+    tensor = tensor.reshape((2, 2) * num_sites + batch)
+    columns = range(1, 2 * num_sites, 2)
+    tensor = np.moveaxis(tensor, columns, range(num_sites, 2 * num_sites))
+    return tensor.reshape((2**num_sites,) * 2 + batch)
 
 
 def quadratic_product_coefficients(

@@ -808,3 +808,17 @@ def test_custom_drive_validation(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, ["analyze", "--config", config])
     assert code == 2 and "matrix" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stop", [0.0, -0.5])
+def test_compare_exact_one_point_grid_needs_a_positive_stop(tmp_path, capsys, stop):
+    """A geometric grid of one point skips the increasing check, but its
+    stop must still be positive: a zero or negative stop is a
+    configuration error naming ``compare.stop``, with no warning."""
+    config = write_config(
+        tmp_path, model_a_config(compare={"start": 0.1, "stop": stop, "count": 1})
+    )
+    code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
+    assert code == 2 and out == ""
+    assert "compare.stop" in err

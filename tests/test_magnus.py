@@ -3,6 +3,8 @@ stroboscopic orders for binary drives, the general piecewise first
 order, Fourier components, the kick-free expansion, the period
 propagator, and the exact effective generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -435,3 +437,54 @@ def test_orders_are_homogeneous_in_the_generators():
             scale ** (order + 1) * base_terms.term(order).matrix,
             atol=1e-12,
         )
+
+
+HOMOGENEITY_MODELS = [
+    ModelParams(name="A", tau=0.2, h=1.0, gamma1=0.7),
+    ModelParams(name="B", tau=0.2, gamma1=1.0, gamma2=0.5),
+    ModelParams(name="C", tau=0.2, num_sites=3, jz=1.0, gamma=0.5),
+    ModelParams(name="C", tau=0.2, num_sites=4, jz=1.0, gamma=0.5),
+    ModelParams(name="D", tau=0.2, num_sites=3, jx=1.0, gamma=0.5),
+    ModelParams(name="D", tau=0.2, num_sites=4, jx=1.0, gamma=0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "params", HOMOGENEITY_MODELS, ids=lambda p: f"{p.name}{p.num_sites}"
+)
+def test_order_terms_are_homogeneous_in_the_period(params):
+    """The segment generators do not depend on the period, so the order-k
+    term at ``s tau`` is ``s^k`` times the term at ``tau``, for every
+    expansion: the scaling the ``compare-exact`` grid rests on. Values
+    agree to 1e-12 relative. The van Vleck first order of a binary drive
+    vanishes identically and holds only roundoff, which does not scale;
+    it is held to 1e-12 of the closed-form term of its order instead."""
+    drive = build_model(params)
+    reference = bch_orders(drive, 3)
+    expansions = (
+        reference,
+        van_vleck_orders(drive, 1, m_max=20),
+        fm_general(drive, 1),
+    )
+    for scale in (0.1, 0.37, 1.0, 2.5):
+        scaled = build_model(replace(params, tau=scale * params.tau))
+        for ours, theirs in zip(drive.segment_generators(), scaled.segment_generators()):
+            for part, scaled_part in zip(ours.pauli_terms, theirs.pauli_terms):
+                np.testing.assert_array_equal(scaled_part, part)
+        scaled_expansions = (
+            bch_orders(scaled, 3),
+            van_vleck_orders(scaled, 1, m_max=20),
+            fm_general(scaled, 1),
+        )
+        for expansion, scaled_expansion in zip(expansions, scaled_expansions):
+            pairs = zip(expansion.order_terms, scaled_expansion.order_terms)
+            for order, (term, scaled_term) in enumerate(pairs):
+                codes, values = term.pauli_terms
+                scaled_codes, scaled_values = scaled_term.pauli_terms
+                np.testing.assert_array_equal(scaled_codes, codes)
+                floor = 0.0
+                if expansion.flavor == FLAVOR_VAN_VLECK and order == 1:
+                    floor = 1e-12 * scale * reference.term(1).norm()
+                np.testing.assert_allclose(
+                    scaled_values, scale**order * values, rtol=1e-12, atol=floor
+                )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from floquet_lindblad import (
+    DimensionMismatchError,
     FrobeniusBasis,
     InvalidIndexError,
     MultiIndex,
@@ -112,6 +113,24 @@ def test_basis_completeness_reconstructs_random_matrices():
         coefficients = pauli_coefficients(matrix, num_sites)
         rebuilt = matrix_from_pauli_coefficients(coefficients, num_sites)
         np.testing.assert_allclose(rebuilt, matrix, atol=1e-12)
+
+
+def test_inverse_transform_carries_trailing_axes():
+    """Coefficients stacked along trailing axes give the stacked matrices,
+    each equal to its own inverse transform up to roundoff (the stacked
+    products may sum in another order); other shapes are refused."""
+    rng = np.random.default_rng(37)
+    for num_sites in (1, 2, 3):
+        size = 4**num_sites
+        stack = rng.standard_normal((size, 2, 3)) + 1j * rng.standard_normal((size, 2, 3))
+        rebuilt = matrix_from_pauli_coefficients(stack, num_sites)
+        assert rebuilt.shape == (2**num_sites, 2**num_sites, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                single = matrix_from_pauli_coefficients(stack[:, i, j], num_sites)
+                np.testing.assert_allclose(rebuilt[..., i, j], single, atol=1e-14)
+    with pytest.raises(DimensionMismatchError):
+        matrix_from_pauli_coefficients(np.zeros((2, 16)), 2)
 
 
 def test_pauli_coefficients_match_inner_products():

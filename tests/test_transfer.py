@@ -1,9 +1,10 @@
 """The exact path in the L-site Pauli transfer basis against dense
 references: transfer matrices, block propagators and logarithms, the
-block-wise log guards, the ``compare-exact`` residual, the one exact
-propagator per stroboscopic section, and the L=6 envelope without a
-dense superoperator."""
+block-wise log guards, the ``compare-exact`` residual and its per-point
+reference, the work done once per run, the stacked stroboscopic
+distances, and the L=6 envelope without a dense superoperator."""
 
+import functools
 import json
 from dataclasses import replace
 
@@ -19,11 +20,12 @@ from floquet_lindblad import (
     MultiIndex,
     exact_effective,
     floquet_propagator,
+    matrix_from_pauli_coefficients,
     pauli_coefficients,
     pauli_string,
 )
 from floquet_lindblad import cli, dynamics, lindblad, magnus
-from floquet_lindblad.core import block_logs
+from floquet_lindblad.core import block_logs, matrix_exp
 from floquet_lindblad.lindblad import PiecewiseLiouvillian
 from floquet_lindblad.magnus import TransferBlocks, transfer
 from floquet_lindblad.models import ModelParams, build_model
@@ -148,8 +150,9 @@ def test_compare_point_residual_matches_doubled_coefficients(monkeypatch, docume
     config = cli.RunConfig({**raw, **document}, cli.build_parser().parse_args(
         ["compare-exact", "--config", "unused.json"]
     ))
-    for tau in (0.05, 0.2):
-        residuals, failed = cli._compare_point(config, tau)
+    grid = (0.05, 0.2)
+    results = cli._compare_grid(config, config.expansion(config.drive()), grid)
+    for tau, (residuals, failed) in zip(grid, results, strict=True):
         assert not failed
         drive = config.drive(ModelParams(**{**document["model"], "tau": tau}))
         expansion = config.expansion(drive)
@@ -166,6 +169,154 @@ def test_compare_point_residual_matches_doubled_coefficients(monkeypatch, docume
                 difference[codes] -= values
                 expected = np.linalg.norm(difference)
                 assert residual == pytest.approx(expected, rel=1e-12, abs=scale)
+
+
+def compare_config(model, flavor):
+    """A ``compare-exact`` configuration for ``model`` with every order
+    the flavor covers."""
+    raw = {
+        "schema_version": 1,
+        "model": model,
+        "flavor": flavor,
+        "orders": [0, 1] if flavor == "vanvleck" else [0, 1, 2],
+        "compare": {"start": 0.1, "stop": 0.2, "count": 2},
+    }
+    args = cli.build_parser().parse_args(["compare-exact", "--config", "unused.json"])
+    return cli.RunConfig(raw, args)
+
+
+def reference_compare_point(config, tau):
+    """The per-point formulation of the ``compare-exact`` residual: the
+    model rebuilt at ``tau``, then its expansion, transfer blocks, block
+    logarithms and the transfer of every cumulative order. Returns the
+    residuals, the branch flag and the exact generator's norm."""
+    drive = build_model(replace(config.params, tau=tau))
+    expansion = config.expansion(drive)
+    blocks = TransferBlocks(drive)
+    try:
+        logs = block_logs(blocks.propagator())
+    except BranchCutError:
+        return [None for _ in config.orders], True, None
+    exact = [log / drive.period for log in logs]
+    residuals = []
+    for order in config.orders:
+        stacks, outside = blocks.split(transfer(expansion.cumulative(order)))
+        inside = sum(float(np.sum(np.abs(e - s) ** 2)) for e, s in zip(exact, stacks))
+        residuals.append(float(np.sqrt(inside + outside)))
+    norm = np.sqrt(sum(float(np.sum(np.abs(e) ** 2)) for e in exact))
+    return residuals, False, norm
+
+
+@pytest.mark.parametrize("flavor", ["fm", "vanvleck"])
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"name": "B", "tau": 0.1, "gamma1": 1.0, "gamma2": 0.5},
+        {"name": "C", "tau": 0.1, "num_sites": 3, "jz": 1.0, "gamma": 0.5},
+        {"name": "D", "tau": 0.1, "num_sites": 3, "jx": 1.0, "gamma": 0.5},
+    ],
+    ids=["B1", "C3", "D3"],
+)
+def test_compare_grid_matches_the_per_point_reference(model, flavor):
+    """The grid routine, which forms the blocks and the order transfers
+    once and scales them, gives the residuals and branch flags of the
+    model rebuilt at every grid point, to 1e-12 relative with a floor of
+    1e-14 of the exact generator's norm (model B's order-2 residual at
+    0.02 is 2.4e-9). The grid reaches branch ambiguities of C3 and D3."""
+    config = compare_config(model, flavor)
+    grid = np.geomspace(0.02, 4.0, 7)
+    results = list(cli._compare_grid(config, config.expansion(config.drive()), grid))
+    assert len(results) == len(grid)
+    for tau, (residuals, failed) in zip(grid, results):
+        expected, expected_failed, norm = reference_compare_point(config, float(tau))
+        assert failed == expected_failed
+        if failed:
+            assert residuals == expected
+            continue
+        for residual, value in zip(residuals, expected):
+            assert residual == pytest.approx(value, rel=1e-12, abs=1e-14 * norm)
+    if model["name"] != "B":
+        assert any(failed for _, failed in results)
+
+
+def compare_exact_run(tmp_path, count):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "model": {"name": "C", "tau": 0.1, "num_sites": 3, "jz": 1.0, "gamma": 0.5},
+        "orders": [0, 1, 2],
+        "compare": {"start": 0.05, "stop": 0.2, "count": count, "num_periods": 4},
+    }))
+    assert cli.main(["compare-exact", "--config", str(path), "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_compare_exact_does_its_period_independent_work_once(monkeypatch, tmp_path):
+    """One ``compare-exact`` run builds the segment generators once, and
+    its number of transfer matrices does not grow with the grid."""
+    builds, transfers = [], []
+    build = PiecewiseLiouvillian._segment_generators.func
+
+    def counted_build(self):
+        builds.append(self)
+        return build(self)
+
+    cached = functools.cached_property(counted_build)
+    cached.__set_name__(PiecewiseLiouvillian, "_segment_generators")
+    monkeypatch.setattr(PiecewiseLiouvillian, "_segment_generators", cached)
+    pauli_transfer = magnus.pauli_transfer
+
+    def counted_transfer(*args):
+        transfers.append(args)
+        return pauli_transfer(*args)
+
+    monkeypatch.setattr(magnus, "pauli_transfer", counted_transfer)
+    counts = []
+    for count in (3, 6):
+        builds.clear()
+        transfers.clear()
+        compare_exact_run(tmp_path, count)
+        assert len(builds) == 1
+        counts.append(len(transfers))
+    assert counts[0] == counts[1] > 0
+
+
+def per_period_distances(drive, effectives, num_periods, initial_state):
+    """The stroboscopic distances one period at a time: one inverse Pauli
+    transform and one trace distance per period and generator."""
+    if initial_state is None:
+        initial_state = dynamics.random_density_matrix(drive.dim)
+    blocks = TransferBlocks(drive, effectives)
+    exact_step = blocks.propagator()
+    states = [pauli_coefficients(initial_state, drive.num_sites)]
+    for _ in range(num_periods):
+        states.append(blocks.apply(exact_step, states[-1]))
+    series = []
+    for effective in blocks.others:
+        step = [matrix_exp(b * drive.period) for b in blocks.split(effective)[0]]
+        vector, distances = states[0], []
+        for exact in states[1:]:
+            vector = blocks.apply(step, vector)
+            difference = matrix_from_pauli_coefficients(exact - vector, drive.num_sites)
+            distances.append(dynamics.trace_distance(difference, 0.0 * difference))
+        series.append(tuple(distances))
+    return series
+
+
+@pytest.mark.parametrize("params", [MODELS[2], MODELS[4]], ids=["C3", "D3"])
+@pytest.mark.parametrize("custom_state", [False, True])
+def test_stacked_stroboscopic_distances_equal_the_per_period_ones(params, custom_state):
+    """The distances taken in one stacked inverse transform and one
+    stacked SVD equal, bit for bit, those taken one period at a time."""
+    drive = build_model(params)
+    expansion = magnus.bch_orders(drive, 2)
+    effectives = [expansion.cumulative(order) for order in range(3)]
+    state = None
+    if custom_state:
+        state = dynamics.random_density_matrix(drive.dim, np.random.default_rng(5))
+    comparisons = dynamics.stroboscopic_compares(drive, effectives, 7, state)
+    expected = per_period_distances(drive, effectives, 7, state)
+    assert [c.distances for c in comparisons] == expected
+    assert [c.max_distance for c in comparisons] == [max(d) for d in expected]
 
 
 def test_orders_merge_generator_blocks():
@@ -240,9 +391,9 @@ def test_compare_exact_builds_the_stroboscopic_propagator_once(monkeypatch, tmp_
     builds = []
     original = TransferBlocks.propagator
 
-    def counted(self):
+    def counted(self, scale=1.0):
         builds.append(len(self.others))
-        return original(self)
+        return original(self, scale)
 
     monkeypatch.setattr(TransferBlocks, "propagator", counted)
     path = tmp_path / "config.json"
