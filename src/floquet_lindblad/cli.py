@@ -72,7 +72,7 @@ from .magnus import (
     transfer,
     van_vleck_orders,
 )
-from .models import ModelParams, analytic_reference, build_model
+from .models import PARAMETER_SEGMENTS, ModelParams, analytic_reference, build_model
 from .pauli import merge_pauli_terms
 
 __all__ = ["main", "build_parser"]
@@ -86,12 +86,7 @@ _RANK_WARNING = getattr(
 )
 
 #: Model parameters that a scan may sweep, per model name.
-SCANNABLE = {
-    "A": ("tau", "h", "gamma1"),
-    "B": ("tau", "gamma1", "gamma2"),
-    "C": ("tau", "jz", "gamma"),
-    "D": ("tau", "jx", "gamma"),
-}
+SCANNABLE = {name: ("tau", *used) for name, used in PARAMETER_SEGMENTS.items()}
 
 _MODEL_FIELDS = ("h", "gamma1", "gamma2", "gamma", "jz", "jx")
 
@@ -438,13 +433,13 @@ def _cumulative_record(config: RunConfig, decomposition: Decomposition) -> dict:
     }
 
 
-def _running_decompositions(expansion):
-    """``(order, term, cumulative)`` for every computed order: each order
-    term is decomposed once, and the cumulative decompositions (signed
-    tables included) are their running sums."""
+def _running_decompositions(terms):
+    """``(order, term, cumulative)`` for every order term: each term is
+    decomposed once, and the cumulative decompositions (signed tables
+    included) are their running sums."""
     cumulative = None
-    for order in range(expansion.max_order + 1):
-        term = decompose(expansion.term(order))
+    for order, term in enumerate(terms):
+        term = decompose(term)
         cumulative = term if cumulative is None else cumulative + term
         yield order, term, cumulative
 
@@ -455,7 +450,7 @@ def cmd_analyze(config: RunConfig) -> str:
     expansion = config.expansion(drive)
     order_records = []
     max_abs = []
-    for order, term, cumulative in _running_decompositions(expansion):
+    for order, term, cumulative in _running_decompositions(expansion.order_terms):
         max_abs.append(term.dissipator.max_abs())
         if order not in config.orders:
             continue
@@ -496,27 +491,23 @@ def cmd_analyze(config: RunConfig) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _scan_point(config: RunConfig, parameter: str, value: float) -> list[str]:
-    params = replace(config.params, **{parameter: value})
-    expansion = config.expansion(build_model(params))
-    rows = []
-    for order, _, cumulative in _running_decompositions(expansion):
-        if order not in config.orders:
-            continue
-        dissipator = cumulative.dissipator.restricted(config.weight_limit)
-        report = psd_report(dissipator, tol_psd=config.tol_psd)
-        rows.append(
-            ",".join(
-                (
-                    _format_float(value),
-                    str(order),
-                    _format_float(report.min_eigenvalue),
-                    "true" if report.is_liouvillian else "false",
-                    _format_float(report.breaking_degree),
-                )
+def _certify_grid(config: RunConfig, unit, parameter: str, grid, orders):
+    """The PSD reports of the cumulative generators of ``orders`` at every
+    value of ``parameter`` in ``grid``, in turn. ``unit`` is the expansion
+    of the drive at unit value of the parameter; each point's order terms
+    are weighted sums of its parts (the drive and the commutators are
+    formed once), and each point is decomposed and certified on its own."""
+    segment = PARAMETER_SEGMENTS[config.params.name].get(parameter)
+    for value in grid:
+        terms = unit.scaled_terms(segment, float(value))
+        yield [
+            psd_report(
+                cumulative.dissipator.restricted(config.weight_limit),
+                tol_psd=config.tol_psd,
             )
-        )
-    return rows
+            for order, _, cumulative in _running_decompositions(terms)
+            if order in orders
+        ]
 
 
 def cmd_scan(config: RunConfig) -> str:
@@ -538,20 +529,17 @@ def cmd_scan(config: RunConfig) -> str:
         if grid[0] <= 0.0:
             raise ConfigError("scan.start: tau grid must stay positive")
     elif grid[0] < 0.0:
-        raise ConfigError("scan.start: rate grids must stay nonnegative")
-    row_lists = [_scan_point(config, parameter, float(value)) for value in grid]
+        raise ConfigError(f"scan.start: {parameter} grid must stay nonnegative")
+    unit = config.expansion(build_model(replace(config.params, **{parameter: 1.0})))
     lines = [CSV_HEADER]
-    for rows in row_lists:
-        lines.extend(rows)
+    points = _certify_grid(config, unit, parameter, grid, config.orders)
+    for value, reports in zip(map(_format_float, grid), points):
+        for order, report in zip(config.orders, reports):
+            verdict = "true" if report.is_liouvillian else "false"
+            numbers = (report.min_eigenvalue, report.breaking_degree)
+            min_eig, degree = map(_format_float, numbers)
+            lines.append(f"{value},{order},{min_eig},{verdict},{degree}")
     return "\n".join(lines) + "\n"
-
-
-def _fit_point(config: RunConfig, product: float) -> float:
-    params = replace(config.params, jz=product / config.params.tau)
-    expansion = bch_orders(build_model(params), 2)
-    *_, (_, _, cumulative) = _running_decompositions(expansion)
-    dissipator = cumulative.dissipator.restricted(config.weight_limit)
-    return psd_report(dissipator, tol_psd=config.tol_psd).min_eigenvalue
 
 
 def cmd_fit_modelc(config: RunConfig) -> str:
@@ -569,7 +557,11 @@ def cmd_fit_modelc(config: RunConfig) -> str:
             "does not cover it"
         )
     params = config.params
-    min_eigs = [_fit_point(config, float(value)) for value in grid]
+    unit = bch_orders(build_model(replace(params, jz=1.0)), 2)
+    min_eigs = [
+        report.min_eigenvalue
+        for (report,) in _certify_grid(config, unit, "jz", grid / params.tau, (2,))
+    ]
     scale = params.gamma * 2.0 ** (params.num_sites - 1)
     normalized = []
     fit_error = None

@@ -62,7 +62,6 @@ the returned vec-basis superoperators are dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -95,13 +94,24 @@ class EffectiveExpansion:
     ``order_terms[i]`` is the order-``i`` term ``L^(i)``; the cumulative
     generator through order ``n`` is their sum. ``tail_estimate`` is only
     set for the van Vleck flavor and estimates the Fourier cutoff error
-    of the first-order term.
+    of the first-order term. ``L^(i)`` is the weighted sum of the parts
+    ``(coefficient, word, superop)`` in ``parts[i]``: ``superop`` is the
+    nested commutator of the segment generators listed in ``word``,
+    outermost first (``(1, 1, 0)`` is ``[L_1, [L_1, L_0]]``), or one
+    generator.
     """
 
     flavor: str
     order_terms: tuple[Superoperator, ...]
     drive: PiecewiseLiouvillian
     tail_estimate: float | None = None
+    parts: tuple = ()
+
+    @classmethod
+    def of_parts(cls, flavor, parts, drive, tail_estimate=None):
+        """The expansion whose order terms are the sums of ``parts``."""
+        terms = tuple(_sum_parts(p, [c for c, *_ in p], drive.dim) for p in parts)
+        return cls(flavor, terms, drive, tail_estimate, tuple(map(tuple, parts)))
 
     @property
     def max_order(self) -> int:
@@ -124,6 +134,24 @@ class EffectiveExpansion:
             )
         terms = self.order_terms[: cap + 1]
         return _weighted_sum([1.0] * len(terms), terms, self.drive.dim)
+
+    def scaled_terms(self, segment: int | None, value: float) -> tuple:
+        """The order terms with the generator of segment ``segment`` times
+        ``value``, or with every duration times ``value`` if ``segment`` is
+        None: a part is weighted by ``value`` to its degree in that
+        generator (to the order, for durations)."""
+        def degree(word):
+            return len(word) - 1 if segment is None else word.count(segment)
+
+        return tuple(
+            _sum_parts(p, [c * value ** degree(w) for c, w, _ in p], self.drive.dim)
+            for p in self.parts
+        )
+
+
+def _sum_parts(parts, weights, system_dim: int) -> Superoperator:
+    """``sum weights[i] superop_i`` over the parts ``(_, _, superop_i)``."""
+    return _weighted_sum(weights, [superop for *_, superop in parts], system_dim)
 
 
 def _commutator(a: Superoperator, b: Superoperator) -> Superoperator:
@@ -157,22 +185,18 @@ def _segment_coefficients(drive: PiecewiseLiouvillian, m: int) -> np.ndarray:
     )
 
 
-def _harmonic(drive: PiecewiseLiouvillian, generators, m: int) -> Superoperator:
-    """The Fourier component ``L_m = sum_s c_s(m) L_s``."""
-    return _weighted_sum(_segment_coefficients(drive, m), generators, drive.dim)
+def _segment_parts(drive: PiecewiseLiouvillian, generators):
+    """The parts ``(c_s(0), (s,), L_s)`` of the time average ``L_0``."""
+    coefficients = _segment_coefficients(drive, 0)
+    return [(c, (s,), g) for s, (c, g) in enumerate(zip(coefficients, generators))]
 
 
-def _pair_sums(
-    drive: PiecewiseLiouvillian,
-    generators: tuple[Superoperator, ...],
-    weights: np.ndarray,
-) -> Iterator[Superoperator]:
-    """``sum_{a > b} weights[k, a, b] [L_a, L_b]`` for every row ``k``,
-    one row at a time, forming each segment commutator once."""
+def _pair_parts(generators: tuple[Superoperator, ...], weights: np.ndarray):
+    """The parts ``(weights[k, a, b], (a, b), [L_a, L_b])``, ``a > b``, of
+    every row ``k``, forming each segment commutator once."""
     pairs = [(a, b) for a in range(len(generators)) for b in range(a)]
     commutators = [_commutator(generators[a], generators[b]) for a, b in pairs]
-    for row in weights:
-        yield _weighted_sum([row[a, b] for a, b in pairs], commutators, drive.dim)
+    return [[(row[p], p, c) for p, c in zip(pairs, commutators)] for row in weights]
 
 
 def bch_orders(
@@ -180,7 +204,14 @@ def bch_orders(
 ) -> EffectiveExpansion:
     """Closed-form stroboscopic orders for a binary equal-duration drive.
 
-    Supports orders 0 through 3.
+    Supports orders 0 through 3. With ``X``, ``Y`` the first and second
+    segment generators, the orders are sums of parts graded by their
+    degree in ``Y``, each commutator formed once:
+
+        L^(0) = X / 2 + Y / 2
+        L^(1) = (tau / 4) [Y, X]
+        L^(2) = (tau^2 / 24) [Y, [Y, X]] - (tau^2 / 24) [X, [Y, X]]
+        L^(3) = -(tau^3 / 48) [X, [Y, [Y, X]]]
 
     :raises UnsupportedOrderError: for ``max_order`` outside 0..3.
     :raises DimensionMismatchError: if the drive is not binary with equal
@@ -197,18 +228,22 @@ def bch_orders(
         )
     tau = drive.segments[0].duration
     first, second = drive.segment_generators()
-    inner = _commutator(second, first)
-    terms = [0.5 * (first + second)]
+    parts = [[(0.5, (0,), first), (0.5, (1,), second)]]
     if max_order >= 1:
-        terms.append((tau / 4.0) * inner)
+        inner = _commutator(second, first)
+        parts.append([(tau / 4.0, (1, 0), inner)])
     if max_order >= 2:
-        terms.append((tau**2 / 24.0) * _commutator(second - first, inner))
-    if max_order >= 3:
-        terms.append(
-            (tau**3 / 48.0)
-            * _commutator(first, _commutator(second, -1.0 * inner))
+        outer = _commutator(second, inner)
+        parts.append(
+            [
+                (tau**2 / 24.0, (1, 1, 0), outer),
+                (-(tau**2) / 24.0, (0, 1, 0), _commutator(first, inner)),
+            ]
         )
-    return EffectiveExpansion(FLAVOR_STROBOSCOPIC, tuple(terms), drive)
+    if max_order >= 3:
+        outermost = _commutator(first, outer)
+        parts.append([(-(tau**3) / 48.0, (0, 1, 1, 0), outermost)])
+    return EffectiveExpansion.of_parts(FLAVOR_STROBOSCOPIC, parts, drive)
 
 
 def fm_general(
@@ -220,12 +255,12 @@ def fm_general(
             f"general piecewise orders cover 0..1, got {max_order}"
         )
     generators = drive.segment_generators()
-    terms = [_harmonic(drive, generators, 0)]
+    parts = [_segment_parts(drive, generators)]
     if max_order >= 1:
         durations = np.array([seg.duration for seg in drive.segments])
         weights = np.outer(durations, durations) / (2.0 * drive.period)
-        terms.append(next(_pair_sums(drive, generators, weights[None])))
-    return EffectiveExpansion(FLAVOR_STROBOSCOPIC, tuple(terms), drive)
+        parts += _pair_parts(generators, weights[None])
+    return EffectiveExpansion.of_parts(FLAVOR_STROBOSCOPIC, parts, drive)
 
 
 def fourier_component(drive: PiecewiseLiouvillian, m: int) -> Superoperator:
@@ -238,7 +273,8 @@ def fourier_component(drive: PiecewiseLiouvillian, m: int) -> Superoperator:
 
     for ``m != 0``, and to the duration-weighted average for ``m = 0``.
     """
-    return _harmonic(drive, drive.segment_generators(), m)
+    generators = drive.segment_generators()
+    return _weighted_sum(_segment_coefficients(drive, m), generators, drive.dim)
 
 
 def van_vleck_orders(
@@ -257,7 +293,7 @@ def van_vleck_orders(
     if m_max < 1:
         raise UnsupportedOrderError(f"m_max must be positive, got {m_max}")
     generators = drive.segment_generators()
-    terms = [_harmonic(drive, generators, 0)]
+    parts = [_segment_parts(drive, generators)]
     tail_estimate: float | None = None
     if max_order >= 1:
         harmonics = np.arange(1, m_max + 1)
@@ -269,13 +305,15 @@ def van_vleck_orders(
             / (harmonics * 2.0 * np.pi / drive.period)[:, None, None]
         )
         # The truncated sum, then the last (at most two) harmonic terms.
-        rows = _pair_sums(
-            drive, generators, np.concatenate([w.sum(axis=0)[None], w[-2:]])
+        summed, *last = _pair_parts(
+            generators, np.concatenate([w.sum(axis=0)[None], w[-2:]])
         )
-        terms.append(next(rows))
-        tail_estimate = 2.0 * max(map(Superoperator.norm, rows))
-    return EffectiveExpansion(
-        FLAVOR_VAN_VLECK, tuple(terms), drive, tail_estimate=tail_estimate
+        parts.append(summed)
+        tail_estimate = 2.0 * max(
+            _sum_parts(row, [c for c, *_ in row], drive.dim).norm() for row in last
+        )
+    return EffectiveExpansion.of_parts(
+        FLAVOR_VAN_VLECK, parts, drive, tail_estimate=tail_estimate
     )
 
 

@@ -57,6 +57,16 @@ __all__ = [
 
 _SIGMA_MINUS = 0.5 * (PAULI[1] - 1j * PAULI[2])
 
+#: The couplings and rates of each model, each with the segment (0 first,
+#: 1 second) whose generator it scales linearly; ``tau`` scales every
+#: duration instead.
+PARAMETER_SEGMENTS = {
+    "A": {"h": 0, "gamma1": 1},
+    "B": {"gamma1": 1, "gamma2": 0},
+    "C": {"jz": 0, "gamma": 1},
+    "D": {"jx": 0, "gamma": 1},
+}
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -77,7 +87,7 @@ class ModelParams:
     jx: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.name not in ("A", "B", "C", "D"):
+        if self.name not in PARAMETER_SEGMENTS:
             raise DimensionMismatchError(
                 f"unknown model {self.name!r}, expected A, B, C or D"
             )
@@ -85,12 +95,7 @@ class ModelParams:
             raise DimensionMismatchError(
                 f"tau must be positive, got {self.tau}"
             )
-        used = {
-            "A": ("h", "gamma1"),
-            "B": ("gamma1", "gamma2"),
-            "C": ("jz", "gamma"),
-            "D": ("jx", "gamma"),
-        }[self.name]
+        used = PARAMETER_SEGMENTS[self.name]
         for field_name in ("h", "gamma1", "gamma2", "gamma", "jz", "jx"):
             value = getattr(self, field_name)
             if field_name not in used and value != 0.0:
