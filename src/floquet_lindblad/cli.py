@@ -546,6 +546,15 @@ def cmd_fit_modelc(config: RunConfig) -> str:
     """Fit the normalized smallest eigenvalue of model C, order two."""
     if config.params is None or config.params.name != "C":
         raise ConfigError("fit: requires a model C configuration")
+    if config.flavor != FLAVOR_STROBOSCOPIC:
+        raise ConfigError(
+            f"flavor: fit-modelc fits the stroboscopic order-2 eigenvalue, "
+            f"got {config.flavor!r}"
+        )
+    if 2 not in config.orders:
+        raise ConfigError(
+            f"orders: fit-modelc fits order 2, got {list(config.orders)}"
+        )
     section = config.fit_section
     if section is None:
         raise ConfigError("fit: missing 'fit' section")

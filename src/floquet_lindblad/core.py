@@ -15,6 +15,8 @@ Conventions
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 from .errors import (
@@ -231,13 +233,65 @@ def herm_eigs(
     return eigenvalues, eigenvectors
 
 
+#: Padé degrees of :func:`matrix_exp`, each with the largest 1-norm for
+#: which it reaches double precision (Higham 2005, Table 2.3).
+_PADE_THETAS = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+
+
 def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix, or of each matrix in a
-    stack of shape ``(k, m, m)`` (scaling and squaring)."""
-    import scipy.linalg  # the package's one scipy use, loaded on demand
+    stack of shape ``(k, m, m)``; real and integer input gives float64.
 
+    Padé scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl.
+    26, 1179 (2005)), for the whole stack at once: the largest 1-norm
+    picks the lowest adequate degree; at degree 13 each matrix ``A`` is
+    scaled by its own ``2^-s`` so that its norm is at most ``theta_13``.
+    The approximant ``(V - U)^-1 (V + U)``, with ``U`` and ``V`` the odd
+    and even parts of the numerator, takes batched products and one
+    batched solve, and is then squared ``s`` times per matrix. A matrix
+    with a non-finite entry gives NaN and leaves the others unchanged.
+    """
     arr = np.asarray(matrix)
-    return scipy.linalg.expm(arr if arr.ndim == 3 else _require_square(arr))
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatchError(
+            f"matrix must be square or a stack of square matrices, got shape {arr.shape}"
+        )
+    shape, size = arr.shape, arr.shape[-1]
+    arr = (arr[None] if arr.ndim == 2 else arr).astype(np.result_type(arr, 1.0))
+    norms = np.abs(arr).sum(axis=1).max(axis=1, initial=0.0)
+    finite = np.isfinite(norms)
+    largest = norms[finite].max(initial=0.0)
+    degree = next(m for m, theta in _PADE_THETAS.items() if largest <= theta or m == 13)
+    # Numerator coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!), rescaled
+    # to integers; the denominator has the same ones with alternating signs.
+    b = [float(factorial(2 * degree - j) // (factorial(j) * factorial(degree - j)))
+         for j in range(degree + 1)]
+    squarings = np.zeros(norms.shape, dtype=np.int64)
+    if degree == 13:
+        ratio = np.where(finite, norms, 0.0) / _PADE_THETAS[13]
+        squarings = np.ceil(np.log2(np.maximum(ratio, 1.0))).astype(np.int64)
+    a = np.where(finite[:, None, None], arr, 0.0) / 2.0 ** squarings[:, None, None]
+    powers = [np.eye(size), a @ a]  # I, A^2, A^4, ...; degree 13 stops at A^6
+    while len(powers) < (7 if degree == 13 else degree) // 2 + 1:
+        powers.append(powers[-1] @ powers[1])
+    odd = sum(c * p for c, p in zip(b[1::2], powers))
+    even = sum(c * p for c, p in zip(b[0::2], powers))
+    if degree == 13:
+        odd = odd + powers[3] @ sum(c * p for c, p in zip(b[9::2], powers[1:]))
+        even = even + powers[3] @ sum(c * p for c, p in zip(b[8::2], powers[1:]))
+    odd = a @ odd
+    result = np.linalg.solve(even - odd, even + odd)
+    for done in range(squarings.max(initial=0)):
+        more = squarings > done
+        result[more] = result[more] @ result[more]
+    result[~finite] = np.nan
+    return result.reshape(shape)
 
 
 def matrix_log_principal(

@@ -332,14 +332,15 @@ class TransferBlocks:
     These matrices, and their products, exponentials and logarithms, are
     block diagonal in the split. Blocks of equal size ``m`` form one
     stack ``(k, m, m)``; row ``i`` of ``groups[g]`` holds the ascending
-    indices of block ``i`` of stack ``g``.
+    indices of block ``i`` of stack ``g``. ``segment_blocks[s]`` holds the
+    stacks of the generator of segment ``s``.
     """
 
     def __init__(self, drive: PiecewiseLiouvillian, others=()) -> None:
         self.drive, size = drive, 4**drive.num_sites
-        self.generators = [transfer(g) for g in drive.segment_generators()]
+        generators = [transfer(g) for g in drive.segment_generators()]
         self.others = [transfer(other) for other in others]
-        patterns = [codes for codes, _ in self.generators + self.others]
+        patterns = [codes for codes, _ in generators + self.others]
         rows, cols = np.divmod(np.concatenate(patterns), size)
         self._labels = component_labels(rows, cols, size)
         counts = np.bincount(self._labels)
@@ -358,6 +359,7 @@ class TransferBlocks:
             ).reshape(indices.shape)
             self._bounds.append(self._bounds[-1] + width * indices.size)
             self.groups.append(indices)
+        self.segment_blocks = [self.split(generator)[0] for generator in generators]
 
     def split(self, matrix: tuple[np.ndarray, np.ndarray]):
         """The blocks of a transfer matrix, one stack per group, and the
@@ -378,9 +380,9 @@ class TransferBlocks:
         exponentials, earliest segment rightmost, every duration times
         ``scale``."""
         step = None
-        for segment, generator in zip(self.drive.segments, self.generators):
+        for segment, stacks in zip(self.drive.segments, self.segment_blocks):
             duration = scale * segment.duration
-            factors = [matrix_exp(b * duration) for b in self.split(generator)[0]]
+            factors = [matrix_exp(b * duration) for b in stacks]
             step = factors if step is None else list(map(np.matmul, factors, step))
         return step
 

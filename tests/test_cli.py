@@ -50,16 +50,33 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_analyze_loads_no_scipy(tmp_path):
-    """An ``analyze`` run in a fresh interpreter imports no scipy module:
-    only the matrix exponential of the exact path needs it."""
-    config = write_config(tmp_path, model_a_config())
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("analyze", model_a_config()),
+        (
+            "compare-exact",
+            {
+                "schema_version": 1,
+                "model": {"name": "C", "num_sites": 3, "tau": 0.2, "jz": 1.0, "gamma": 0.5},
+                "orders": [0, 1, 2],
+                "compare": {"start": 0.05, "stop": 0.2, "count": 3, "num_periods": 2},
+            },
+        ),
+    ],
+    ids=["analyze", "compare-exact"],
+)
+def test_cli_loads_no_scipy(tmp_path, command, document):
+    """A run in a fresh interpreter imports no scipy module: the package
+    needs numpy only, the exact path's matrix exponential and logarithm
+    (with the stroboscopic section of ``compare-exact``) included."""
+    config = write_config(tmp_path, document)
     out = tmp_path / "out.json"
     script = "\n".join(
         [
             "import sys",
             "from floquet_lindblad.cli import main",
-            f"assert main(['analyze', '--config', {config!r}, '--out', {str(out)!r}]) == 0",
+            f"assert main([{command!r}, '--config', {config!r}, '--out', {str(out)!r}]) == 0",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ]
     )
@@ -70,7 +87,7 @@ def test_analyze_loads_no_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
-    assert json.loads(out.read_text())["orders"]
+    assert json.loads(out.read_text())["metadata"]["command"] == command
 
 
 def test_analyze_reports_certification(tmp_path, capsys):
@@ -458,6 +475,32 @@ def test_fit_requires_model_c(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, ["fit-modelc", "--config", config])
     assert code == 2 and "model C" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--flavor", "vanvleck", "--order", "1"], "flavor"),
+        (["--order", "1"], "orders"),
+    ],
+    ids=["vanvleck", "order-1"],
+)
+def test_fit_refuses_settings_it_cannot_honour(tmp_path, capsys, argv, option):
+    """The fit takes the stroboscopic order-2 eigenvalue, so another flavor
+    or an order list without 2 is refused with an error that names the
+    option, instead of being reported in the metadata and ignored."""
+    document = {
+        "schema_version": 1,
+        "model": {"name": "C", "tau": 0.1, "num_sites": 3, "jz": 1.0, "gamma": 0.02},
+        "fit": {"start": 0.05, "stop": 0.45, "count": 5},
+    }
+    config = write_config(tmp_path, document)
+    code, out, err = run_cli(capsys, ["fit-modelc", "--config", config, *argv])
+    assert code == 2 and out == "" and err.startswith(f"config error: {option}:")
+    code, out, _ = run_cli(capsys, ["fit-modelc", "--config", config])
+    assert code == 0
+    metadata = json.loads(out)["metadata"]
+    assert (metadata["flavor"], metadata["orders"]) == ("fm", [0, 1, 2])
 
 
 def test_compare_exact_slopes_single_site(tmp_path, capsys):
