@@ -73,7 +73,6 @@ from .magnus import (
     van_vleck_orders,
 )
 from .models import PARAMETER_SEGMENTS, ModelParams, analytic_reference, build_model
-from .pauli import merge_pauli_terms
 
 __all__ = ["main", "build_parser"]
 
@@ -625,34 +624,50 @@ def cmd_fit_modelc(config: RunConfig) -> str:
 
 
 def _compare_grid(config: RunConfig, expansion, grid: np.ndarray):
-    """``(residuals per requested order, whether the exact logarithm failed
-    on a branch ambiguity)`` at every grid period, in turn. The order-k
-    term is homogeneous of degree k in the period (the segment generators
-    stay fixed), so the blocks and each term's transfer are formed once and
-    scaled by ``s = value / tau`` per point."""
+    """The ``(residuals, branch ambiguity)`` pairs of :func:`_compare_pass`."""
+    return _compare_pass(config, expansion, grid)[0]
+
+
+def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
+    """The grid's residual pairs, then the transfer blocks, the exact
+    one-period step and the cumulative orders' blocks ``(n, k, m, m)`` at ``tau``.
+    A point scales the durations by ``s = value / tau`` and the order-k term
+    by ``s^k``: the blocks and term transfers are formed once and the points
+    (and ``s = 1``) stacked. The residual is taken on the L-site transfer
+    matrices: squared differences on the blocks plus the entries off them.
+    """
     blocks = TransferBlocks(expansion.drive)
     terms = [transfer(term) for term in expansion.order_terms]
-    for value in grid:
-        scale = float(value) / config.params.tau
-        try:
-            logs = block_logs(blocks.propagator(scale))
-        except BranchCutError:
-            yield [None for _ in config.orders], True
-            continue
-        # Compared as L-site transfer matrices (a unitary change of basis):
-        # squared differences on the blocks plus the order's entries off them.
-        period, residuals = scale * expansion.drive.period, []
-        for order in config.orders:
-            codes, values = zip(*terms[: order + 1])
-            values = [scale**k * part for k, part in enumerate(values)]
-            cumulative = merge_pauli_terms(*map(np.concatenate, (codes, values)))
-            stacks, outside = blocks.split(cumulative)
-            inside = sum(
-                float(np.sum(np.abs(log / period - stack) ** 2))
-                for log, stack in zip(logs, stacks)
-            )
-            residuals.append(float(np.sqrt(inside + outside)))
-        yield residuals, False
+    codes, where = np.unique(np.concatenate([c for c, _ in terms]), return_inverse=True)
+    values = np.zeros((len(terms), codes.size), dtype=complex)
+    rows = np.repeat(np.arange(len(terms)), [c.size for c, _ in terms])
+    values[rows, where] = np.concatenate([v for _, v in terms])
+    scales = np.asarray(grid, dtype=float) / config.params.tau
+    steps = blocks.propagator(np.append(scales, 1.0))
+    try:
+        logs = block_logs([step[:-1] for step in steps])
+    except BranchCutError:
+        raise BranchCutError(
+            "the exact effective generator is branch-ambiguous at every "
+            "grid point"
+        ) from None
+    period = scales[:, None, None, None] * expansion.drive.period
+    powers = scales[:, None] ** np.arange(len(terms))
+    residuals = []
+    for order in config.orders:
+        stacks, outside = blocks.split((codes, powers[:, : order + 1] @ values[: order + 1]))
+        inside = sum(
+            np.sum(np.abs(log / period - stack) ** 2, axis=(1, 2, 3))
+            for log, stack in zip(logs, stacks)
+        )
+        residuals.append(np.sqrt(inside + outside))
+    failed = np.isnan(logs[0][:, 0, 0, 0])  # block_logs marks them with NaN
+    results = [
+        ([None] * len(config.orders), True) if flag else (list(map(float, row)), False)
+        for flag, row in zip(failed, np.transpose(residuals))
+    ]
+    cumulative = blocks.split((codes, np.cumsum(values, axis=0)[list(config.orders)]))[0]
+    return results, blocks, [step[-1] for step in steps], cumulative
 
 
 def cmd_compare_exact(config: RunConfig) -> str:
@@ -681,26 +696,16 @@ def cmd_compare_exact(config: RunConfig) -> str:
                 f"compare.initial_state: expected shape {(drive.dim,) * 2} "
                 f"for {drive.num_sites} sites, got {initial_state.shape}"
             )
-        if defect > 1e-8 or trace_error > 1e-8:
+        if defect > 1e-8 or trace_error > 1e-8 or np.linalg.eigvalsh(initial_state)[0] < -1e-8:
             raise ConfigError(
-                "compare.initial_state: must be Hermitian with unit trace"
+                "compare.initial_state: must be Hermitian, positive "
+                "semidefinite and of unit trace"
             )
     expansion = config.expansion(drive)
-    results = list(_compare_grid(config, expansion, grid))
-    branch_failures = [
-        float(tau) for tau, (_, failed) in zip(grid, results) if failed
-    ]
-    if len(branch_failures) == len(grid):
-        raise BranchCutError(
-            "the exact effective generator is branch-ambiguous at every "
-            "grid point"
-        )
-    residuals: dict[str, list[float | None]] = {
-        str(order): [] for order in config.orders
-    }
-    for point_residuals, _ in results:
-        for order, value in zip(config.orders, point_residuals):
-            residuals[str(order)].append(value)
+    results, blocks, step, cumulative = _compare_pass(config, expansion, grid)
+    branch_failures = [float(tau) for tau, (_, failed) in zip(grid, results) if failed]
+    columns = zip(*(point_residuals for point_residuals, _ in results))
+    residuals = {str(order): list(column) for order, column in zip(config.orders, columns)}
     slopes: dict[str, float | None] = {}
     log_grid = np.log(grid)
     for order in config.orders:
@@ -716,12 +721,7 @@ def cmd_compare_exact(config: RunConfig) -> str:
         xs, ys = zip(*kept)
         slope = float(np.polyfit(xs, ys, 1)[0])
         slopes[str(order)] = slope if np.isfinite(slope) else None
-    comparisons = stroboscopic_compares(
-        drive,
-        [expansion.cumulative(order) for order in config.orders],
-        num_periods=num_periods,
-        initial_state=initial_state,
-    )
+    comparisons = stroboscopic_compares(blocks, step, cumulative, num_periods, initial_state)
     stroboscopic = {
         str(order): {
             "distances": list(comparison.distances),

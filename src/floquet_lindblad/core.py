@@ -249,49 +249,58 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     stack of shape ``(k, m, m)``; real and integer input gives float64.
 
     Padé scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl.
-    26, 1179 (2005)), for the whole stack at once: the largest 1-norm
-    picks the lowest adequate degree; at degree 13 each matrix ``A`` is
-    scaled by its own ``2^-s`` so that its norm is at most ``theta_13``.
-    The approximant ``(V - U)^-1 (V + U)``, with ``U`` and ``V`` the odd
-    and even parts of the numerator, takes batched products and one
-    batched solve, and is then squared ``s`` times per matrix. A matrix
-    with a non-finite entry gives NaN and leaves the others unchanged.
+    26, 1179 (2005)), for the whole stack at once: each matrix ``A`` gets
+    the lowest degree adequate for its own 1-norm, and at degree 13 its own
+    scaling ``2^-s`` so that its norm is at most ``theta_13``. The matrices
+    of one degree take batched products and one batched solve, and each is
+    then squared ``s`` times. So every matrix's exponential is the one it
+    has on its own. A matrix with a non-finite entry gives NaN.
     """
     arr = np.asarray(matrix)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatchError(
             f"matrix must be square or a stack of square matrices, got shape {arr.shape}"
         )
-    shape, size = arr.shape, arr.shape[-1]
-    arr = (arr[None] if arr.ndim == 2 else arr).astype(np.result_type(arr, 1.0))
+    shape = arr.shape
+    arr = (arr[None] if arr.ndim == 2 else arr).astype(np.result_type(arr, 1.0), copy=False)
     norms = np.abs(arr).sum(axis=1).max(axis=1, initial=0.0)
     finite = np.isfinite(norms)
-    largest = norms[finite].max(initial=0.0)
-    degree = next(m for m, theta in _PADE_THETAS.items() if largest <= theta or m == 13)
-    # Numerator coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!), rescaled
-    # to integers; the denominator has the same ones with alternating signs.
-    b = [float(factorial(2 * degree - j) // (factorial(j) * factorial(degree - j)))
-         for j in range(degree + 1)]
-    squarings = np.zeros(norms.shape, dtype=np.int64)
-    if degree == 13:
-        ratio = np.where(finite, norms, 0.0) / _PADE_THETAS[13]
-        squarings = np.ceil(np.log2(np.maximum(ratio, 1.0))).astype(np.int64)
-    a = np.where(finite[:, None, None], arr, 0.0) / 2.0 ** squarings[:, None, None]
-    powers = [np.eye(size), a @ a]  # I, A^2, A^4, ...; degree 13 stops at A^6
-    while len(powers) < (7 if degree == 13 else degree) // 2 + 1:
-        powers.append(powers[-1] @ powers[1])
-    odd = sum(c * p for c, p in zip(b[1::2], powers))
-    even = sum(c * p for c, p in zip(b[0::2], powers))
-    if degree == 13:
-        odd = odd + powers[3] @ sum(c * p for c, p in zip(b[9::2], powers[1:]))
-        even = even + powers[3] @ sum(c * p for c, p in zip(b[8::2], powers[1:]))
-    odd = a @ odd
-    result = np.linalg.solve(even - odd, even + odd)
+    norms[~finite] = 0.0
+    thetas = list(_PADE_THETAS.values())
+    degrees = np.array(list(_PADE_THETAS))[np.searchsorted(thetas[:-1], norms)]
+    squarings = np.ceil(np.log2(np.maximum(norms / thetas[-1], 1.0))).astype(np.int64)
+    a = np.where(finite[:, None, None], arr, 0.0)
+    a /= 2.0 ** squarings[:, None, None]
+    result = np.empty_like(a)
+    for degree in np.unique(degrees).tolist():
+        # Numerator coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!), rescaled
+        # to integers; the denominator has the same ones with alternating signs.
+        b = [float(factorial(2 * degree - j) // (factorial(j) * factorial(degree - j)))
+             for j in range(degree + 1)]
+        chosen = degrees == degree
+        x = a[chosen]
+        powers = [np.eye(a.shape[-1]), x @ x]  # I, A^2, A^4, ...; degree 13 stops at A^6
+        while len(powers) < (7 if degree == 13 else degree) // 2 + 1:
+            powers.append(powers[-1] @ powers[1])
+        odd = sum(c * p for c, p in zip(b[1::2], powers))
+        even = sum(c * p for c, p in zip(b[0::2], powers))
+        if degree == 13:
+            odd = odd + powers[3] @ sum(c * p for c, p in zip(b[9::2], powers[1:]))
+            even = even + powers[3] @ sum(c * p for c, p in zip(b[8::2], powers[1:]))
+        odd = x @ odd
+        del powers, x  # not held through the solve, where the memory peaks
+        result[chosen] = np.linalg.solve(even - odd, even + odd)
     for done in range(squarings.max(initial=0)):
         more = squarings > done
         result[more] = result[more] @ result[more]
     result[~finite] = np.nan
     return result.reshape(shape)
+
+
+def block_exps(stacks) -> list[np.ndarray]:
+    """:func:`matrix_exp` of every block of each stack ``(..., k, m, m)``,
+    in one call per stack."""
+    return [matrix_exp(s.reshape(-1, *s.shape[-2:])).reshape(s.shape) for s in stacks]
 
 
 def matrix_log_principal(
@@ -305,7 +314,7 @@ def matrix_log_principal(
     :raises BranchCutError: for the branch ambiguity case.
     :raises ConditioningError: for the ill-conditioned case.
     """
-    return block_logs([_require_square(matrix)], branch_tol, condition_limit)[0]
+    return block_logs([_require_square(matrix)[None]], branch_tol, condition_limit)[0][0]
 
 
 def block_logs(
@@ -313,49 +322,57 @@ def block_logs(
     branch_tol: float = BRANCH_ANGLE_TOL,
     condition_limit: float = LOG_CONDITION_LIMIT,
 ) -> list[np.ndarray]:
-    """Principal logarithms of the blocks of a block-diagonal matrix,
-    given as stacks of equal-size blocks, each ``(k, m, m)`` or ``(m, m)``.
+    """Principal logarithms of block-diagonal matrices, given as stacks of
+    equal-size blocks, ``(k, m, m)`` for one matrix or ``(p, k, m, m)`` for
+    ``p`` of them; one eigensolve, one SVD and one inverse per stack.
 
     Each block is diagonalized, the principal scalar logarithm is applied
-    to the eigenvalues, and the similarity transform is undone. Two
-    failure modes of the whole matrix are detected rather than silently
-    producing a wrong branch:
+    to the eigenvalues, and the similarity transform is undone. Two failure
+    modes of a matrix are detected rather than silently producing a wrong
+    branch:
 
     * an eigenvalue at zero (relative to the largest modulus), or within
       ``branch_tol`` angular distance of the negative real axis, makes
-      the principal branch ambiguous;
+      the principal branch ambiguous: the matrix's logarithms are NaN;
     * a block-diagonal eigenvector matrix with condition number (largest
       singular value over all blocks over the smallest) above
       ``condition_limit`` makes the transform numerically untrustworthy.
 
-    :raises BranchCutError: for the branch ambiguity case.
-    :raises ConditioningError: for the ill-conditioned case.
+    :raises BranchCutError: if every matrix is branch ambiguous.
+    :raises ConditioningError: for the first other ill-conditioned one.
     """
-    solved = [np.linalg.eig(np.asarray(stack, dtype=complex)) for stack in stacks]
-    eigenvalues = np.concatenate([values.reshape(-1) for values, _ in solved])
+    shapes = [np.shape(stack) for stack in stacks]
+    stacks = [np.asarray(s, complex).reshape(-1, *n[-3:]) for s, n in zip(stacks, shapes)]
+    values, vectors = zip(*map(np.linalg.eig, stacks))
+    eigenvalues = np.concatenate([v.reshape(len(v), -1) for v in values], axis=1)
     moduli = np.abs(eigenvalues)
-    scale = float(np.max(moduli)) if moduli.size else 0.0
-    if scale == 0.0 or np.any(moduli <= 1e-300 * max(scale, 1.0)):
+    scale = moduli.max(axis=1, initial=0.0)
+    zero = (scale == 0.0) | np.any(moduli <= 1e-300 * np.maximum(scale, 1.0)[:, None], axis=1)
+    off_axis = np.pi - np.abs(np.angle(eigenvalues))
+    ambiguous = zero | np.any(off_axis < branch_tol, axis=1)
+    if ambiguous.all() and zero[0]:
         raise BranchCutError(
             "matrix has a zero (or numerically zero) eigenvalue; "
             "no logarithm exists"
         )
-    off_axis = np.pi - np.abs(np.angle(eigenvalues))
-    if np.any(off_axis < branch_tol):
-        worst = float(np.min(off_axis))
+    if ambiguous.all():
         raise BranchCutError(
-            f"eigenvalue within {worst:.3e} rad of the negative real axis "
-            f"(limit {branch_tol:.3e}); principal branch is ambiguous"
+            f"eigenvalue within {np.min(off_axis[0]):.3e} rad of the negative real "
+            f"axis (limit {branch_tol:.3e}); principal branch is ambiguous"
         )
-    singular = [np.linalg.svd(vectors, compute_uv=False) for _, vectors in solved]
+    singular = [np.linalg.svd(v, compute_uv=False).reshape(len(v), -1) for v in vectors]
+    singular = np.concatenate(singular, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        condition = float(max(map(np.max, singular)) / min(map(np.min, singular)))
-    if not np.isfinite(condition) or condition > condition_limit:
+        condition = singular.max(axis=1) / singular.min(axis=1)
+    unreliable = ~ambiguous & ~(condition <= condition_limit)
+    if unreliable.any():
         raise ConditioningError(
-            f"eigenvector condition number {condition:.3e} exceeds "
-            f"{condition_limit:.3e}; logarithm unreliable"
+            f"eigenvector condition number {condition[np.argmax(unreliable)]:.3e} "
+            f"exceeds {condition_limit:.3e}; logarithm unreliable"
         )
-    return [
-        (vectors * np.log(values)[..., None, :]) @ np.linalg.inv(vectors)
-        for values, vectors in solved
-    ]
+    logs, kept = [], ~ambiguous
+    for shape, w, v in zip(shapes, values, vectors):
+        log = np.full(v.shape, np.nan, dtype=complex)
+        log[kept] = (v[kept] * np.log(w[kept])[..., None, :]) @ np.linalg.inv(v[kept])
+        logs.append(log.reshape(shape))
+    return logs

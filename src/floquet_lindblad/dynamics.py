@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import herm_eigs, matrix_exp, vectorize
+from .core import block_exps, herm_eigs, matrix_exp, vectorize
 from .errors import DimensionMismatchError
 from .lindblad import PiecewiseLiouvillian, Superoperator
 from .liouvillianity import SignedLindbladForm
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _DEFAULT_STATE_SEED = 11
+
+#: Periods whose distances are taken together; bounds a long series' memory.
+_PERIOD_CHUNK = 32
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -85,18 +88,24 @@ def stroboscopic_compare(
     :raises DimensionMismatchError: if ``initial_state`` is not
         ``drive.dim x drive.dim``.
     """
-    return stroboscopic_compares(drive, [effective], num_periods, initial_state)[0]
+    blocks = TransferBlocks(drive, [effective])
+    generator = [stack[None] for stack in blocks.split(blocks.others[0])[0]]
+    step = blocks.propagator()
+    return stroboscopic_compares(blocks, step, generator, num_periods, initial_state)[0]
 
 
 def stroboscopic_compares(
-    drive: PiecewiseLiouvillian,
-    effectives: list[Superoperator],
+    blocks: TransferBlocks,
+    exact_step: list[np.ndarray],
+    generators: list[np.ndarray],
     num_periods: int = 20,
     initial_state: np.ndarray | None = None,
 ) -> list[StroboscopicComparison]:
-    """:func:`stroboscopic_compare` for several effective generators, with
-    the exact propagator formed once. The state evolves as its L-site
-    Pauli vector, in transfer blocks that cover every generator."""
+    """:func:`stroboscopic_compare` for ``n`` effective generators with blocks
+    ``generators`` (stacks ``(n, k, m, m)``) and the exact step's blocks: all
+    states evolve together as L-site Pauli vectors, and each chunk of
+    periods takes one inverse Pauli transform and one stacked SVD."""
+    drive = blocks.drive
     dim, sites = drive.dim, drive.num_sites
     if initial_state is None:
         initial_state = random_density_matrix(dim)
@@ -104,23 +113,23 @@ def stroboscopic_compares(
         raise DimensionMismatchError(
             f"initial state shape {np.shape(initial_state)} is not {(dim, dim)}"
         )
-    blocks = TransferBlocks(drive, effectives)
-    exact_step = blocks.propagator()
-    states = [pauli_coefficients(initial_state, sites)]
-    for _ in range(num_periods):
-        states.append(blocks.apply(exact_step, states[-1]))
-    # One inverse transform and one stacked SVD for every period of every
-    # generator: differences[:, i, p] is period p + 1 of generator i.
-    differences = np.empty((4**sites, len(blocks.others), num_periods), complex)
-    for position, effective in enumerate(blocks.others):
-        step = [matrix_exp(b * drive.period) for b in blocks.split(effective)[0]]
-        vector = states[0]
-        for period, exact in enumerate(states[1:]):
-            vector = blocks.apply(step, vector)
-            differences[:, position, period] = exact - vector
-    matrices = matrix_from_pauli_coefficients(differences.reshape(4**sites, -1), sites)
-    singular = np.linalg.svd(np.moveaxis(matrices, -1, 0), compute_uv=False)
-    distances = 0.5 * np.sum(singular, axis=-1).reshape(differences.shape[1:])
+    exponents = block_exps(g * drive.period for g in generators)
+    steps = [np.concatenate([step[None], e]) for step, e in zip(exact_step, exponents)]
+    count = len(generators[0])
+    vectors = np.tile(pauli_coefficients(initial_state, sites), (count + 1, 1))
+    # differences[:, i, p] is period start + p + 1 of generator i; one buffer
+    # serves every chunk, and each chunk's matrices die with its SVD.
+    differences = np.empty((4**sites, count, min(_PERIOD_CHUNK, num_periods)), complex)
+    distances = np.empty((count, num_periods))
+    for start in range(0, num_periods, _PERIOD_CHUNK):
+        chunk = differences[:, :, : num_periods - start]
+        for period in range(chunk.shape[-1]):
+            vectors = blocks.apply(steps, vectors)
+            chunk[:, :, period] = (vectors[0] - vectors[1:]).T
+        matrices = matrix_from_pauli_coefficients(chunk.reshape(4**sites, -1), sites)
+        singular = np.linalg.svd(np.moveaxis(matrices, -1, 0), compute_uv=False)
+        del matrices
+        distances[:, start : start + _PERIOD_CHUNK] = 0.5 * singular.sum(-1).reshape(count, -1)
     rows = [tuple(map(float, row)) for row in distances]
     return [StroboscopicComparison(row, max(row, default=0.0)) for row in rows]
 

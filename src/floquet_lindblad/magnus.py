@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import block_logs, component_labels, kron, matrix_exp
+from .core import block_exps, block_logs, component_labels, kron
 from .errors import DimensionMismatchError, UnsupportedOrderError
 from .lindblad import PiecewiseLiouvillian, Superoperator, _pauli_terms, _weighted_sum
 from .pauli import PAULI, pauli_commutator, pauli_transfer
@@ -363,35 +363,38 @@ class TransferBlocks:
 
     def split(self, matrix: tuple[np.ndarray, np.ndarray]):
         """The blocks of a transfer matrix, one stack per group, and the
-        squared Frobenius norm of its entries outside them."""
+        squared Frobenius norm of its entries outside them; leading axes of
+        the values (matrices on the same codes) lead both."""
         codes, values = matrix
         rows, cols = np.divmod(codes, 4**self.drive.num_sites)
         inside = self._labels[rows] == self._labels[cols]
-        flat = np.zeros(self._bounds[-1], dtype=complex)
-        flat[self._row[rows[inside]] + self._pos[cols[inside]]] = values[inside]
+        lead = np.shape(values)[:-1]
+        flat = np.zeros(lead + (self._bounds[-1],), dtype=complex)
+        flat[..., self._row[rows[inside]] + self._pos[cols[inside]]] = values[..., inside]
         stacks = [
-            flat[start:end].reshape(indices.shape + indices.shape[1:])
+            flat[..., start:end].reshape(lead + indices.shape + indices.shape[1:])
             for indices, start, end in zip(self.groups, self._bounds, self._bounds[1:])
         ]
-        return stacks, float(np.sum(np.abs(values[~inside]) ** 2))
+        return stacks, np.sum(np.abs(values[..., ~inside]) ** 2, axis=-1)
 
-    def propagator(self, scale: float = 1.0) -> list[np.ndarray]:
+    def propagator(self, scale: float | np.ndarray = 1.0) -> list[np.ndarray]:
         """Blocks of the one-period propagator: ordered product of segment
         exponentials, earliest segment rightmost, every duration times
-        ``scale``."""
+        ``scale``; an array of ``p`` scales gives stacks ``(p, k, m, m)``."""
+        scales = np.reshape(scale, (-1, 1, 1, 1))
         step = None
         for segment, stacks in zip(self.drive.segments, self.segment_blocks):
-            duration = scale * segment.duration
-            factors = [matrix_exp(b * duration) for b in stacks]
+            factors = block_exps(b * (scales * segment.duration) for b in stacks)
             step = factors if step is None else list(map(np.matmul, factors, step))
-        return step
+        return step if np.ndim(scale) else [stack[0] for stack in step]
 
     def apply(self, stacks: list[np.ndarray], vectors: np.ndarray) -> np.ndarray:
-        """The block-diagonal transfer matrix of ``stacks`` times the
-        Pauli vectors ``vectors`` (along their first axis)."""
+        """The block-diagonal transfer matrix of ``stacks`` times the Pauli
+        vectors ``vectors`` (along their last axis), one to one along the
+        leading axes of both."""
         out = np.empty_like(vectors)
         for indices, blocks in zip(self.groups, stacks):
-            out[indices] = np.einsum("kij,kj...->ki...", blocks, vectors[indices])
+            out[..., indices] = np.einsum("...kij,...kj->...ki", blocks, vectors[..., indices])
         return out
 
     def superoperator(self, stacks: list[np.ndarray]) -> Superoperator:
@@ -404,7 +407,7 @@ class TransferBlocks:
         basis = kron(*[PAULI.reshape(4, 4).T / np.sqrt(2.0)] * sites)
         basis = basis.reshape((2,) * 2 * sites + (-1,)).transpose(axes)
         basis = basis.reshape(4**sites, -1)
-        matrix = basis @ self.apply(stacks, basis.conj().T)
+        matrix = basis @ self.apply(stacks, basis.conj()).T
         return Superoperator(matrix, self.drive.dim)
 
 

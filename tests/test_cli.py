@@ -641,6 +641,42 @@ def test_compare_exact_stroboscopic_section(tmp_path, capsys):
     assert "initial_state" in err and "(8, 8)" in err
 
 
+def test_compare_exact_refuses_a_state_that_is_not_positive(tmp_path, capsys):
+    """A Hermitian unit-trace initial state with a negative eigenvalue is
+    not a density matrix: a configuration error naming the field."""
+    diagonal = np.diag([1.5, -0.5] + [0.0] * 6)
+    state = [[[value, 0.0] for value in row] for row in diagonal.tolist()]
+    config = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "model": {"name": "C", "tau": 0.1, "num_sites": 3, "jz": 1.0, "gamma": 0.5},
+            "orders": [0],
+            "compare": {"start": 0.05, "stop": 0.2, "count": 2, "initial_state": state},
+        },
+    )
+    code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
+    assert code == 2 and out == ""
+    assert "compare.initial_state" in err and "positive semidefinite" in err
+
+
+def test_compare_exact_model_d_four_sites_is_ill_conditioned(tmp_path, capsys):
+    """Model D at L=4 fails the logarithm's eigenvector-condition guard at
+    its first grid point: a numerical contract violation, exit 3."""
+    config = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "model": {"name": "D", "tau": 0.2, "num_sites": 4, "jx": 1.0, "gamma": 0.5},
+            "orders": [0, 1, 2],
+            "compare": {"start": 0.1, "stop": 0.2, "count": 2, "num_periods": 2},
+        },
+    )
+    code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
+    assert code == 3 and out == ""
+    assert "ConditioningError" in err and "eigenvector condition number" in err
+
+
 def test_compare_exact_branch_ambiguity_everywhere(tmp_path, capsys):
     """A half-turn rotation per period makes the exact logarithm
     branch-ambiguous at the only grid point, so the run aborts with the

@@ -24,7 +24,7 @@ from floquet_lindblad import (
     matrix_log_principal,
     vectorize,
 )
-from floquet_lindblad.core import component_labels, coupled_components, principal_blocks
+from floquet_lindblad.core import block_logs, component_labels, coupled_components, principal_blocks
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -313,6 +313,58 @@ def test_matrix_log_rejects_near_defective_input():
     matrix = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ConditioningError):
         matrix_log_principal(matrix)
+
+
+def planted_points(rng, count):
+    """Block-diagonal propagators at ``count`` points, as two stacks
+    ``(count, 3, 2, 2)`` and ``(count, 2, 3, 3)``: exponentials of small
+    random generators, well conditioned and far from the branch cut."""
+    return [
+        matrix_exp(0.3 * (rng.standard_normal((count * k, m, m)) + 1j * rng.standard_normal((count * k, m, m)))).reshape(count, k, m, m)
+        for k, m in ((3, 2), (2, 3))
+    ]
+
+
+def test_stacked_logs_flag_a_branch_ambiguous_point_alone():
+    """A point with an eigenvalue on the negative real axis, or a zero
+    one, gets NaN logarithms; every other point's logarithms equal, bit
+    for bit, those of that point on its own."""
+    stacks = planted_points(np.random.default_rng(41), 5)
+    stacks[0][1, 2] = np.diag([-1.0, 0.5])
+    stacks[1][3, 0] = np.diag([0.0, 1.0, 2.0])
+    logs = block_logs(stacks)
+    for point in range(5):
+        if point in (1, 3):
+            assert all(np.isnan(log[point]).all() for log in logs)
+            continue
+        alone = block_logs([stack[point] for stack in stacks])
+        for log, single in zip(logs, alone):
+            np.testing.assert_array_equal(log[point], single)
+
+
+def test_stacked_logs_raise_for_the_first_ill_conditioned_point():
+    """An ill-conditioned point that is not branch ambiguous raises
+    ``ConditioningError`` with the condition number of the first such point
+    in order, as that point on its own does; an ambiguous point is not
+    judged. When every point is ambiguous, the first one's
+    ``BranchCutError`` is raised."""
+    stacks = planted_points(np.random.default_rng(43), 4)
+    stacks[0][0, 1] = [[1.0, 1.0], [0.0, 1.0 + 1e-14]]
+    stacks[0][0, 0] = np.diag([-1.0, 0.5])
+    stacks[1][2, 1] = [[1.0, 1.0, 0.0], [0.0, 1.0 + 1e-12, 0.0], [0.0, 0.0, 1.0]]
+    stacks[0][3, 2] = [[1.0, 1.0], [0.0, 1.0 + 1e-13]]
+    with pytest.raises(ConditioningError) as alone:
+        block_logs([stack[2] for stack in stacks])
+    with pytest.raises(ConditioningError) as stacked:
+        block_logs(stacks)
+    assert str(stacked.value) == str(alone.value)
+    turned = [stack[:2].copy() for stack in stacks]
+    turned[1][:, 0] = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(BranchCutError) as alone:
+        block_logs([stack[0] for stack in turned])
+    with pytest.raises(BranchCutError) as stacked:
+        block_logs(turned)
+    assert str(stacked.value) == str(alone.value)
 
 
 def closure(matrix, tol):

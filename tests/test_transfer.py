@@ -2,10 +2,12 @@
 references: transfer matrices, block propagators and logarithms, the
 block-wise log guards, the ``compare-exact`` residual and its per-point
 reference, the work done once per run, the stacked stroboscopic
-distances, and the L=6 envelope without a dense superoperator."""
+distances and their memory, and the L=6 envelope without a dense
+superoperator."""
 
 import functools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -251,8 +253,9 @@ def compare_exact_run(tmp_path, count):
 
 
 def test_compare_exact_does_its_period_independent_work_once(monkeypatch, tmp_path):
-    """One ``compare-exact`` run builds the segment generators once, and
-    its number of transfer matrices does not grow with the grid."""
+    """One ``compare-exact`` run builds the segment generators and one
+    transfer partition once, and its number of transfer matrices does not
+    grow with the grid."""
     builds, transfers = [], []
     build = PiecewiseLiouvillian._segment_generators.func
 
@@ -270,12 +273,22 @@ def test_compare_exact_does_its_period_independent_work_once(monkeypatch, tmp_pa
         return pauli_transfer(*args)
 
     monkeypatch.setattr(magnus, "pauli_transfer", counted_transfer)
+    partitions = []
+    split_drive = TransferBlocks.__init__
+
+    def counted_partition(self, *args):
+        partitions.append(args)
+        split_drive(self, *args)
+
+    monkeypatch.setattr(TransferBlocks, "__init__", counted_partition)
     counts = []
     for count in (3, 6):
         builds.clear()
         transfers.clear()
+        partitions.clear()
         compare_exact_run(tmp_path, count)
         assert len(builds) == 1
+        assert len(partitions) == 1
         counts.append(len(transfers))
     assert counts[0] == counts[1] > 0
 
@@ -302,21 +315,51 @@ def per_period_distances(drive, effectives, num_periods, initial_state):
     return series
 
 
+def covering_blocks(drive, effectives):
+    """Transfer blocks that cover the drive and ``effectives``, and the
+    blocks of the effectives, stacked per group as ``(n, k, m, m)``."""
+    blocks = TransferBlocks(drive, effectives)
+    split = [blocks.split(effective)[0] for effective in blocks.others]
+    return blocks, [np.stack(group) for group in zip(*split)]
+
+
 @pytest.mark.parametrize("params", [MODELS[2], MODELS[4]], ids=["C3", "D3"])
 @pytest.mark.parametrize("custom_state", [False, True])
 def test_stacked_stroboscopic_distances_equal_the_per_period_ones(params, custom_state):
-    """The distances taken in one stacked inverse transform and one
-    stacked SVD equal, bit for bit, those taken one period at a time."""
+    """The distances taken with every generator's state evolved together,
+    in one stacked inverse transform and one stacked SVD, equal, bit for
+    bit, those taken one generator and one period at a time."""
     drive = build_model(params)
     expansion = magnus.bch_orders(drive, 2)
     effectives = [expansion.cumulative(order) for order in range(3)]
     state = None
     if custom_state:
         state = dynamics.random_density_matrix(drive.dim, np.random.default_rng(5))
-    comparisons = dynamics.stroboscopic_compares(drive, effectives, 7, state)
+    blocks, generators = covering_blocks(drive, effectives)
+    comparisons = dynamics.stroboscopic_compares(blocks, blocks.propagator(), generators, 7, state)
     expected = per_period_distances(drive, effectives, 7, state)
     assert [c.distances for c in comparisons] == expected
     assert [c.max_distance for c in comparisons] == [max(d) for d in expected]
+
+
+def test_stroboscopic_memory_does_not_grow_with_the_series():
+    """The stroboscopic section takes its distances a chunk of periods at
+    a time, so its traced peak at 400 periods is that at 40, up to the
+    series of distances itself."""
+    drive = build_model(MODELS[3])
+    expansion = magnus.bch_orders(drive, 2)
+    blocks, generators = covering_blocks(drive, [expansion.cumulative(o) for o in range(3)])
+    step = blocks.propagator()
+    dynamics.stroboscopic_compares(blocks, step, generators, 1)  # first-call caches
+    peaks = []
+    for num_periods in (40, 400):
+        tracemalloc.start()
+        try:
+            dynamics.stroboscopic_compares(blocks, step, generators, num_periods)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_orders_merge_generator_blocks():
@@ -386,25 +429,21 @@ def test_model_d_exact_log_is_ill_conditioned():
 
 
 def test_compare_exact_builds_the_stroboscopic_propagator_once(monkeypatch, tmp_path):
-    """One ``compare-exact`` run forms the exact one-period propagator once
-    per grid point and once for the whole stroboscopic section."""
-    builds = []
+    """One ``compare-exact`` run forms the propagators of every grid point
+    and the stroboscopic one-period step in one stacked call, whatever the
+    number of points."""
+    calls = []
     original = TransferBlocks.propagator
 
     def counted(self, scale=1.0):
-        builds.append(len(self.others))
+        calls.append(np.size(scale))
         return original(self, scale)
 
     monkeypatch.setattr(TransferBlocks, "propagator", counted)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "schema_version": 1,
-        "model": {"name": "C", "tau": 0.1, "num_sites": 3, "jz": 1.0, "gamma": 0.5},
-        "orders": [0, 1, 2],
-        "compare": {"start": 0.05, "stop": 0.2, "count": 3, "num_periods": 4},
-    }))
-    assert cli.main(["compare-exact", "--config", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    assert sorted(builds) == [0, 0, 0, 3]
+    for count in (3, 6):
+        calls.clear()
+        compare_exact_run(tmp_path, count)
+        assert calls == [count + 1]
 
 
 def test_six_site_compare_exact_forms_no_dense_superoperator(monkeypatch, tmp_path):
