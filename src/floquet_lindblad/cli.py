@@ -129,6 +129,8 @@ def _complex_matrix(value, path: str) -> np.ndarray:
             f"{path}: expected a square matrix of [re, im] pairs, got "
             f"shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -621,11 +623,6 @@ def cmd_fit_modelc(config: RunConfig) -> str:
         "warnings": fit_warnings,
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def _compare_grid(config: RunConfig, expansion, grid: np.ndarray):
-    """The ``(residuals, branch ambiguity)`` pairs of :func:`_compare_pass`."""
-    return _compare_pass(config, expansion, grid)[0]
 
 
 def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):

@@ -8,15 +8,16 @@ generator
                              - (1/2) {L_i^dag L_i, rho}).
 
 With row-major vectorization (``vec(A rho B) = (A x B^T) vec(rho)``) the
-generator becomes the dense matrix
+generator becomes the matrix
 
     S = -i (H x I - I x H^T)
         + sum_i gamma_i (L_i x conj(L_i)
                          - (1/2) (L_i^dag L_i x I + I x L_i^T conj(L_i))).
 
-The same generator is also built as a sparse doubled Pauli sum from
-each term's Pauli coefficients on its own sites
-(:meth:`PiecewiseLiouvillian.segment_generators`).
+It is built one way, as a sparse doubled Pauli sum: the L-site Pauli
+coefficients of ``H``, each ``L_i`` and each ``L_i^dag L_i`` are written
+into the signed table of :mod:`floquet_lindblad.liouvillianity`, and the
+dense matrix is scattered from the sum on first use.
 
 Drives are piecewise constant over one period: each
 :class:`LindbladSegment` holds a duration plus Hamiltonian and jump terms
@@ -85,6 +86,8 @@ def _check_term(
                 f"{what} on sites {sites} must have shape "
                 f"{(expected, expected)}, got {arr.shape}"
             )
+    if not np.isfinite(arr).all():
+        raise DimensionMismatchError(f"{what} has non-finite entries")
     return arr
 
 
@@ -143,9 +146,9 @@ class JumpTerm:
         arr = _check_term(self.matrix, sites, "jump operator")
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "rate", float(self.rate))
-        if self.rate < 0.0:
+        if not 0.0 <= self.rate < np.inf:
             raise DimensionMismatchError(
-                f"jump rate must be nonnegative, got {self.rate}"
+                f"jump rate must be finite and nonnegative, got {self.rate}"
             )
 
     def embedded(self, num_sites: int) -> np.ndarray:
@@ -220,7 +223,7 @@ class Superoperator:
             raise DimensionMismatchError(f"dimension {system_dim} is not 2^L")
         if codes.ndim != 1 or codes.shape != values.shape or (
             codes.size and (codes[0] < 0 or codes[-1] >= system_dim**4)
-        ) or np.any(np.diff(codes) <= 0):
+        ) or (codes[1:] <= codes[:-1]).any():
             raise DimensionMismatchError(
                 "Pauli terms need ascending distinct codes below 4^(2L), "
                 "one value each"
@@ -323,35 +326,24 @@ class PiecewiseLiouvillian:
 
     @cached_property
     def segment_superops(self) -> tuple[Superoperator, ...]:
-        """The constant generator of every segment, as a superoperator."""
+        """:meth:`segment_generators` as dense superoperators."""
         return tuple(
-            liouvillian_superop(
-                seg.hamiltonian(self.num_sites),
-                seg.jumps(self.num_sites),
-                system_dim=self.dim,
-            )
-            for seg in self.segments
+            Superoperator(generator.matrix, self.dim)
+            for generator in self.segment_generators()
         )
 
     def segment_generators(self) -> tuple[Superoperator, ...]:
-        """:attr:`segment_superops` as sparse doubled Pauli sums, built
-        once without any dense superoperator."""
+        """The constant generator of every segment as a sparse doubled
+        Pauli sum, built once, each term transformed on its own sites."""
         return self._segment_generators
 
     @cached_property
     def _segment_generators(self) -> tuple[Superoperator, ...]:
-        from .liouvillianity import _sparse_form_superop
-
-        sites = self.num_sites
         return tuple(
-            _sparse_form_superop(
-                _significant(sites, seg.hamiltonian_terms),
-                [
-                    (jump.rate, _significant(sites, [jump]),
-                     _significant(sites, [jump], gram=True))
-                    for jump in seg.jump_terms
-                ],
-                sites,
+            _generator(
+                self.num_sites,
+                [(term.matrix, term.sites) for term in seg.hamiltonian_terms],
+                [(jump.rate, jump.matrix, jump.sites) for jump in seg.jump_terms],
             )
             for seg in self.segments
         )
@@ -367,25 +359,44 @@ class PiecewiseLiouvillian:
         return tuple(windows)
 
 
-def _significant(num_sites: int, terms, gram: bool = False):
+def _significant(num_sites: int, terms):
     """Codes and values of the L-site Pauli coefficients of the sum of
-    the terms' matrices (``L^dag L`` with ``gram``) above ``INPUT_RTOL``
-    times their largest magnitude. Each term is transformed on its own
-    sites (all of them if undeclared), as
-    ``Tr[(F_j x 1) (M x 1)] = 2^((L-k)/2) Tr[F_j M]``."""
-    codes, values = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
-    for term in terms:
-        matrix = term.matrix.conj().T @ term.matrix if gram else term.matrix
-        support = term.sites
-        if support is None:  # checked against the full space, as embedded
-            support, matrix = range(num_sites), _embed_term(matrix, None, num_sites)
-        codes.append(_embedded_codes(support, num_sites))
-        scale = 2.0 ** ((num_sites - len(support)) / 2)
-        values.append(scale * pauli_coefficients(matrix, len(support)))
-    codes, values = merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
-    magnitudes = np.abs(values)
-    kept = magnitudes > INPUT_RTOL * magnitudes.max(initial=0.0)
-    return codes[kept], values[kept]
+    the ``(matrix, sites)`` terms above ``INPUT_RTOL`` times their largest
+    magnitude. Each term is transformed on its own sites (all of them if
+    undeclared), as ``Tr[(F_j x 1) (M x 1)] = 2^((L-k)/2) Tr[F_j M]``."""
+    total = np.zeros(4**num_sites, dtype=complex)
+    for matrix, support in terms:
+        if support is None:  # every site, in order: indexed by code
+            total += pauli_coefficients(_embed_term(matrix, None, num_sites), num_sites)
+        else:
+            scale = 2.0 ** ((num_sites - len(support)) / 2)
+            codes = _embedded_codes(support, num_sites)
+            total[codes] += scale * pauli_coefficients(matrix, len(support))
+    magnitudes = np.abs(total)
+    codes = np.flatnonzero(magnitudes > INPUT_RTOL * magnitudes.max())
+    return codes, total[codes]
+
+
+def _generator(num_sites: int, hamiltonian_terms, jumps) -> Superoperator:
+    """The sparse GKLS generator of Hamiltonian terms ``(matrix, sites)``
+    and jumps ``(rate, matrix, sites)``: from the significant coefficients
+    ``h``, ``u``, ``g`` of ``H``, each ``L`` and each ``L^dag L``, the
+    table writer gets ``a_jk = sum rate u_j conj(u_k)`` (identity index
+    included) and ``K = sum rate g``."""
+    # liouvillianity owns the table layout and imports this module.
+    from .liouvillianity import _form_superop
+
+    size = 4**num_sites
+    a, gram = [], []
+    for rate, matrix, sites in jumps:
+        u_codes, u = _significant(num_sites, [(matrix, sites)])
+        a.append((
+            (u_codes[:, None] * size + u_codes).reshape(-1),
+            rate * np.outer(u, u.conj()).reshape(-1),
+        ))
+        g_codes, g = _significant(num_sites, [(matrix.conj().T @ matrix, sites)])
+        gram.append((g_codes, rate * g))
+    return _form_superop(_significant(num_sites, hamiltonian_terms), a, gram, num_sites)
 
 
 def liouvillian_superop(
@@ -394,50 +405,42 @@ def liouvillian_superop(
     *,
     system_dim: int | None = None,
 ) -> Superoperator:
-    """Vectorized GKLS generator for a Hamiltonian and jump channels.
+    """Vectorized GKLS generator for a Hamiltonian and jump channels, as
+    a sparse doubled Pauli sum.
 
     :param hamiltonian: Hermitian matrix or None for no coherent part.
     :param jumps: pairs ``(rate, operator)``. Rates may carry either sign;
         negative values build the formal signed form used by the canonical
         decomposition.
     :param system_dim: required if ``hamiltonian`` is None.
+    :raises DimensionMismatchError: for a dimension other than ``2^L``
+        (``L >= 1``), mismatched shapes, or a non-finite entry or rate.
     """
     if hamiltonian is None:
         if system_dim is None:
             raise DimensionMismatchError(
                 "system_dim is required when hamiltonian is None"
             )
-        dim = system_dim
+        dim, coherent = int(system_dim), []
     else:
-        hamiltonian = np.asarray(hamiltonian, dtype=complex)
-        dim = hamiltonian.shape[0]
-        if hamiltonian.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"hamiltonian must be square, got {hamiltonian.shape}"
-            )
+        hamiltonian = _check_term(hamiltonian, None, "hamiltonian")
+        dim, coherent = len(hamiltonian), [(hamiltonian, None)]
         if system_dim is not None and system_dim != dim:
             raise DimensionMismatchError(
                 f"system_dim {system_dim} does not match hamiltonian "
                 f"dimension {dim}"
             )
-    identity = np.eye(dim, dtype=complex)
-    total = np.zeros((dim * dim, dim * dim), dtype=complex)
-    if hamiltonian is not None:
-        total += -1j * (
-            np.kron(hamiltonian, identity) - np.kron(identity, hamiltonian.T)
-        )
+    if dim < 2 or dim & (dim - 1):
+        raise DimensionMismatchError(f"dimension {dim} is not 2^L")
+    terms = []
     for rate, operator in jumps:
-        op = np.asarray(operator, dtype=complex)
-        if op.shape != (dim, dim):
+        op = _check_term(operator, None, "jump operator")
+        if op.shape != (dim, dim) or not np.isfinite(rate):
             raise DimensionMismatchError(
-                f"jump operator shape {op.shape} does not match dimension {dim}"
+                f"a jump needs a finite rate and shape {(dim, dim)}, got {rate}, {op.shape}"
             )
-        gram = op.conj().T @ op
-        total += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(gram, identity) + np.kron(identity, gram.T))
-        )
-    return Superoperator(total, dim)
+        terms.append((rate, op, None))
+    return _generator(dim.bit_length() - 1, coherent, terms)
 
 
 def lindblad_form_superop(
@@ -451,9 +454,8 @@ def lindblad_form_superop(
                            - (1/2) (F_k F_j x I + I x (F_k F_j)^T))
 
     over the normalized Pauli strings ``F`` of the dissipator's index
-    set. The form is written into the signed doubled-space Pauli table
-    that extraction reads (:mod:`floquet_lindblad.liouvillianity`) and
-    assembled by one inverse 2L-site Pauli transform.
+    set, as a sparse doubled Pauli sum written into the signed table
+    (:mod:`floquet_lindblad.liouvillianity`).
 
     :param hamiltonian: extracted coefficients, a dense matrix (its
         identity part drops out), or None for no coherent part.
@@ -461,9 +463,9 @@ def lindblad_form_superop(
     :raises DimensionMismatchError: if ``hamiltonian`` acts on other
         sites than ``dissipator``.
     """
-    # liouvillianity owns the table layout and imports this module.
-    from .liouvillianity import _form_superop
-    return _form_superop(hamiltonian, dissipator)
+    from .liouvillianity import _form_parts, _form_superop
+
+    return _form_superop(*_form_parts(hamiltonian, dissipator), dissipator.num_sites)
 
 
 def apply_superop(superop: Superoperator, rho: np.ndarray) -> np.ndarray:

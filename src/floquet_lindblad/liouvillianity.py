@@ -18,12 +18,12 @@ Pauli coefficients of ``S`` on the doubled (2L-site) space. With
 ``K = sum_jk a_jk F_k F_j``, the form ``(H, [a_jk])`` has ``t[j, k] =
 a_jk``, ``t[j, 0] = sqrt(d) (-i h_j - K_j / 2)``, ``t[0, k] = sqrt(d)
 (i h_k - K_k / 2)`` and ``t[0, 0] = -sqrt(d) K_0``. Extraction reads
-``a_jk`` and ``h_j``; the rebuild writes ``t`` and makes one inverse
-transform, which is unitary, so the round-trip residual compares tables.
-The sparse segment generators are written straight into this table.
-Every superoperator reaches it one way: its doubled Pauli sum (a sparse
-one's own terms, with no 2L-site transform; a dense one's from one
-transform) becomes the table's nonzeros, validated there: trace
+``a_jk`` and ``h_j``; one writer, :func:`_form_table`, writes ``t`` for
+every GKLS form the package builds, and the basis is orthonormal, so the
+round-trip residual compares tables. Every superoperator reaches it one
+way: its doubled Pauli sum (a sparse one's own terms, with no 2L-site
+transform; a dense one's from one transform) becomes the table's
+nonzeros, validated there: trace
 preservation is ``K(t) = sum_jk t[j, k] F_k F_j = 0`` and Hermiticity
 preservation is ``t = t^dag``.
 
@@ -64,7 +64,6 @@ from .pauli import (
     _string_products,
     code_two_counts,
     code_weights,
-    matrix_from_pauli_coefficients,
     matrix_from_pauli_terms,
     merge_pauli_terms,
     pauli_coefficients,
@@ -303,9 +302,7 @@ class HamiltonianCoefficients(_Indexed):
 
     def to_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix ``sum_j h_j F_j``."""
-        coeffs = np.zeros(4**self.num_sites, dtype=complex)
-        coeffs[self._codes] = self.values
-        return matrix_from_pauli_coefficients(coeffs, self.num_sites)
+        return matrix_from_pauli_terms(self._codes, self.values, self.num_sites)
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,7 @@ class SignedLindbladForm:
         return tuple(c for c in self.channels if c.sign < 0)
 
     def to_superoperator(self) -> Superoperator:
-        """Reassemble the dense superoperator of the signed form."""
+        """Reassemble the superoperator of the signed form."""
         jumps = [
             (float(channel.sign), channel.operator)
             for channel in self.channels
@@ -419,6 +416,12 @@ def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
     )
 
 
+def _signs(codes: np.ndarray, num_sites: int) -> np.ndarray:
+    """``(-1)^(#2s in k)`` at doubled codes ``j 4^L + k``, which turns
+    Pauli coefficients into the signed table and back."""
+    return (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
+
+
 def _signed_table(
     superop: Superoperator, validate: bool
 ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
@@ -427,7 +430,7 @@ def _signed_table(
     table space."""
     num_sites = _sites_from_superop(superop)
     codes, values = _pauli_terms(superop)
-    signed = values * (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
+    signed = values * _signs(codes, num_sites)
     if validate:
         *defects, scale = _table_defects(codes, signed, num_sites)
         for defect, what in zip(defects, ("trace", "Hermiticity")):
@@ -439,70 +442,47 @@ def _signed_table(
     return (codes, signed), num_sites
 
 
-def _form_table(
-    hamiltonian: "HamiltonianCoefficients | np.ndarray | None",
-    dissipator: DissipatorMatrix,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of the signed table of ``(H, [a_jk])``. A dense ``H``
-    enters through its Pauli coefficients; its identity part cancels in
-    ``t[0, 0]``."""
+def _form_parts(hamiltonian, dissipator: DissipatorMatrix):
+    """:func:`_form_table`'s inputs for ``(H, [a_jk])``, with ``H`` given
+    as coefficients, as a dense matrix (through its Pauli coefficients) or
+    as None."""
     num_sites = dissipator.num_sites
-    size = 4**num_sites
-    h_coeffs = np.zeros(size, dtype=complex)
+    h = np.empty(0, dtype=np.int64), np.empty(0, dtype=complex)
     if isinstance(hamiltonian, HamiltonianCoefficients):
         if hamiltonian.num_sites != num_sites:
             raise DimensionMismatchError(
                 f"hamiltonian on {hamiltonian.num_sites} sites, not {num_sites}"
             )
-        h_coeffs[hamiltonian._codes] = hamiltonian.values
+        h = hamiltonian._codes, hamiltonian.values
     elif hamiltonian is not None:
-        h_coeffs = pauli_coefficients(hamiltonian, num_sites)
-    half_k = np.zeros(size, dtype=complex)
-    gram_codes, gram = _gram(dissipator)
-    half_k[gram_codes] = 0.5 * gram
-    column = np.sqrt(2**num_sites) * (-1j * h_coeffs - half_k)
-    row = np.sqrt(2**num_sites) * (1j * h_coeffs - half_k)
+        coefficients = pauli_coefficients(hamiltonian, num_sites)
+        h = np.flatnonzero(coefficients), coefficients[coefficients != 0]
     rows, cols, values = dissipator._nonzeros
     codes = dissipator._codes
-    in_column, in_row = np.flatnonzero(column), np.flatnonzero(row)
-    return _sum(
-        (codes[rows] * size + codes[cols], values),
-        (in_column * size, column[in_column]),
-        (in_row, row[in_row]),
-    )
+    return h, [(codes[rows] * 4**num_sites + codes[cols], values)], [_gram(dissipator)]
 
 
-def _form_superop(
-    hamiltonian: "HamiltonianCoefficients | np.ndarray | None",
-    dissipator: DissipatorMatrix,
-) -> Superoperator:
-    """:func:`lindblad_form_superop`: one inverse Pauli transform."""
-    num_sites = dissipator.num_sites
-    codes, table = _form_table(hamiltonian, dissipator)
-    table = table * (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
-    matrix = matrix_from_pauli_terms(codes, table, 2 * num_sites)
-    return Superoperator(matrix, 2**num_sites)
-
-
-def _sparse_form_superop(h, jumps, num_sites: int) -> Superoperator:
-    """The generator with Hamiltonian coefficients ``h`` and jumps
-    ``[(rate, u, g)]`` (``h``, ``u``, ``g`` sparse L-site sums of ``H``,
-    ``L``, ``L^dag L``) as a sparse doubled Pauli sum, written in its
-    signed table with ``a_jk = sum rate u_j conj(u_k)`` (identity index
-    included) and ``K = sum rate g``, and no dense array; the identity
-    part of ``H`` cancels in ``t[0, 0]``."""
+def _form_table(h, a, gram, num_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the signed table of a GKLS form: ``h`` is the
+    L-site Pauli sum of ``H``, ``a`` lists parts ``(j 4^L + k, a_jk)`` and
+    ``gram`` parts of ``K``, unmerged (equal codes add). The identity part
+    of ``H`` cancels in ``t[0, 0]``."""
     size, root = 4**num_sites, np.sqrt(2.0**num_sites)
     h_codes, h_values = h
-    codes = [h_codes * size, h_codes]
-    values = [-1j * root * h_values, 1j * root * h_values]
-    for rate, (u_codes, u), (g_codes, g) in jumps:
-        codes += [(u_codes[:, None] * size + u_codes).reshape(-1)]
-        values += [rate * np.outer(u, u.conj()).reshape(-1)]
-        codes += [g_codes * size, g_codes]
-        values += [-0.5 * rate * root * g] * 2
-    codes, signed = merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
-    signed *= (-1.0) ** code_two_counts(num_sites)[codes % size]
-    return Superoperator.from_pauli_terms(codes, signed, 2**num_sites)
+    codes = [h_codes * size, h_codes, *(c for c, _ in a)]
+    values = [-1j * root * h_values, 1j * root * h_values, *(v for _, v in a)]
+    for k_codes, k_values in gram:
+        codes += [k_codes * size, k_codes]
+        values += [-0.5 * root * k_values] * 2
+    return merge_pauli_terms(np.concatenate(codes), np.concatenate(values))
+
+
+def _form_superop(h, a, gram, num_sites: int) -> Superoperator:
+    """The sparse superoperator of the table :func:`_form_table` writes."""
+    codes, signed = _form_table(h, a, gram, num_sites)
+    return Superoperator.from_pauli_terms(
+        codes, signed * _signs(codes, num_sites), 2**num_sites
+    )
 
 
 def _dissipator_from_table(table, num_sites: int) -> DissipatorMatrix:
@@ -572,7 +552,9 @@ class Decomposition:
     def residual(self) -> float:
         """:func:`roundtrip_residual` of the decomposed superoperator."""
         codes, values = self.table
-        form_codes, form_values = _form_table(self.hamiltonian, self.dissipator)
+        form_codes, form_values = _form_table(
+            *_form_parts(self.hamiltonian, self.dissipator), self.dissipator.num_sites
+        )
         _, difference = _sum((codes, values), (form_codes, -form_values))
         scale = max(1.0, float(np.linalg.norm(values)))
         return float(np.linalg.norm(difference)) / scale
@@ -703,11 +685,9 @@ def canonical_decomposition(
         lam = float(eigenvalues[position])
         if abs(lam) <= CHANNEL_DROP_RTOL * scale:
             continue
-        coeffs = np.zeros(4**dissipator.num_sites, dtype=complex)
-        coeffs[dissipator._codes] = eigenvectors[:, position]
-        operator = matrix_from_pauli_coefficients(
-            coeffs, dissipator.num_sites
-        ) * np.sqrt(abs(lam))
+        operator = np.sqrt(abs(lam)) * matrix_from_pauli_terms(
+            dissipator._codes, eigenvectors[:, position], dissipator.num_sites
+        )
         channels.append(
             SignedChannel(
                 sign=1 if lam > 0 else -1,

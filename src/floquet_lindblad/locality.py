@@ -46,7 +46,7 @@ from .liouvillianity import (
     psd_report,
 )
 from .magnus import EffectiveExpansion
-from .pauli import MultiIndex
+from .pauli import MultiIndex, matrix_from_pauli_terms
 
 __all__ = [
     "max_weight_bound",
@@ -342,16 +342,14 @@ def drive_locality(drive: PiecewiseLiouvillian) -> int:
 
 def _term_superop_norm(term: HamiltonianTerm | JumpTerm) -> float:
     """Spectral norm of one term's superoperator on its local doubled
-    space."""
+    space, made dense there."""
+    sites = len(term.sites)
     if isinstance(term, HamiltonianTerm):
         local = liouvillian_superop(term.matrix, ())
     else:
-        local = liouvillian_superop(
-            None,
-            ((term.rate, term.matrix),),
-            system_dim=2 ** len(term.sites),
-        )
-    return float(np.linalg.norm(local.matrix, ord=2))
+        local = liouvillian_superop(None, [(term.rate, term.matrix)], system_dim=2**sites)
+    matrix = matrix_from_pauli_terms(*local.pauli_terms, 2 * sites)
+    return float(np.linalg.norm(matrix, ord=2))
 
 
 def extensiveness(drive: PiecewiseLiouvillian) -> float:
@@ -367,15 +365,18 @@ def extensiveness(drive: PiecewiseLiouvillian) -> float:
     :raises SupportsUndeclaredError: if any term lacks a declared support.
     """
     per_site = np.zeros(drive.num_sites)
+    norms = {}  # one norm per distinct local term
     for segment in drive.segments:
         for term in (*segment.hamiltonian_terms, *segment.jump_terms):
             if term.sites is None:
                 raise SupportsUndeclaredError(
                     "term has no declared site support"
                 )
-            norm = _term_superop_norm(term)
+            key = (getattr(term, "rate", None), term.matrix.shape, term.matrix.tobytes())
+            if key not in norms:
+                norms[key] = _term_superop_norm(term)
             for site in term.sites:
-                per_site[site] += norm
+                per_site[site] += norms[key]
     return float(np.max(per_site)) if per_site.size else 0.0
 
 

@@ -95,13 +95,14 @@ _PHASE_POWER = (np.rint(np.angle(PAULI_PRODUCT_PHASE) / (np.pi / 2)) % 4).astype
 _PHASES = {False: 1j ** np.arange(4), True: np.array([0, 2j, 0, -2j])}
 
 #: One digit lookup of :func:`pauli_commutator` costs about as much as this
-#: many multiply-adds of a dense product (equal times at 2.6e6 string
-#: pairs on 10 sites, measured on a 2-core VM with OpenBLAS). Checked on
-#: random strings at 4, 6, 8 and 10 sites: the pairs stay faster up to
-#: about 120, 8, 2.5 and 0.9 times the pair count where this rule turns
-#: dense, so on fewer sites it turns dense early, at a cost of at most
-#: 1 ms a commutator on 6 sites or fewer and 2.7x on 8.
-_LOOKUP_COST = 40
+#: many multiply-adds of a dense product (equal times at 3.2e6 string
+#: pairs on 10 sites, measured on a 2-core VM with OpenBLAS, the dense
+#: operands built by scatter). Checked on random strings at 4, 6, 8 and
+#: 10 sites: the pairs stay faster up to about 30, 15, 1.9 and 1 times
+#: the pair count where this rule turns dense, so on fewer sites it turns
+#: dense early, at a cost of at most 1 ms a commutator on 6 sites or
+#: fewer and 2.5x on 8.
+_LOOKUP_COST = 33
 
 #: Per-site transform with rows (1/sqrt(2)) vec(conj(sigma^p)); unitary.
 _SITE_TRANSFORM = (PAULI.conj().reshape(4, 4) / np.sqrt(2.0)).copy()
@@ -174,10 +175,6 @@ class MultiIndex:
     def two_count(self) -> int:
         """Number of sites carrying sigma^2 (entries equal to 2)."""
         return sum(1 for s in self.sites if s == 2)
-
-    def concat(self, other: "MultiIndex") -> "MultiIndex":
-        """Concatenate site tuples (used for doubled-space indices)."""
-        return MultiIndex(self.sites + other.sites)
 
     def __str__(self) -> str:
         labels = {0: "i", 1: "x", 2: "y", 3: "z"}
@@ -293,11 +290,9 @@ def pauli_coefficients(matrix: np.ndarray, num_sites: int) -> np.ndarray:
     interleave = [
         axis for site in range(num_sites) for axis in (site, num_sites + site)
     ]
-    tensor = tensor.transpose(interleave).reshape((4,) * num_sites)
-    for axis in range(num_sites):
-        tensor = np.moveaxis(
-            np.tensordot(_SITE_TRANSFORM, tensor, axes=([1], [axis])), 0, axis
-        )
+    tensor = tensor.transpose(interleave)
+    for site in range(num_sites):
+        tensor = _SITE_TRANSFORM @ tensor.reshape(4**site, 4, -1)
     return tensor.reshape(-1)
 
 
@@ -391,11 +386,10 @@ def pauli_commutator(
     digit lookup per site and pair of strings, ``2^16`` pairs per pass;
     commuting pairs drop out exactly. When the lookups would cost more
     than the ``8^L`` multiply-adds of a dense product, the commutator is
-    taken densely instead, through the transforms."""
+    taken densely instead: two scatters, the products and one transform."""
     (left_codes, left_values), (right_codes, right_values) = left, right
     if _LOOKUP_COST * num_sites * left_codes.size * right_codes.size > 8**num_sites:
-        a = matrix_from_pauli_terms(left_codes, left_values, num_sites)
-        b = matrix_from_pauli_terms(right_codes, right_values, num_sites)
+        a, b = (matrix_from_pauli_terms(*terms, num_sites) for terms in (left, right))
         coefficients = pauli_coefficients(a @ b - b @ a, num_sites)
         codes = np.flatnonzero(coefficients)
         return codes, coefficients[codes]
@@ -450,10 +444,31 @@ def _merged_passes(count: int, width: int, terms):
 def matrix_from_pauli_terms(
     codes: np.ndarray, values: np.ndarray, num_sites: int
 ) -> np.ndarray:
-    """The dense matrix of a sparse Pauli sum (one inverse transform)."""
-    coefficients = np.zeros(4**num_sites, dtype=complex)
-    coefficients[codes] = values
-    return matrix_from_pauli_coefficients(coefficients, num_sites)
+    """The dense matrix of a sparse Pauli sum, by direct scatter: ``F_j``
+    maps column ``c`` to row ``c ^ x`` with value ``i^#Y (-1)^popcount(c &
+    z) / 2^(L/2)``, bit ``p`` of ``x`` (of ``z``) set where code digit
+    ``p`` is 1 or 2 (2 or 3). The strings sharing an ``x`` fill one
+    generalized diagonal, a Walsh-Hadamard transform over ``z``, taken
+    in place for all diagonals at once."""
+    position = np.arange(num_sites)
+    digits = (np.asarray(codes, dtype=np.int64)[:, None] >> 2 * position) & 3
+    z = digits >> 1
+    x = (digits & 1) ^ z
+    phases = _PHASES[False] * 2.0 ** (-num_sites / 2.0)
+    weights = values * phases[np.sum(x & z, axis=1) & 3]
+    x, z = x @ (1 << position), z @ (1 << position)
+    diagonals = np.unique(x)
+    dim = 2**num_sites
+    columns = np.zeros((diagonals.size, dim), dtype=complex)
+    columns[np.searchsorted(diagonals, x), z] = weights
+    for stride in (2**bit for bit in range(num_sites)):  # one butterfly per bit
+        pairs = columns.reshape(-1, 2, stride)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+    out, index = np.zeros((dim, dim), dtype=complex), np.arange(dim)
+    out[diagonals[:, None] ^ index, index] = columns
+    return out
 
 
 def embed_local(

@@ -901,3 +901,39 @@ def test_compare_exact_one_point_grid_needs_a_positive_stop(tmp_path, capsys, st
     code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
     assert code == 2 and out == ""
     assert "compare.stop" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrices_are_configuration_errors(tmp_path, capsys, bad):
+    """A NaN or infinite entry in an initial state or in a custom drive's
+    Hamiltonian term exits 2 with the key that holds it, not with a
+    failed linear-algebra routine."""
+    state = [[[0.5, 0.0], [bad, 0.0]], [[bad, 0.0], [0.5, 0.0]]]
+    document = model_a_config(
+        compare={"start": 0.05, "stop": 0.2, "count": 2, "initial_state": state}
+    )
+    config = write_config(tmp_path, document, name="state.json")
+    code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
+    assert code == 2 and out == ""
+    assert "compare.initial_state" in err and "finite" in err
+
+    field = [[[1.0, 0.0], [bad, 0.0]], [[bad, 0.0], [-1.0, 0.0]]]
+    document = {
+        "schema_version": 1,
+        "model": {
+            "name": "custom",
+            "num_sites": 1,
+            "segments": [
+                {"duration": 0.1, "hamiltonian_terms": [{"matrix": field, "sites": [0]}]},
+                {
+                    "duration": 0.1,
+                    "jump_terms": [{"rate": 1.0, "matrix": field, "sites": [0]}],
+                },
+            ],
+        },
+        "orders": [0, 1],
+    }
+    config = write_config(tmp_path, document, name="drive.json")
+    code, out, err = run_cli(capsys, ["analyze", "--config", config])
+    assert code == 2 and out == ""
+    assert "segments[0].hamiltonian_terms[0].matrix" in err and "finite" in err

@@ -25,6 +25,8 @@ from floquet_lindblad import (
     vectorize,
 )
 
+import dense_reference
+
 
 def apply_superop(superop, state):
     """Act with a superoperator on a matrix."""
@@ -142,7 +144,9 @@ def test_form_superop_single_channel_normalization():
         (index,), np.array([[2.0 * gamma]], dtype=complex), 1
     )
     assembled = lindblad_form_superop(None, dissipator)
-    direct = liouvillian_superop(None, [(gamma, PAULI[1])], system_dim=2)
+    direct = dense_reference.liouvillian_superop(
+        None, [(gamma, PAULI[1])], system_dim=2
+    )
     np.testing.assert_allclose(assembled.matrix, direct.matrix, atol=1e-13)
 
 
@@ -154,7 +158,7 @@ def test_form_superop_zero_matrix_gives_commutator_only():
         (index,), np.zeros((1, 1), dtype=complex), 1
     )
     assembled = lindblad_form_superop(h * PAULI[3], dissipator)
-    direct = liouvillian_superop(h * PAULI[3])
+    direct = dense_reference.liouvillian_superop(h * PAULI[3])
     np.testing.assert_allclose(assembled.matrix, direct.matrix, atol=1e-14)
 
 
@@ -215,3 +219,65 @@ def test_rejected_inputs():
         liouvillian_superop(None, [], system_dim=None)
     with pytest.raises(DimensionMismatchError):
         liouvillian_superop(np.eye(2), [(1.0, np.eye(4))])
+
+
+SIGMA_MINUS = 0.5 * (PAULI[1] - 1j * PAULI[2])
+
+
+def oracle_cases():
+    """``(hamiltonian, jumps, system_dim)`` inputs of the GKLS builder."""
+    rng = np.random.default_rng(43)
+    yield pytest.param(
+        None, [(0.7, PAULI[1]), (0.3, SIGMA_MINUS)], 2, id="no-hamiltonian"
+    )
+    yield pytest.param(
+        0.4 * PAULI[3], [(-0.5, PAULI[1]), (0.8, PAULI[2])], None, id="negative-rates"
+    )
+    for num_sites in (1, 2, 3):
+        dim = 2**num_sites
+        raw = [
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(3)
+        ]
+        jumps = [(rng.uniform(-1.0, 1.0), op) for op in raw[1:]]
+        yield pytest.param(raw[0] + raw[0].conj().T, jumps, None, id=f"dense-{num_sites}")
+    yield pytest.param(None, [(1e-20, PAULI[1])], 2, id="rate-1e-20")
+
+
+@pytest.mark.parametrize("hamiltonian, jumps, system_dim", oracle_cases())
+def test_generator_matches_the_kronecker_reference(hamiltonian, jumps, system_dim):
+    """The generator written through the signed table equals the dense
+    Kronecker build to 1e-12 relative, including a rate of 1e-20 (the
+    input cutoff is relative to each operator)."""
+    superop = liouvillian_superop(hamiltonian, jumps, system_dim=system_dim)
+    reference = dense_reference.liouvillian_superop(
+        hamiltonian, jumps, system_dim=system_dim
+    ).matrix
+    assert superop.pauli_terms is not None
+    scale = np.linalg.norm(reference)
+    assert scale > 0.0
+    assert np.linalg.norm(superop.matrix - reference) <= 1e-12 * scale
+
+
+def test_dimensions_other_than_a_power_of_two_are_refused():
+    """The Pauli basis needs ``2^L`` levels with ``L >= 1``."""
+    for hamiltonian, system_dim in ((np.eye(3), None), (np.eye(1), None), (None, 6)):
+        with pytest.raises(DimensionMismatchError):
+            liouvillian_superop(hamiltonian, [], system_dim=system_dim)
+
+
+def test_non_finite_inputs_are_refused():
+    """A NaN or infinite entry or rate is refused where it enters, before
+    the input cutoff could drop every coefficient of a NaN operator."""
+    for bad in (np.nan, np.inf):
+        matrix = np.array([[1.0, bad], [bad, -1.0]])
+        for make in (
+            lambda: HamiltonianTerm(matrix, (0,)),
+            lambda: JumpTerm(0.5, matrix, (0,)),
+            lambda: JumpTerm(bad, PAULI[1], (0,)),
+            lambda: liouvillian_superop(matrix),
+            lambda: liouvillian_superop(None, [(0.5, matrix)], system_dim=2),
+            lambda: liouvillian_superop(None, [(bad, PAULI[1])], system_dim=2),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                make()

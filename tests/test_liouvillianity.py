@@ -27,6 +27,8 @@ from floquet_lindblad import (
 )
 from floquet_lindblad.models import ModelParams, build_model
 
+import dense_reference
+
 
 def random_liouvillian(rng, dim, num_jumps=2):
     """A GKLS generator with random Hermitian H and random jumps."""
@@ -40,7 +42,7 @@ def random_liouvillian(rng, dim, num_jumps=2):
             (dim, dim)
         )
         jumps.append((float(rng.uniform(0.2, 1.0)), op))
-    return liouvillian_superop(hamiltonian, jumps)
+    return dense_reference.liouvillian_superop(hamiltonian, jumps)
 
 
 def model_a_expansion(tau=0.1, h=1.0, gamma1=1.0, max_order=2):

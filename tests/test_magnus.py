@@ -31,6 +31,8 @@ from floquet_lindblad import (
 )
 from floquet_lindblad.models import ModelParams, build_model
 
+from dense_reference import dense_generators
+
 
 def commutator(a, b):
     return a @ b - b @ a
@@ -75,7 +77,7 @@ def test_closed_form_orders_match_commutator_formulas():
     """Orders 0..3 equal their nested-commutator closed forms."""
     tau = 0.2
     drive = binary_drive(tau=tau)
-    first, second = [s.matrix for s in drive.segment_superops]
+    first, second = dense_generators(drive)
     inner = commutator(second, first)
     expansion = bch_orders(drive, max_order=3)
     np.testing.assert_allclose(
@@ -180,7 +182,7 @@ def test_general_first_order_three_segments_closed_form():
     commutator sum."""
     tau = 0.2
     drive = three_segment_drive(tau=tau)
-    l1, l2, l3 = [s.matrix for s in drive.segment_superops]
+    l1, l2, l3 = dense_generators(drive)
     expected = (tau**2 / (2.0 * drive.period)) * (
         commutator(l2, l1) + commutator(l3, l1) + commutator(l3, l2)
     )
@@ -205,7 +207,7 @@ def test_fourier_zero_mode_is_weighted_average():
         ),
         num_sites=1,
     )
-    first, second = [s.matrix for s in drive.segment_superops]
+    first, second = dense_generators(drive)
     np.testing.assert_allclose(
         fourier_component(drive, 0).matrix,
         (0.1 * first + 0.3 * second) / 0.4,
@@ -227,7 +229,7 @@ def test_fourier_binary_closed_forms():
     """Binary equal-duration drives have harmonics
     (L2 - L1) i / (pi m) for odd m and zero for even nonzero m."""
     drive = binary_drive()
-    first, second = [s.matrix for s in drive.segment_superops]
+    first, second = dense_generators(drive)
     for m in (1, -1, 3, -5):
         expected = (second - first) * (1j / (np.pi * m))
         np.testing.assert_allclose(
@@ -321,7 +323,7 @@ def test_propagator_orders_segments_earliest_rightmost():
     """The binary propagator is exp(L2 tau) exp(L1 tau)."""
     tau = 0.2
     drive = binary_drive(tau=tau)
-    first, second = [s.matrix for s in drive.segment_superops]
+    first, second = dense_generators(drive)
     expected = matrix_exp(second * tau) @ matrix_exp(first * tau)
     np.testing.assert_allclose(
         floquet_propagator(drive).matrix, expected, atol=1e-12
@@ -334,7 +336,7 @@ def test_propagator_single_segment():
         (LindbladSegment(0.3, (), (JumpTerm(1.0, PAULI[1], (0,)),)),),
         num_sites=1,
     )
-    expected = matrix_exp(drive.segment_superops[0].matrix * 0.3)
+    expected = matrix_exp(dense_generators(drive)[0] * 0.3)
     np.testing.assert_allclose(
         floquet_propagator(drive).matrix, expected, atol=1e-13
     )
@@ -366,7 +368,7 @@ def test_exact_effective_constant_drive_recovers_generator():
     )
     np.testing.assert_allclose(
         exact_effective(drive).matrix,
-        drive.segment_superops[0].matrix,
+        dense_generators(drive)[0],
         atol=1e-10,
     )
 
@@ -374,7 +376,7 @@ def test_exact_effective_constant_drive_recovers_generator():
 def test_exact_effective_commuting_segments_average():
     """Commuting segments average exactly."""
     drive = commuting_drive()
-    first, second = [s.matrix for s in drive.segment_superops]
+    first, second = dense_generators(drive)
     np.testing.assert_allclose(
         exact_effective(drive).matrix, 0.5 * (first + second), atol=1e-10
     )

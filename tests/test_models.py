@@ -14,8 +14,9 @@ from floquet_lindblad import (
     build_model,
     extract_dissipator,
     kron,
-    liouvillian_superop,
 )
+
+from dense_reference import liouvillian_superop
 
 SIGMA_MINUS = 0.5 * (PAULI[1] - 1j * PAULI[2])
 

@@ -21,6 +21,7 @@ from floquet_lindblad import (
 from floquet_lindblad.pauli import (
     code_two_counts,
     code_weights,
+    matrix_from_pauli_terms,
     quadratic_product_coefficients,
 )
 
@@ -131,6 +132,40 @@ def test_inverse_transform_carries_trailing_axes():
                 np.testing.assert_allclose(rebuilt[..., i, j], single, atol=1e-14)
     with pytest.raises(DimensionMismatchError):
         matrix_from_pauli_coefficients(np.zeros((2, 16)), 2)
+
+
+def scatter_cases():
+    """Codes of sparse Pauli sums: random ones at 1-10 sites, the empty
+    sum, the identity, every string of Y and identity (each power of
+    ``i``), and every code at up to 6 sites."""
+    rng = np.random.default_rng(41)
+    for num_sites in range(1, 11):
+        count = min(4**num_sites, int(rng.integers(1, 60)))
+        codes = np.sort(rng.choice(4**num_sites, count, replace=False))
+        yield pytest.param(num_sites, codes, id=f"random-{num_sites}")
+    for num_sites in (1, 4, 7):
+        yield pytest.param(num_sites, np.empty(0, dtype=np.int64), id=f"empty-{num_sites}")
+        yield pytest.param(num_sites, np.array([0]), id=f"identity-{num_sites}")
+        ys = [int(format(m, "b").replace("1", "2"), 4) for m in range(2**num_sites)]
+        yield pytest.param(num_sites, np.array(ys), id=f"y-strings-{num_sites}")
+    for num_sites in range(1, 7):
+        yield pytest.param(num_sites, np.arange(4**num_sites), id=f"dense-{num_sites}")
+
+
+@pytest.mark.parametrize("num_sites, codes", scatter_cases())
+def test_scatter_matches_the_inverse_transform(num_sites, codes):
+    """The direct scatter of a sparse Pauli sum equals the inverse
+    transform of its coefficients to 1e-14 relative (exactly, for the
+    empty sum)."""
+    rng = np.random.default_rng(num_sites + codes.size)
+    values = rng.standard_normal(codes.size) + 1j * rng.standard_normal(codes.size)
+    coefficients = np.zeros(4**num_sites, dtype=complex)
+    coefficients[codes] = values
+    expected = matrix_from_pauli_coefficients(coefficients, num_sites)
+    matrix = matrix_from_pauli_terms(codes, values, num_sites)
+    assert matrix.shape == expected.shape
+    scale = np.max(np.abs(expected), initial=0.0)
+    assert np.max(np.abs(matrix - expected)) <= 1e-14 * scale
 
 
 def test_pauli_coefficients_match_inner_products():

@@ -4,6 +4,7 @@ validation, and the L=6 and CLI envelopes that never form a dense
 superoperator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from floquet_lindblad import (
     fm_general,
     is_hermiticity_preserving,
     is_trace_preserving,
-    liouvillian_superop,
     pauli_coefficients,
     van_vleck_orders,
 )
@@ -34,6 +34,8 @@ from floquet_lindblad.pauli import (
     matrix_from_pauli_terms,
     pauli_commutator,
 )
+
+from dense_reference import dense_generators, liouvillian_superop
 
 
 def random_matrix(rng, dim, hermitian):
@@ -84,17 +86,6 @@ def random_drive(seed, num_sites, segments, full_space):
     return PiecewiseLiouvillian(tuple(drawn), num_sites)
 
 
-def dense_generators(drive):
-    return [
-        liouvillian_superop(
-            seg.hamiltonian(drive.num_sites),
-            seg.jumps(drive.num_sites),
-            system_dim=drive.dim,
-        ).matrix
-        for seg in drive.segments
-    ]
-
-
 def commutator(a, b):
     return a @ b - b @ a
 
@@ -131,7 +122,7 @@ drives = st.builds(
 @settings(max_examples=25)
 def test_segment_tables_match_the_dense_transform(drive):
     """Every segment generator's sparse Pauli sum is the doubled-space
-    transform of the dense ``liouvillian_superop``."""
+    transform of the dense Kronecker reference."""
     for generator, dense in zip(drive.segment_generators(), dense_generators(drive)):
         reference = pauli_coefficients(dense, 2 * drive.num_sites)
         codes, values = generator.pauli_terms
@@ -539,3 +530,19 @@ def test_cli_analyze_and_scan_form_no_dense_superoperator(monkeypatch, tmp_path,
         path.write_text(json.dumps({"schema_version": 1, "model": model, **extra}))
         assert main([command, "--config", str(path)]) == 0
     assert capsys.readouterr().out
+
+
+def test_order_term_matrix_is_scattered_in_place():
+    """The dense matrix of model D's order-2 term at L=5 (1024 x 1024)
+    is written in place from its Pauli sum: the allocations of ``.matrix``
+    peak under twice the bytes of the matrix."""
+    params = ModelParams(name="D", tau=0.2, num_sites=5, jx=1.0, gamma=0.5)
+    term = bch_orders(build_model(params), 2).term(2)
+    tracemalloc.start()
+    try:
+        matrix = term.matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (1024, 1024)
+    assert peak < 2 * matrix.nbytes

@@ -31,7 +31,8 @@ from floquet_lindblad.core import block_logs, matrix_exp
 from floquet_lindblad.lindblad import PiecewiseLiouvillian
 from floquet_lindblad.magnus import TransferBlocks, transfer
 from floquet_lindblad.models import ModelParams, build_model
-from test_pauli_expansion import dense_generators, random_drive
+from dense_reference import dense_generators
+from test_pauli_expansion import random_drive
 
 MODELS = [
     ModelParams(name="A", tau=0.2, h=1.0, gamma1=0.7),
@@ -153,7 +154,7 @@ def test_compare_point_residual_matches_doubled_coefficients(monkeypatch, docume
         ["compare-exact", "--config", "unused.json"]
     ))
     grid = (0.05, 0.2)
-    results = cli._compare_grid(config, config.expansion(config.drive()), grid)
+    results = cli._compare_pass(config, config.expansion(config.drive()), grid)[0]
     for tau, (residuals, failed) in zip(grid, results, strict=True):
         assert not failed
         drive = config.drive(ModelParams(**{**document["model"], "tau": tau}))
@@ -227,7 +228,7 @@ def test_compare_grid_matches_the_per_point_reference(model, flavor):
     0.02 is 2.4e-9). The grid reaches branch ambiguities of C3 and D3."""
     config = compare_config(model, flavor)
     grid = np.geomspace(0.02, 4.0, 7)
-    results = list(cli._compare_grid(config, config.expansion(config.drive()), grid))
+    results = list(cli._compare_pass(config, config.expansion(config.drive()), grid)[0])
     assert len(results) == len(grid)
     for tau, (residuals, failed) in zip(grid, results):
         expected, expected_failed, norm = reference_compare_point(config, float(tau))
