@@ -110,18 +110,14 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
-def _checked_hermitian(matrix: np.ndarray, rtol: float) -> np.ndarray:
-    """``matrix`` as a complex array, after checking that it is Hermitian
-    to within ``rtol`` relative to its largest entry."""
-    arr = np.asarray(_require_square(matrix), dtype=complex)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    defect = hermiticity_defect(arr)
+def _check_hermitian(defect: float, scale: float, rtol: float = HERMITICITY_RTOL) -> None:
+    """Raise :class:`HermiticityError` if the Hermiticity ``defect`` of a
+    matrix exceeds ``rtol`` times its largest entry ``scale``."""
     if scale > 0.0 and defect > rtol * scale:
         raise HermiticityError(
             f"matrix deviates from Hermiticity by {defect:.3e} "
             f"(limit {rtol * scale:.3e})"
         )
-    return arr
 
 
 def component_labels(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
@@ -144,62 +140,98 @@ def component_labels(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarra
         np.minimum.at(parent, high[joined], low[joined])
 
 
+class BlockLayout:
+    """The indices ``0..size-1`` split into blocks by integer ``labels``:
+    equal labels share a block, and a negative label puts an index in
+    none. Blocks of equal size ``m`` form one stack ``(k, m, m)``, ordered
+    by label; row ``i`` of ``groups[g]`` holds the ascending indices of
+    block ``i`` of stack ``g``."""
+
+    def __init__(self, labels: np.ndarray) -> None:
+        self.labels = labels
+        inside = np.flatnonzero(labels >= 0)
+        members = inside[np.argsort(labels[inside], kind="stable")]
+        counts = np.bincount(labels[inside])
+        counts = counts[counts > 0]
+        starts = np.cumsum(counts) - counts
+        # Stacks are views of one flat buffer; entry (a, b) of a block
+        # sits at _row[a] + _pos[b], with _pos the place inside the block.
+        self.groups, self._bounds = [], [0]
+        self._row, self._pos = np.empty((2, labels.size), dtype=np.int64)
+        for width in np.unique(counts).tolist():
+            indices = members[starts[counts == width][:, None] + np.arange(width)]
+            self._pos[indices] = np.arange(width)
+            places = width * np.arange(indices.size).reshape(indices.shape)
+            self._row[indices] = self._bounds[-1] + places
+            self._bounds.append(self._bounds[-1] + width * indices.size)
+            self.groups.append(indices)
+
+    def split(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+        """The blocks of the matrix with ``values`` at ``(rows, cols)`` and
+        zeros elsewhere, one stack per group, filled by one scatter, and
+        the mask of the entries outside every block; leading axes of the
+        values (matrices on the same positions) lead the stacks."""
+        label = self.labels[rows]
+        inside = (label == self.labels[cols]) & (label >= 0)
+        lead = np.shape(values)[:-1]
+        flat = np.zeros(lead + (self._bounds[-1],), dtype=complex)
+        flat[..., self._row[rows[inside]] + self._pos[cols[inside]]] = values[..., inside]
+        stacks = [
+            flat[..., start:end].reshape(lead + indices.shape + indices.shape[1:])
+            for indices, start, end in zip(self.groups, self._bounds, self._bounds[1:])
+        ]
+        return stacks, ~inside
+
+    def unstack(self, *per_group) -> list[tuple]:
+        """Every block as a tuple of its ascending indices and its row in
+        each of ``per_group`` (lists with one array per group, such as the
+        stacks), in the order of the blocks' first indices."""
+        blocks = [block for group in zip(self.groups, *per_group) for block in zip(*group)]
+        return sorted(blocks, key=lambda block: block[0][0])
+
+
 def coupled_components(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, tol: float
-) -> tuple[tuple[np.ndarray, ...], float]:
-    """Connected components of the graph whose edges are the nonzeros
-    ``values`` at ``(rows, cols)`` above ``tol`` in magnitude.
+) -> tuple[BlockLayout, list[np.ndarray], float]:
+    """The :class:`BlockLayout` of the connected components of the graph
+    whose edges are the nonzeros ``values`` at ``(rows, cols)`` above
+    ``tol`` in magnitude, and the stacks of its blocks.
 
     A non-finite entry is an edge too, so it lands in a solved block and
     its NaN reaches the spectrum. Indices without any edge (in their row
-    or column) belong to no component. Each component is an ascending
-    array of positions, and the components come back ordered by their
-    first position.
+    or column) belong to no block.
 
-    :return: ``(components, delta)``, where ``delta`` is the largest
-        absolute row sum of the entries outside the diagonal blocks of
-        the components. For a Hermitian matrix, Weyl's inequality puts
-        every eigenvalue of the block-diagonal part within ``delta`` of
-        the corresponding eigenvalue of the matrix.
+    :return: ``(layout, stacks, delta)``, where ``delta`` is the largest
+        absolute row sum of the entries outside the blocks. For a
+        Hermitian matrix, Weyl's inequality puts every eigenvalue of the
+        block-diagonal part within ``delta`` of the matrix's.
     """
     magnitudes = np.abs(values)
     edges = ~(magnitudes <= tol)
     size = 1 + max(rows.max(initial=-1), cols.max(initial=-1))
     labels = component_labels(rows[edges], cols[edges], size)
-    labels[np.setdiff1d(np.arange(size), [rows[edges], cols[edges]])] = -1
-    blocks = np.unique(labels[labels >= 0])
-    components = tuple(np.flatnonzero(labels == block) for block in blocks)
-    dropped = (labels[rows] < 0) | (labels[rows] != labels[cols])
-    sums = np.bincount(rows[dropped], weights=magnitudes[dropped])
-    return components, float(sums.max()) if sums.size else 0.0
+    touched = np.zeros(size, dtype=bool)
+    touched[rows[edges]] = touched[cols[edges]] = True
+    labels[~touched] = -1
+    layout = BlockLayout(labels)
+    stacks, outside = layout.split(rows, cols, values)
+    sums = np.bincount(rows[outside], weights=magnitudes[outside])
+    return layout, stacks, float(sums.max(initial=0.0))
 
 
-def principal_blocks(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    components: tuple[np.ndarray, ...],
-) -> list[np.ndarray]:
-    """Dense principal blocks ``M[c, c]``, one per ascending position
-    array ``c`` (disjoint), of the matrix ``M`` with ``values`` at
-    ``(rows, cols)`` and zeros elsewhere, in one pass: the nonzeros inside
-    a block are grouped by component with one stable sort."""
-    sizes = [positions.size for positions in components]
-    members = np.concatenate([np.empty(0, dtype=np.int64), *components])
-    size = 1 + max(rows.max(initial=-1), cols.max(initial=-1), members.max(initial=-1))
-    label, slot = np.full((2, size), -1)
-    label[members] = np.repeat(np.arange(len(sizes)), sizes)
-    slot[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    inside = np.flatnonzero(label[rows] == label[cols])  # label -1 sorts first
-    inside = inside[np.argsort(label[rows[inside]], kind="stable")]
-    bounds = np.searchsorted(label[rows[inside]], np.arange(len(sizes) + 1))
-    rows, cols, values = slot[rows[inside]], slot[cols[inside]], values[inside]
-    blocks = []
-    for width, start, end in zip(sizes, bounds, bounds[1:]):
-        block = np.zeros((width, width), dtype=complex)
-        block[rows[start:end], cols[start:end]] = values[start:end]
-        blocks.append(block)
-    return blocks
+def block_eigvalsh(stacks) -> list[np.ndarray]:
+    """Ascending eigenvalues of the Hermitian part of every block of each
+    stack ``(k, m, m)``, in one call per stack. As in :func:`matrix_exp`,
+    a block with a non-finite entry is solved as zeros and then gets only
+    NaN: LAPACK may return finite values for it, or fail."""
+    values = []
+    for stack in stacks:
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        blocks = np.where(finite[..., None, None], stack, 0.0)
+        solved = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
+        solved[~finite] = np.nan
+        values.append(solved)
+    return values
 
 
 def herm_eigs(
@@ -218,7 +250,8 @@ def herm_eigs(
     :return: ``(eigenvalues, eigenvectors)`` with eigenvectors in columns.
     :raises HermiticityError: if the Hermiticity check fails.
     """
-    arr = _checked_hermitian(matrix, rtol)
+    arr = np.asarray(_require_square(matrix), dtype=complex)
+    _check_hermitian(hermiticity_defect(arr), np.max(np.abs(arr), initial=0.0), rtol)
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     eigenvectors = eigenvectors.copy()
     for col in range(eigenvectors.shape[1]):

@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import HERMITICITY_RTOL, coupled_components, herm_eigs, principal_blocks
+from .core import BlockLayout, _check_hermitian, block_eigvalsh, coupled_components, herm_eigs
 from .errors import (
     DecompositionInconsistencyError,
     DimensionMismatchError,
@@ -252,30 +252,19 @@ class DissipatorMatrix(_Indexed):
             weight_limit,
         )
 
-    def _blocks(self, components) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
-        """The dense principal blocks over ``components`` and their
-        ascending eigenvalues. Hermiticity is checked once, for the whole
-        matrix at its largest entry (as :func:`herm_eigs` does), so a
-        block of small entries is never judged on its own scale; each
-        block of the Hermitian part is then solved on its own, and a block
-        with a non-finite entry has only NaN eigenvalues.
+    def _blocks(self, tol: float):
+        """``(layout, stacks, eigenvalues, delta)``: the
+        :func:`~floquet_lindblad.core.coupled_components` of the entries
+        above ``tol`` and the :func:`~floquet_lindblad.core.block_eigvalsh`
+        of its stacks. Hermiticity is checked once, for the whole matrix at
+        its largest entry (as :func:`herm_eigs` does), so a block of small
+        entries is never judged on its own scale.
 
         :raises HermiticityError: if the Hermiticity check fails.
         """
-        scale, defect = self.max_abs(), self._skew
-        if scale > 0.0 and defect > HERMITICITY_RTOL * scale:
-            raise HermiticityError(
-                f"matrix deviates from Hermiticity by {defect:.3e} "
-                f"(limit {HERMITICITY_RTOL * scale:.3e})"
-            )
-        blocks = principal_blocks(*self._nonzeros, components)
-        return blocks, tuple(
-            np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-            if np.isfinite(block).all()
-            # LAPACK may return finite values for a NaN block, or fail.
-            else np.full(len(block), np.nan)
-            for block in blocks
-        )
+        _check_hermitian(self._skew, self.max_abs())
+        layout, stacks, delta = coupled_components(*self._nonzeros, tol)
+        return layout, stacks, block_eigvalsh(stacks), delta
 
 
 @dataclass(frozen=True)
@@ -629,11 +618,12 @@ def psd_report(
 
 def block_report(
     dissipator: DissipatorMatrix, tol_psd: float | None = None
-) -> tuple[LiouvillianityReport, tuple, list[np.ndarray], tuple]:
-    """:func:`psd_report` with the partition behind it: the connected
+) -> tuple[LiouvillianityReport, BlockLayout, list[np.ndarray], list[np.ndarray]]:
+    """:func:`psd_report` with the partition behind it: the
+    :class:`~floquet_lindblad.core.BlockLayout` of the connected
     components of the entries above
-    :meth:`DissipatorMatrix.structural_tol` (position arrays), their
-    dense blocks and the eigenvalues of each block.
+    :meth:`DissipatorMatrix.structural_tol`, its stacks of dense blocks
+    and their eigenvalues, one ``(k, m)`` array per stack.
 
     The spectrum is the ascending union of the block eigenvalues and one
     exact zero per index outside every block. Let delta be the largest
@@ -646,13 +636,12 @@ def block_report(
     """
     if tol_psd is None:
         tol_psd = PSD_RTOL * max(1.0, dissipator.max_abs())
-    components, delta = coupled_components(
-        *dissipator._nonzeros, dissipator.structural_tol()
-    )
-    blocks, values = dissipator._blocks(components)
-    spectrum = values
+    layout, stacks, values, delta = dissipator._blocks(dissipator.structural_tol())
+    spectrum = [block for _, block in layout.unstack(values)]
     if delta > BLOCK_DROP_RATIO * tol_psd:
-        spectrum = dissipator._blocks((np.arange(dissipator.size),))[1]
+        whole = BlockLayout(np.zeros(dissipator.size, dtype=np.int64))
+        (dense,) = block_eigvalsh(whole.split(*dissipator._nonzeros)[0])
+        spectrum = list(dense)
     uncoupled = dissipator.size - sum(block.size for block in spectrum)
     eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *spectrum]))
     min_eig = float(np.min(eigenvalues)) if eigenvalues.size else 0.0
@@ -664,7 +653,7 @@ def block_report(
         is_liouvillian=is_liouvillian,
         breaking_degree=0.0 if is_liouvillian else -min_eig,
     )
-    return report, components, blocks, values
+    return report, layout, stacks, values
 
 
 def canonical_decomposition(

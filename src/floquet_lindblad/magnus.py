@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import block_exps, block_logs, component_labels, kron
+from .core import BlockLayout, block_exps, block_logs, component_labels, kron
 from .errors import DimensionMismatchError, UnsupportedOrderError
 from .lindblad import PiecewiseLiouvillian, Superoperator, _pauli_terms, _weighted_sum
 from .pauli import PAULI, pauli_commutator, pauli_transfer
@@ -330,10 +330,10 @@ class TransferBlocks:
     generators and of ``others`` (no entry is dropped by a threshold).
 
     These matrices, and their products, exponentials and logarithms, are
-    block diagonal in the split. Blocks of equal size ``m`` form one
-    stack ``(k, m, m)``; row ``i`` of ``groups[g]`` holds the ascending
-    indices of block ``i`` of stack ``g``. ``segment_blocks[s]`` holds the
-    stacks of the generator of segment ``s``.
+    block diagonal in the split, whose stacks ``groups`` lays out as
+    :class:`~floquet_lindblad.core.BlockLayout` does.
+    ``segment_blocks[s]`` holds the stacks of the generator of segment
+    ``s``.
     """
 
     def __init__(self, drive: PiecewiseLiouvillian, others=()) -> None:
@@ -342,23 +342,8 @@ class TransferBlocks:
         self.others = [transfer(other) for other in others]
         patterns = [codes for codes, _ in generators + self.others]
         rows, cols = np.divmod(np.concatenate(patterns), size)
-        self._labels = component_labels(rows, cols, size)
-        counts = np.bincount(self._labels)
-        members = np.argsort(self._labels, kind="stable")
-        starts = np.cumsum(counts) - counts
-        # Stacks are views of one flat buffer; entry (a, b) of a block
-        # sits at _row[a] + _pos[b], with _pos the place inside the block.
-        self.groups, self._bounds = [], [0]
-        self._row, self._pos = np.empty((2, size), dtype=np.int64)
-        for width in np.unique(counts):
-            components = np.flatnonzero(counts == width)
-            indices = members[starts[components, None] + np.arange(width)]
-            self._pos[indices] = np.arange(width)
-            self._row[indices] = self._bounds[-1] + width * np.arange(
-                indices.size
-            ).reshape(indices.shape)
-            self._bounds.append(self._bounds[-1] + width * indices.size)
-            self.groups.append(indices)
+        self._layout = BlockLayout(component_labels(rows, cols, size))
+        self.groups = self._layout.groups
         self.segment_blocks = [self.split(generator)[0] for generator in generators]
 
     def split(self, matrix: tuple[np.ndarray, np.ndarray]):
@@ -367,15 +352,8 @@ class TransferBlocks:
         the values (matrices on the same codes) lead both."""
         codes, values = matrix
         rows, cols = np.divmod(codes, 4**self.drive.num_sites)
-        inside = self._labels[rows] == self._labels[cols]
-        lead = np.shape(values)[:-1]
-        flat = np.zeros(lead + (self._bounds[-1],), dtype=complex)
-        flat[..., self._row[rows[inside]] + self._pos[cols[inside]]] = values[..., inside]
-        stacks = [
-            flat[..., start:end].reshape(lead + indices.shape + indices.shape[1:])
-            for indices, start, end in zip(self.groups, self._bounds, self._bounds[1:])
-        ]
-        return stacks, np.sum(np.abs(values[..., ~inside]) ** 2, axis=-1)
+        stacks, outside = self._layout.split(rows, cols, values)
+        return stacks, np.sum(np.abs(values[..., outside]) ** 2, axis=-1)
 
     def propagator(self, scale: float | np.ndarray = 1.0) -> list[np.ndarray]:
         """Blocks of the one-period propagator: ordered product of segment

@@ -34,7 +34,7 @@ from floquet_lindblad import (
     van_vleck_orders,
 )
 from floquet_lindblad.cli import main
-from floquet_lindblad.liouvillianity import decompose
+from floquet_lindblad.liouvillianity import block_report, decompose
 from floquet_lindblad.locality import certify, coefficient_bounds
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
@@ -403,3 +403,33 @@ def test_non_finite_entries_are_never_certified(positions):
     assert np.isnan(report.min_eigenvalue)
     assert not report.is_liouvillian
     assert report.eigenvalues.size == 4
+
+
+@pytest.mark.parametrize("position", [(1, 1), (1, 4), (4, 1), (7, 7)])
+def test_a_nan_block_leaves_its_stack_neighbours_exact(position):
+    """Three interleaved blocks of three share one stack. A NaN entry in
+    the middle one gives it only NaN eigenvalues, in
+    ``block_report`` and ``block_partition`` alike, while the other two
+    keep the eigenvalues of their own one-block solve bit for bit."""
+    rng = np.random.default_rng(3)
+    entries = np.zeros((9, 9), dtype=complex)
+    for first in range(3):
+        block = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        entries[first::3, first::3] = block + block.conj().T
+    entries[position] = np.nan
+    dissipator = DissipatorMatrix(
+        tuple(MultiIndex.from_code(code, 2) for code in range(1, 10)), entries, 2
+    )
+    report, layout, stacks, values = block_report(dissipator)
+    assert [group.tolist() for group in layout.groups] == [[[0, 3, 6], [1, 4, 7], [2, 5, 8]]]
+    structure = block_partition(dissipator)
+    for (positions, _, got), block in zip(layout.unstack(stacks, values), structure.blocks):
+        assert [dissipator.position(index) for index in block.index_set] == positions.tolist()
+        if positions[0] == 1:
+            assert np.isnan(got).all() and np.isnan(block.eigenvalues).all()
+            continue
+        dense = entries[np.ix_(positions, positions)]
+        alone = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+        np.testing.assert_array_equal(got, alone)
+        np.testing.assert_array_equal(block.eigenvalues, alone)
+    assert np.isnan(report.min_eigenvalue) and not report.is_liouvillian

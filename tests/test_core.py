@@ -24,7 +24,13 @@ from floquet_lindblad import (
     matrix_log_principal,
     vectorize,
 )
-from floquet_lindblad.core import block_logs, component_labels, coupled_components, principal_blocks
+from floquet_lindblad.core import (
+    BlockLayout,
+    block_eigvalsh,
+    block_logs,
+    component_labels,
+    coupled_components,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -367,6 +373,35 @@ def test_stacked_logs_raise_for_the_first_ill_conditioned_point():
     assert str(stacked.value) == str(alone.value)
 
 
+@given(
+    widths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    count=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    poisoned=st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_eigvalsh_is_the_one_block_solve(widths, count, seed, poisoned):
+    """``block_eigvalsh`` of stacks of random (not Hermitian) blocks
+    equals ``eigvalsh`` of each block's Hermitian part on its own, bit for
+    bit, and a block holding a NaN gets only NaN."""
+    rng = np.random.default_rng(seed)
+    stacks = [
+        rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+        for m in widths
+    ]
+    for stack in stacks:
+        for block in stack[rng.random(count) < poisoned]:
+            block[tuple(rng.integers(len(block), size=2))] = np.nan
+    for stack, values in zip(stacks, block_eigvalsh(stacks)):
+        assert values.shape == stack.shape[:-1]
+        for block, got in zip(stack, values):
+            if np.isnan(block).any():
+                assert np.isnan(got).all()
+            else:
+                expected = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+                np.testing.assert_array_equal(got, expected)
+
+
 def closure(matrix, tol):
     """Reachability over the entries above ``tol`` (NaN included), every
     node reaching itself, by Warshall's algorithm."""
@@ -425,11 +460,11 @@ def test_coupled_components_match_a_dense_closure(matrix):
     tol = 1e-6
     rows, cols = np.nonzero(matrix)
     values = matrix[rows, cols]
-    components, delta = coupled_components(rows, cols, values, tol)
+    layout, stacks, delta = coupled_components(rows, cols, values, tol)
+    unstacked = layout.unstack(stacks)
+    components = [component for component, _ in unstacked]
     expected, expected_delta = brute_force_components(matrix, tol)
-    for block, component in zip(
-        principal_blocks(rows, cols, values, components), components
-    ):
+    for component, block in unstacked:
         np.testing.assert_array_equal(block, matrix[np.ix_(component, component)])
     edges = ~(np.abs(values) <= tol)
     labels = component_labels(rows[edges], cols[edges], len(matrix))
@@ -459,10 +494,11 @@ def test_coupled_components_match_a_dense_closure(matrix):
 @settings(max_examples=150, deadline=None)
 def test_principal_blocks_are_the_dense_slices(size, density, seed, partition, with_nan):
     """Blocks scattered from the nonzeros of a sparse Hermitian matrix,
-    listed in any order, are bit for bit ``M[ix_(c, c)]`` for disjoint
-    components in any order: a random partition of every index, part of
-    one, or the single all-index component of the dense fallback; a NaN
-    entry lands where it stands."""
+    listed in any order, are bit for bit ``M[ix_(c, c)]`` for the blocks
+    ``c`` of a layout: a random partition of every index, part of one,
+    or the single all-index block of the dense fallback; a NaN entry
+    lands where it stands, and the entries outside every block are
+    exactly those masked."""
     rng = np.random.default_rng(seed)
     upper = np.triu(random_complex(rng, size) * (rng.random((size, size)) < density), 1)
     diagonal = rng.standard_normal(size) * (rng.random(size) < density)
@@ -472,15 +508,22 @@ def test_principal_blocks_are_the_dense_slices(size, density, seed, partition, w
     rows, cols = np.nonzero(matrix)
     order = rng.permutation(rows.size)
     rows, cols = rows[order], cols[order]
-    if partition == "whole":
-        components = (np.arange(size),)
-    else:
+    labels = np.zeros(size, dtype=np.int64)
+    if partition != "whole":
         labels = rng.integers(0, max(1, size), size)
         kept = np.unique(labels)
         if partition == "some":
-            kept = kept[rng.random(kept.size) < 0.5]
-        components = tuple(np.flatnonzero(labels == label) for label in rng.permutation(kept))
-    blocks = principal_blocks(rows, cols, matrix[rows, cols], components)
+            labels[~np.isin(labels, kept[rng.random(kept.size) < 0.5])] = -1
+    layout = BlockLayout(labels)
+    stacks, outside = layout.split(rows, cols, matrix[rows, cols])
+    np.testing.assert_array_equal(
+        outside, (labels[rows] != labels[cols]) | (labels[rows] < 0)
+    )
+    unstacked = layout.unstack(stacks)
+    components = [component for component, _ in unstacked]
+    blocks = [block for _, block in unstacked]
+    expected = [np.flatnonzero(labels == label) for label in set(labels) - {-1}]
+    assert [c.tolist() for c in components] == sorted(c.tolist() for c in expected)
     assert len(blocks) == len(components)
     for block, component in zip(blocks, components):
         assert block.dtype == complex

@@ -5,6 +5,8 @@ extensiveness, and the per-order coefficient growth bound."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floquet_lindblad import (
     DissipatorMatrix,
@@ -94,6 +96,55 @@ def test_sparsity_flags_planted_violation():
     assert not report.ok
     assert report.violating_pairs >= 1
     assert report.max_violation == pytest.approx(0.2)
+
+
+def dense_sparsity(dissipator, order, locality_k, tol):
+    """The sparsity report by the dense formula over every index pair."""
+    bound = max_weight_bound(order, locality_k)
+    weights = np.array([index.weight for index in dissipator.index_set])
+    beyond = weights[:, None] + weights[None, :] > bound
+    magnitudes = np.abs(dissipator.entries)
+    violating = beyond & (magnitudes > tol)
+    return (
+        not bool(np.any(violating)),
+        bound,
+        float(np.max(magnitudes[beyond])) if np.any(beyond) else 0.0,
+        int(np.count_nonzero(violating)),
+    )
+
+
+@given(
+    num_sites=st.integers(1, 3),
+    kept=st.floats(0.0, 1.0),
+    density=st.floats(0.0, 1.0),
+    nan=st.booleans(),
+    order=st.integers(0, 3),
+    locality_k=st.integers(1, 3),
+    tol=st.sampled_from([None, 0.0, 0.5, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_sparsity_check_matches_the_dense_formula(
+    num_sites, kept, density, nan, order, locality_k, tol, seed
+):
+    """``sparsity_check`` read from the nonzeros equals the dense formula
+    over every pair, on random index subsets (the empty one included),
+    all-zero and sparse matrices, with a NaN entry and at a zero or
+    negative tolerance, where exact zeros beyond the bound violate."""
+    rng = np.random.default_rng(seed)
+    codes = np.flatnonzero(rng.random(4**num_sites - 1) < kept) + 1
+    index_set = tuple(MultiIndex.from_code(int(code), num_sites) for code in codes)
+    size = codes.size
+    entries = (rng.standard_normal((size, size)) + 1j) * (rng.random((size, size)) < density)
+    if nan and size:
+        entries[tuple(rng.integers(size, size=2))] = np.nan
+    dissipator = DissipatorMatrix(index_set, entries, num_sites)
+    report = sparsity_check(dissipator, order, locality_k, tol)
+    expected = dense_sparsity(
+        dissipator, order, locality_k, dissipator.structural_tol() if tol is None else tol
+    )
+    got = (report.ok, report.bound, report.max_violation, report.violating_pairs)
+    np.testing.assert_equal(got, expected)
 
 
 def test_single_site_drive_uses_single_site_indices():

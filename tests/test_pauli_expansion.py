@@ -25,7 +25,7 @@ from floquet_lindblad import (
     pauli_coefficients,
     van_vleck_orders,
 )
-from floquet_lindblad import lindblad, liouvillianity, pauli
+from floquet_lindblad import lindblad, liouvillianity, locality, pauli
 from floquet_lindblad.cli import main
 from floquet_lindblad.locality import drive_locality, max_weight_bound
 from floquet_lindblad.models import ModelParams, build_model
@@ -400,8 +400,9 @@ def test_table_verdicts_agree_with_the_dense_validators(name, term):
 
 def forbid_materialization(monkeypatch, num_sites):
     """Make any lazy ``.matrix``, any dense segment superoperator, any
-    dense view of a coefficient matrix and any Pauli transform on more
-    than ``num_sites`` sites raise."""
+    dense view of a coefficient matrix, any Pauli transform on more than
+    ``num_sites`` sites and any scatter of a Pauli sum on the doubled
+    system's ``2 num_sites`` sites or more raise."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense superoperator materialized")
@@ -419,6 +420,14 @@ def forbid_materialization(monkeypatch, num_sites):
 
     for module in (lindblad, liouvillianity, pauli):
         monkeypatch.setattr(module, "pauli_coefficients", local_only)
+
+    def below_system_size(codes, values, sites):
+        if sites >= 2 * num_sites:
+            raise AssertionError(f"{sites}-site Pauli scatter")
+        return matrix_from_pauli_terms(codes, values, sites)
+
+    for module in (liouvillianity, locality, pauli):
+        monkeypatch.setattr(module, "matrix_from_pauli_terms", below_system_size)
 
 
 @pytest.mark.parametrize(

@@ -160,7 +160,11 @@ def assert_reports_match(dissipator, tol_psd=None):
     eigenvalues, components, blocks, values, fallback = dense_block_report(
         dissipator, tol_psd
     )
-    report, got_components, got_blocks, got_values = block_report(dissipator, tol_psd)
+    report, layout, stacks, stacked_values = block_report(dissipator, tol_psd)
+    unstacked = layout.unstack(stacks, stacked_values)
+    got_components = [positions for positions, _, _ in unstacked]
+    got_blocks = [block for _, block, _ in unstacked]
+    got_values = [block_values for _, _, block_values in unstacked]
     np.testing.assert_array_equal(report.eigenvalues, eigenvalues)
     assert report.min_eigenvalue == (eigenvalues[0] if eigenvalues.size else 0.0)
     assert len(got_components) == len(components)
