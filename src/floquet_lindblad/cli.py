@@ -33,7 +33,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -86,8 +86,6 @@ _RANK_WARNING = getattr(
 
 #: Model parameters that a scan may sweep, per model name.
 SCANNABLE = {name: ("tau", *used) for name, used in PARAMETER_SEGMENTS.items()}
-
-_MODEL_FIELDS = ("h", "gamma1", "gamma2", "gamma", "jz", "jx")
 
 
 def _format_float(value: float) -> str:
@@ -150,55 +148,34 @@ def _parse_custom_drive(model: dict, path: str) -> PiecewiseLiouvillian:
     segments_cfg = _require(model, "segments", path)
     if not isinstance(segments_cfg, list) or not segments_cfg:
         raise ConfigError(f"{path}.segments: expected a nonempty list")
+    # Each term kind's keys are its class's fields, parsed in field order.
+    kinds = {"hamiltonian_terms": HamiltonianTerm, "jump_terms": JumpTerm}
+    parsers = {"rate": _as_number, "matrix": _complex_matrix, "sites": _parse_sites}
     segments = []
     for pos, seg in enumerate(segments_cfg):
         seg_path = f"{path}.segments[{pos}]"
         if not isinstance(seg, dict):
             raise ConfigError(f"{seg_path}: expected an object")
-        _check_keys(
-            seg, ("duration", "hamiltonian_terms", "jump_terms"), seg_path
-        )
+        _check_keys(seg, ("duration", *kinds), seg_path)
         duration = _as_number(
             _require(seg, "duration", seg_path), f"{seg_path}.duration"
         )
         try:
-            ham_terms = []
-            for tpos, term in enumerate(seg.get("hamiltonian_terms", [])):
-                term_path = f"{seg_path}.hamiltonian_terms[{tpos}]"
-                if not isinstance(term, dict):
-                    raise ConfigError(f"{term_path}: expected an object")
-                _check_keys(term, ("matrix", "sites"), term_path)
-                ham_terms.append(
-                    HamiltonianTerm(
-                        _complex_matrix(
-                            _require(term, "matrix", term_path),
-                            f"{term_path}.matrix",
-                        ),
-                        _parse_sites(term.get("sites"), f"{term_path}.sites"),
-                    )
-                )
-            jump_terms = []
-            for tpos, term in enumerate(seg.get("jump_terms", [])):
-                term_path = f"{seg_path}.jump_terms[{tpos}]"
-                if not isinstance(term, dict):
-                    raise ConfigError(f"{term_path}: expected an object")
-                _check_keys(term, ("rate", "matrix", "sites"), term_path)
-                jump_terms.append(
-                    JumpTerm(
-                        _as_number(
-                            _require(term, "rate", term_path),
-                            f"{term_path}.rate",
-                        ),
-                        _complex_matrix(
-                            _require(term, "matrix", term_path),
-                            f"{term_path}.matrix",
-                        ),
-                        _parse_sites(term.get("sites"), f"{term_path}.sites"),
-                    )
-                )
-            segments.append(
-                LindbladSegment(duration, tuple(ham_terms), tuple(jump_terms))
-            )
+            terms = {key: [] for key in kinds}
+            for key, term_class in kinds.items():
+                names = tuple(f.name for f in fields(term_class))
+                for tpos, term in enumerate(seg.get(key, [])):
+                    term_path = f"{seg_path}.{key}[{tpos}]"
+                    if not isinstance(term, dict):
+                        raise ConfigError(f"{term_path}: expected an object")
+                    _check_keys(term, names, term_path)
+                    values = []
+                    for name in names:
+                        if name != "sites":  # the one optional key
+                            _require(term, name, term_path)
+                        values.append(parsers[name](term.get(name), f"{term_path}.{name}"))
+                    terms[key].append(term_class(*values))
+            segments.append(LindbladSegment(duration, **terms))
         except ConfigError:
             raise
         except FloquetLindbladError as exc:
@@ -221,13 +198,13 @@ def _parse_model(model, path: str) -> tuple[ModelParams | None, dict]:
     name = _require(model, "name", path)
     if name == "custom":
         return None, model
-    _check_keys(model, ("name", "tau", "num_sites") + _MODEL_FIELDS, path)
-    kwargs = {}
-    for field_name in _MODEL_FIELDS:
-        if field_name in model:
-            kwargs[field_name] = _as_number(
-                model[field_name], f"{path}.{field_name}"
-            )
+    keys = tuple(f.name for f in fields(ModelParams))
+    _check_keys(model, keys, path)
+    kwargs = {
+        key: _as_number(model[key], f"{path}.{key}")
+        for key in keys
+        if key in model and key not in ("name", "tau", "num_sites")
+    }
     num_sites = _as_int(model.get("num_sites", 1), f"{path}.num_sites")
     tau = _as_number(_require(model, "tau", path), f"{path}.tau")
     try:

@@ -207,7 +207,7 @@ def coupled_components(
         block-diagonal part within ``delta`` of the matrix's.
     """
     magnitudes = np.abs(values)
-    edges = ~(magnitudes <= tol)
+    edges = ~(magnitudes <= tol) | np.isinf(magnitudes)
     size = 1 + max(rows.max(initial=-1), cols.max(initial=-1))
     labels = component_labels(rows[edges], cols[edges], size)
     touched = np.zeros(size, dtype=bool)

@@ -105,8 +105,23 @@ def _embed_term(
     return embed_local(matrix, sites, num_sites)
 
 
+class _Term:
+    """The site normalization, matrix check and embedding of a term
+    class, whose matrix ``_what`` names in errors."""
+
+    def __post_init__(self) -> None:
+        sites = self.sites
+        if sites is not None:
+            sites = tuple(int(s) for s in sites)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "matrix", _check_term(self.matrix, sites, self._what))
+
+    def embedded(self, num_sites: int) -> np.ndarray:
+        return _embed_term(self.matrix, self.sites, num_sites)
+
+
 @dataclass(frozen=True)
-class HamiltonianTerm:
+class HamiltonianTerm(_Term):
     """One Hamiltonian summand with an optionally declared site support.
 
     ``matrix`` acts on the ordered tuple ``sites`` (its first tensor
@@ -117,42 +132,25 @@ class HamiltonianTerm:
 
     matrix: np.ndarray
     sites: tuple[int, ...] | None
-
-    def __post_init__(self) -> None:
-        sites = self.sites
-        if sites is not None:
-            sites = tuple(int(s) for s in sites)
-        object.__setattr__(self, "sites", sites)
-        arr = _check_term(self.matrix, sites, "Hamiltonian term")
-        object.__setattr__(self, "matrix", arr)
-
-    def embedded(self, num_sites: int) -> np.ndarray:
-        return _embed_term(self.matrix, self.sites, num_sites)
+    _what = "Hamiltonian term"
 
 
 @dataclass(frozen=True)
-class JumpTerm:
+class JumpTerm(_Term):
     """One jump channel: operator, nonnegative rate, optional support."""
 
     rate: float
     matrix: np.ndarray
     sites: tuple[int, ...] | None
+    _what = "jump operator"
 
     def __post_init__(self) -> None:
-        sites = self.sites
-        if sites is not None:
-            sites = tuple(int(s) for s in sites)
-        object.__setattr__(self, "sites", sites)
-        arr = _check_term(self.matrix, sites, "jump operator")
-        object.__setattr__(self, "matrix", arr)
+        super().__post_init__()
         object.__setattr__(self, "rate", float(self.rate))
         if not 0.0 <= self.rate < np.inf:
             raise DimensionMismatchError(
                 f"jump rate must be finite and nonnegative, got {self.rate}"
             )
-
-    def embedded(self, num_sites: int) -> np.ndarray:
-        return _embed_term(self.matrix, self.sites, num_sites)
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ class Superoperator:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            sites = 2 * (self.system_dim.bit_length() - 1)
+            sites = 2 * _num_sites(self)
             self._matrix = matrix_from_pauli_terms(*self.pauli_terms, sites)
         return self._matrix
 
@@ -263,13 +261,22 @@ class Superoperator:
         return float(np.linalg.norm(self.matrix))
 
 
+def _num_sites(superop: Superoperator) -> int:
+    """The number of sites L of a superoperator on ``2^L``-dimensional
+    states; another dimension raises :class:`DimensionMismatchError`."""
+    dim = int(superop.system_dim)
+    if dim < 1 or dim & (dim - 1):
+        raise DimensionMismatchError(f"system dimension {dim} is not a power of two")
+    return dim.bit_length() - 1
+
+
 def _pauli_terms(superop: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     """The doubled Pauli sum ``(codes, values)`` of any superoperator: a
     sparse one's own terms, a dense one's nonzero coefficients from one
     2L-site transform."""
     if superop.pauli_terms is not None:
         return superop.pauli_terms
-    sites = 2 * (superop.system_dim.bit_length() - 1)
+    sites = 2 * _num_sites(superop)
     coefficients = pauli_coefficients(superop.matrix, sites)
     codes = np.flatnonzero(coefficients)
     return codes, coefficients[codes]

@@ -57,7 +57,7 @@ from .errors import (
     HermiticityError,
     NotLindbladCandidateError,
 )
-from .lindblad import Superoperator, _pauli_terms, liouvillian_superop
+from .lindblad import Superoperator, _num_sites, _pauli_terms, liouvillian_superop
 from .magnus import EffectiveExpansion
 from .pauli import (
     MultiIndex,
@@ -98,15 +98,6 @@ STRUCTURAL_ZERO_RTOL = 1e-12
 #: The block spectrum certifies a PSD verdict only while the entries it
 #: drops stay below this fraction of the PSD tolerance (in row sums).
 BLOCK_DROP_RATIO = 1e-3
-
-
-def _sites_from_superop(superop: Superoperator) -> int:
-    num_sites = int(round(np.log2(superop.system_dim)))
-    if 2**num_sites != superop.system_dim:
-        raise DimensionMismatchError(
-            f"system dimension {superop.system_dim} is not a power of two"
-        )
-    return num_sites
 
 
 class _Indexed:
@@ -417,7 +408,7 @@ def _signed_table(
     """The signed table ``t`` of ``superop`` (module docstring) as its
     nonzeros ``(codes, values)``, from its doubled Pauli sum, validated in
     table space."""
-    num_sites = _sites_from_superop(superop)
+    num_sites = _num_sites(superop)
     codes, values = _pauli_terms(superop)
     signed = values * _signs(codes, num_sites)
     if validate:

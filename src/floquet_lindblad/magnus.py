@@ -67,7 +67,9 @@ import numpy as np
 
 from .core import BlockLayout, block_exps, block_logs, component_labels, kron
 from .errors import DimensionMismatchError, UnsupportedOrderError
-from .lindblad import PiecewiseLiouvillian, Superoperator, _pauli_terms, _weighted_sum
+from .lindblad import (
+    PiecewiseLiouvillian, Superoperator, _num_sites, _pauli_terms, _weighted_sum
+)
 from .pauli import PAULI, pauli_commutator, pauli_transfer
 
 __all__ = [
@@ -156,9 +158,8 @@ def _sum_parts(parts, weights, system_dim: int) -> Superoperator:
 
 def _commutator(a: Superoperator, b: Superoperator) -> Superoperator:
     """``[a, b]`` of two sparse superoperators."""
-    doubled_sites = 2 * (a.system_dim.bit_length() - 1)
     return Superoperator.from_pauli_terms(
-        *pauli_commutator(a.pauli_terms, b.pauli_terms, doubled_sites),
+        *pauli_commutator(a.pauli_terms, b.pauli_terms, 2 * _num_sites(a)),
         a.system_dim,
     )
 
@@ -172,13 +173,15 @@ def is_binary_drive(drive: PiecewiseLiouvillian) -> bool:
     return abs(tau1 - tau2) <= 1e-12 * max(tau1, tau2)
 
 
-def _segment_coefficients(drive: PiecewiseLiouvillian, m: int) -> np.ndarray:
+def _segment_coefficients(drive: PiecewiseLiouvillian, m) -> np.ndarray:
     """The weights ``c_s(m)`` of ``L_m = sum_s c_s(m) L_s``, one per
-    segment, as given in :func:`fourier_component`."""
+    segment, as given in :func:`fourier_component`; for an array of
+    nonzero harmonics ``m``, one row per harmonic."""
     period = drive.period
-    if m == 0:
+    if np.ndim(m) == 0 and m == 0:
         return np.array([seg.duration for seg in drive.segments]) / period
     start, end = np.array(drive.segment_windows).T
+    m = np.asarray(m)[..., None]
     return (1j / (2.0 * np.pi * m)) * (
         np.exp(-2j * np.pi * m * end / period)
         - np.exp(-2j * np.pi * m * start / period)
@@ -297,7 +300,7 @@ def van_vleck_orders(
     tail_estimate: float | None = None
     if max_order >= 1:
         harmonics = np.arange(1, m_max + 1)
-        c = np.array([_segment_coefficients(drive, m) for m in harmonics])
+        c = _segment_coefficients(drive, harmonics)
         # w[m - 1, a, b] = w_ab(m), the weight of [L_a, L_b] in harmonic m.
         w = (
             2.0
@@ -321,7 +324,7 @@ def transfer(superop: Superoperator) -> tuple[np.ndarray, np.ndarray]:
     """:func:`~floquet_lindblad.pauli.pauli_transfer` of the doubled Pauli
     sum of a superoperator; a dense one takes the one 2L-site transform
     that extraction takes."""
-    return pauli_transfer(*_pauli_terms(superop), superop.system_dim.bit_length() - 1)
+    return pauli_transfer(*_pauli_terms(superop), _num_sites(superop))
 
 
 class TransferBlocks:

@@ -33,7 +33,7 @@ formula are retained in separate fields for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,14 +57,28 @@ __all__ = [
 
 _SIGMA_MINUS = 0.5 * (PAULI[1] - 1j * PAULI[2])
 
-#: The couplings and rates of each model, each with the segment (0 first,
-#: 1 second) whose generator it scales linearly; ``tau`` scales every
-#: duration instead.
-PARAMETER_SEGMENTS = {
-    "A": {"h": 0, "gamma1": 1},
-    "B": {"gamma1": 1, "gamma2": 0},
-    "C": {"jz": 0, "gamma": 1},
-    "D": {"jx": 0, "gamma": 1},
+#: Each model's segments, first to last, each a list of terms
+#: ``(kind, operator, parameter)``: a Hamiltonian ``operator`` times the
+#: coupling ``parameter``, or a jump ``operator`` at the rate
+#: ``parameter``. A k-site operator acts on sites ``l, ..., l+k-1``
+#: (mod L), once for every site ``l``.
+_SEGMENTS = {
+    "A": (
+        [("hamiltonian_terms", PAULI[3], "h")],
+        [("jump_terms", PAULI[1], "gamma1")],
+    ),
+    "B": (
+        [("jump_terms", (PAULI[1] + PAULI[3]) / np.sqrt(2.0), "gamma2")],
+        [("jump_terms", PAULI[1], "gamma1")],
+    ),
+    "C": (
+        [("hamiltonian_terms", np.kron(PAULI[3], PAULI[3]), "jz")],
+        [("jump_terms", PAULI[1], "gamma")],
+    ),
+    "D": (
+        [("hamiltonian_terms", np.kron(PAULI[1], PAULI[1]), "jx")],
+        [("jump_terms", _SIGMA_MINUS, "gamma")],
+    ),
 }
 
 
@@ -87,7 +101,7 @@ class ModelParams:
     jx: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.name not in PARAMETER_SEGMENTS:
+        if self.name not in _SEGMENTS:
             raise DimensionMismatchError(
                 f"unknown model {self.name!r}, expected A, B, C or D"
             )
@@ -96,95 +110,73 @@ class ModelParams:
                 f"tau must be positive, got {self.tau}"
             )
         used = PARAMETER_SEGMENTS[self.name]
-        for field_name in ("h", "gamma1", "gamma2", "gamma", "jz", "jx"):
+        # The couplings are the fields after name, tau and num_sites.
+        for field_name in [f.name for f in fields(self)][3:]:
             value = getattr(self, field_name)
             if field_name not in used and value != 0.0:
                 raise DimensionMismatchError(
                     f"model {self.name} does not use {field_name}, "
                     f"got {value}"
                 )
-        for rate_name in ("gamma1", "gamma2", "gamma"):
+        for rate_name in _parameter_segments(self.name, "jump_terms"):
             if getattr(self, rate_name) < 0.0:
                 raise DimensionMismatchError(
                     f"{rate_name} must be nonnegative"
                 )
-        if self.name in ("A", "B"):
-            if self.num_sites != 1:
-                raise DimensionMismatchError(
-                    f"model {self.name} is single site, got "
-                    f"num_sites={self.num_sites}"
-                )
-        else:
-            if not 3 <= self.num_sites <= MAX_NUM_SITES:
-                raise DimensionMismatchError(
-                    f"model {self.name} needs a ring of 3..{MAX_NUM_SITES} "
-                    f"sites, got {self.num_sites}"
-                )
+        if self.name in ("A", "B") and self.num_sites != 1:
+            raise DimensionMismatchError(
+                f"model {self.name} is single site, got "
+                f"num_sites={self.num_sites}"
+            )
+        if self.name in ("C", "D") and not 3 <= self.num_sites <= MAX_NUM_SITES:
+            raise DimensionMismatchError(
+                f"model {self.name} needs a ring of 3..{MAX_NUM_SITES} "
+                f"sites, got {self.num_sites}"
+            )
 
     @property
     def period(self) -> float:
         return 2.0 * self.tau
 
 
+def _parameter_segments(name: str, kind: str) -> dict[str, int]:
+    """The parameters of model ``name``'s ``kind`` terms, in field order,
+    each with the segment whose generator it scales."""
+    segments = enumerate(_SEGMENTS[name])
+    found = {p: pos for pos, terms in segments for k, _, p in terms if k == kind}
+    return {f.name: found[f.name] for f in fields(ModelParams) if f.name in found}
+
+
+#: The couplings, then the rates, of each model, each in field order and
+#: with the segment (0 first, 1 second) whose generator it scales
+#: linearly; ``tau`` scales every duration instead.
+PARAMETER_SEGMENTS = {
+    name: {
+        **_parameter_segments(name, "hamiltonian_terms"),
+        **_parameter_segments(name, "jump_terms"),
+    }
+    for name in _SEGMENTS
+}
+
+
 def build_model(params: ModelParams) -> PiecewiseLiouvillian:
     """Construct the piecewise drive for a parameter set."""
-    tau = params.tau
     num_sites = params.num_sites
-    if params.name == "A":
-        first = LindbladSegment(
-            tau,
-            hamiltonian_terms=(
-                HamiltonianTerm(params.h * PAULI[3], (0,)),
-            ),
-        )
-        second = LindbladSegment(
-            tau, jump_terms=(JumpTerm(params.gamma1, PAULI[1], (0,)),)
-        )
-    elif params.name == "B":
-        tilted = (PAULI[1] + PAULI[3]) / np.sqrt(2.0)
-        first = LindbladSegment(
-            tau, jump_terms=(JumpTerm(params.gamma2, tilted, (0,)),)
-        )
-        second = LindbladSegment(
-            tau, jump_terms=(JumpTerm(params.gamma1, PAULI[1], (0,)),)
-        )
-    elif params.name == "C":
-        bond = np.kron(PAULI[3], PAULI[3])
-        first = LindbladSegment(
-            tau,
-            hamiltonian_terms=tuple(
-                HamiltonianTerm(
-                    params.jz * bond, (site, (site + 1) % num_sites)
+    segments = []
+    for terms in _SEGMENTS[params.name]:
+        built = {"hamiltonian_terms": [], "jump_terms": []}
+        for kind, operator, parameter in terms:
+            value = getattr(params, parameter)
+            width = len(operator).bit_length() - 1
+            for site in range(num_sites):
+                sites = tuple((site + k) % num_sites for k in range(width))
+                built[kind].append(
+                    JumpTerm(value, operator, sites)
+                    if kind == "jump_terms"
+                    else HamiltonianTerm(value * operator, sites)
                 )
-                for site in range(num_sites)
-            ),
-        )
-        second = LindbladSegment(
-            tau,
-            jump_terms=tuple(
-                JumpTerm(params.gamma, PAULI[1], (site,))
-                for site in range(num_sites)
-            ),
-        )
-    else:
-        bond = np.kron(PAULI[1], PAULI[1])
-        first = LindbladSegment(
-            tau,
-            hamiltonian_terms=tuple(
-                HamiltonianTerm(
-                    params.jx * bond, (site, (site + 1) % num_sites)
-                )
-                for site in range(num_sites)
-            ),
-        )
-        second = LindbladSegment(
-            tau,
-            jump_terms=tuple(
-                JumpTerm(params.gamma, _SIGMA_MINUS, (site,))
-                for site in range(num_sites)
-            ),
-        )
-    return PiecewiseLiouvillian((first, second), num_sites)
+        segments.append(LindbladSegment(params.tau, **built))
+    return PiecewiseLiouvillian(tuple(segments), num_sites)
 
 
 @dataclass(frozen=True)

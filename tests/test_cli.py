@@ -889,6 +889,110 @@ def test_custom_drive_validation(tmp_path, capsys):
     assert code == 2 and "matrix" in err
 
 
+IDENTITY_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "kind, term, message",
+    [
+        ("hamiltonian_terms", 5, "hamiltonian_terms[1]: expected an object"),
+        (
+            "hamiltonian_terms",
+            {"matrix": IDENTITY_PAIRS, "rate": 1.0},
+            "hamiltonian_terms[1]: unknown key 'rate'",
+        ),
+        (
+            "hamiltonian_terms",
+            {"sites": [0]},
+            "hamiltonian_terms[1]: missing required key 'matrix'",
+        ),
+        (
+            "hamiltonian_terms",
+            {"matrix": "bad", "sites": "bad"},
+            "hamiltonian_terms[1].matrix: not a numeric array: could not "
+            "convert string to float: 'bad'",
+        ),
+        (
+            "hamiltonian_terms",
+            {"matrix": IDENTITY_PAIRS, "sites": [0, True]},
+            "hamiltonian_terms[1].sites: expected a list of site integers",
+        ),
+        (
+            "hamiltonian_terms",
+            {"matrix": IDENTITY_PAIRS, "sites": [0, 1]},
+            ": Hamiltonian term on sites (0, 1) must have shape (4, 4), got (2, 2)",
+        ),
+        ("jump_terms", [1], "jump_terms[1]: expected an object"),
+        (
+            "jump_terms",
+            {"rate": 1.0, "matrix": IDENTITY_PAIRS, "bogus": 1},
+            "jump_terms[1]: unknown key 'bogus'",
+        ),
+        (
+            "jump_terms",
+            {"rate": 1.0, "sites": [0]},
+            "jump_terms[1]: missing required key 'matrix'",
+        ),
+        (
+            "jump_terms",
+            {"matrix": IDENTITY_PAIRS, "sites": [0]},
+            "jump_terms[1]: missing required key 'rate'",
+        ),
+        (
+            "jump_terms",
+            {"rate": "fast", "matrix": "bad"},
+            "jump_terms[1].rate: expected a number, got 'fast'",
+        ),
+        (
+            "jump_terms",
+            {"rate": 1.0, "matrix": IDENTITY_PAIRS, "sites": 0},
+            "jump_terms[1].sites: expected a list of site integers",
+        ),
+        (
+            "jump_terms",
+            {"rate": 1.0, "matrix": IDENTITY_PAIRS, "sites": [0, 1]},
+            ": jump operator on sites (0, 1) must have shape (4, 4), got (2, 2)",
+        ),
+        (
+            "jump_terms",
+            {"rate": -1.0, "matrix": IDENTITY_PAIRS, "sites": [0]},
+            ": jump rate must be finite and nonnegative, got -1.0",
+        ),
+    ],
+)
+def test_custom_drive_term_messages(tmp_path, capsys, kind, term, message):
+    """Each malformed custom-drive term, of either kind, is reported with
+    its exact path and message; the first failing key is reported in the
+    order rate, matrix, sites, and an error of the term class itself is
+    reported at its segment."""
+    valid = {"matrix": IDENTITY_PAIRS, "sites": [1]}
+    if kind == "jump_terms":
+        valid["rate"] = 1.0
+    segments = [{"duration": 0.1}, {"duration": 0.2, kind: [valid, term]}]
+    document = {
+        "schema_version": 1,
+        "model": {"name": "custom", "num_sites": 2, "segments": segments},
+        "orders": [0],
+    }
+    code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, document)])
+    assert (code, out) == (2, "")
+    prefix = "model.segments[1]" + ("" if message.startswith(":") else ".")
+    assert err == f"config error: {prefix}{message}\n"
+
+
+def test_custom_drive_site_count_message(tmp_path, capsys):
+    """An error of the drive itself is reported at the model section."""
+    segments = [{"duration": 0.1}]
+    document = {
+        "schema_version": 1,
+        "model": {"name": "custom", "num_sites": 7, "segments": segments},
+        "orders": [0],
+    }
+    code, _, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, document)])
+    assert code == 2
+    assert err == "config error: model: num_sites must be in 1..6, got 7\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("stop", [0.0, -0.5])
 def test_compare_exact_one_point_grid_needs_a_positive_stop(tmp_path, capsys, stop):

@@ -29,6 +29,7 @@ from floquet_lindblad import (
     van_vleck_orders,
     vectorize,
 )
+from floquet_lindblad.magnus import _segment_coefficients
 from floquet_lindblad.models import ModelParams, build_model
 
 from dense_reference import dense_generators
@@ -281,7 +282,8 @@ def test_kick_free_first_order_matches_kick_transformation():
 def test_kick_free_first_order_matches_fourier_loop():
     """The segment-pair sum equals the explicit harmonic loop over dense
     Fourier components, term and tail estimate, on a drive with three
-    unequal segments."""
+    unequal segments; the harmonic weights, formed for every harmonic in
+    one broadcast, equal the one-harmonic ones bit for bit."""
     bond = HamiltonianTerm(np.kron(PAULI[3], PAULI[3]), (0, 1))
     field = HamiltonianTerm(0.7 * PAULI[1], (0,))
     drive = PiecewiseLiouvillian(
@@ -292,6 +294,11 @@ def test_kick_free_first_order_matches_fourier_loop():
         ),
         num_sites=2,
     )
+    harmonics = np.setdiff1d(np.arange(-200, 201), [0])
+    stacked = _segment_coefficients(drive, harmonics)
+    single = [_segment_coefficients(drive, m) for m in harmonics.tolist()]
+    assert stacked.shape == (400, 3)
+    assert np.array_equal(stacked, single)
     omega = 2.0 * np.pi / drive.period
     for m_max in (1, 2, 37):
         expected = np.zeros_like(fourier_component(drive, 0).matrix)

@@ -79,6 +79,40 @@ def test_params_site_count_constraints():
     assert params.num_sites == 6
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"name": "E", "tau": 0.1}, "unknown model 'E', expected A, B, C or D"),
+        (
+            {"name": "C", "tau": 0.1, "num_sites": 3, "h": 0.5, "gamma1": 0.2},
+            "model C does not use h, got 0.5",
+        ),
+        (
+            {"name": "B", "tau": 0.1, "gamma1": -1.0, "gamma2": -2.0},
+            "gamma1 must be nonnegative",
+        ),
+        (
+            {"name": "A", "tau": 0.1, "gamma1": 1.0, "num_sites": 2},
+            "model A is single site, got num_sites=2",
+        ),
+        (
+            {"name": "D", "tau": 0.1, "gamma": 1.0, "num_sites": 2},
+            "model D needs a ring of 3..6 sites, got 2",
+        ),
+        (
+            {"name": "C", "tau": 0.1, "gamma": 1.0, "num_sites": 7},
+            "model C needs a ring of 3..6 sites, got 7",
+        ),
+    ],
+)
+def test_params_error_messages(kwargs, message):
+    """The first failing check is reported, couplings and rates in field
+    order, with its exact message."""
+    with pytest.raises(DimensionMismatchError) as excinfo:
+        ModelParams(**kwargs)
+    assert str(excinfo.value) == message
+
+
 def test_period_is_twice_tau():
     """Both segments share the duration tau."""
     params = ModelParams(name="A", tau=0.35, h=1.0, gamma1=1.0)

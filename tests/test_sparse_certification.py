@@ -299,23 +299,27 @@ def test_planted_couplings_below_the_tolerance_force_the_dense_solve(
     order=st.integers(0, 2),
     position=st.integers(0, 2**32 - 1),
     mirrored=st.booleans(),
+    value=st.sampled_from([np.nan, np.inf, -np.inf]),
 )
 def test_non_finite_entries_of_a_term_are_never_certified(
-    name, order, position, mirrored
+    name, order, position, mirrored, value
 ):
-    """A NaN written into a term's coefficient matrix, with or without
-    its mirror entry, is kept as a nonzero, and its block has only NaN
-    eigenvalues (LAPACK alone may return finite ones): the minimum is NaN
-    and the matrix is never certified."""
+    """A NaN or an infinity written into a term's coefficient matrix,
+    with or without its mirror entry, is kept as a nonzero, and its block
+    has only NaN eigenvalues (LAPACK alone may return finite ones): the
+    minimum is NaN and the matrix is never certified, even though an
+    infinite entry makes the structural and PSD tolerances infinite."""
     term = term_decompositions(model_drive(name, 3))[1][order].dissipator
     entries = np.array(term.entries)
     row, col = divmod(position % term.size**2, term.size)
-    entries[row, col] = np.nan
+    entries[row, col] = value
     if mirrored:
-        entries[col, row] = np.nan
-    dissipator = DissipatorMatrix(term.index_set, entries, term.num_sites)
-    assert np.isnan(dissipator.entries[row, col])
-    for report in (psd_report(dissipator), certify(dissipator)[0]):
+        entries[col, row] = value
+    with np.errstate(invalid="ignore"):
+        dissipator = DissipatorMatrix(term.index_set, entries, term.num_sites)
+        reports = (psd_report(dissipator), certify(dissipator)[0])
+    assert np.array_equal(dissipator.entries[row, col], value, equal_nan=True)
+    for report in reports:
         assert np.isnan(report.min_eigenvalue)
         assert not report.is_liouvillian
         assert report.eigenvalues.size == dissipator.size
