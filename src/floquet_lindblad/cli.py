@@ -37,7 +37,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .core import HERMITICITY_RTOL, block_logs
+from .core import _GRID_BYTES, HERMITICITY_RTOL, _combine, block_logs
 from .dynamics import stroboscopic_compares
 from .errors import (
     BranchCutError,
@@ -58,7 +58,7 @@ from .liouvillianity import (
     Decomposition,
     PerOrderCheck,
     decompose,
-    psd_report,
+    graded_reports,
 )
 from .locality import certify, coefficient_bounds
 from .magnus import (
@@ -73,6 +73,7 @@ from .magnus import (
     van_vleck_orders,
 )
 from .models import PARAMETER_SEGMENTS, ModelParams, analytic_reference, build_model
+from .pauli import stack_pauli_terms
 
 __all__ = ["main", "build_parser"]
 
@@ -244,6 +245,9 @@ def _parse_grid(section: dict, path: str, geometric: bool = False) -> np.ndarray
     start = _as_number(_require(section, "start", path), f"{path}.start")
     stop = _as_number(_require(section, "stop", path), f"{path}.stop")
     count = _as_int(_require(section, "count", path), f"{path}.count")
+    for key, value in (("start", start), ("stop", stop)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     if count < 1:
         raise ConfigError(f"{path}.count: need at least one grid point")
     if count > 1 and not start < stop:
@@ -469,23 +473,17 @@ def cmd_analyze(config: RunConfig) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _certify_grid(config: RunConfig, unit, parameter: str, grid, orders):
+def _certify_grid(config: RunConfig, unit, parameter: str, grid, orders, path: str):
     """The PSD reports of the cumulative generators of ``orders`` at every
     value of ``parameter`` in ``grid``, in turn. ``unit`` is the expansion
-    of the drive at unit value of the parameter; each point's order terms
-    are weighted sums of its parts (the drive and the commutators are
-    formed once), and each point is decomposed and certified on its own."""
+    of the drive at unit value of the parameter, and a point weights its
+    parts (:func:`~floquet_lindblad.liouvillianity.graded_reports`); a
+    weight that overflows is a configuration error of ``path``'s stop."""
     segment = PARAMETER_SEGMENTS[config.params.name].get(parameter)
-    for value in grid:
-        terms = unit.scaled_terms(segment, float(value))
-        yield [
-            psd_report(
-                cumulative.dissipator.restricted(config.weight_limit),
-                tol_psd=config.tol_psd,
-            )
-            for order, _, cumulative in _running_decompositions(terms)
-            if order in orders
-        ]
+    weights = unit.part_weights(segment, grid)
+    if not np.isfinite(weights).all():
+        raise ConfigError(f"{path}.stop: the expansion's part weights overflow on this grid")
+    return graded_reports(unit, weights, orders, config.weight_limit, config.tol_psd)
 
 
 def cmd_scan(config: RunConfig) -> str:
@@ -510,7 +508,7 @@ def cmd_scan(config: RunConfig) -> str:
         raise ConfigError(f"scan.start: {parameter} grid must stay nonnegative")
     unit = config.expansion(build_model(replace(config.params, **{parameter: 1.0})))
     lines = [CSV_HEADER]
-    points = _certify_grid(config, unit, parameter, grid, config.orders)
+    points = _certify_grid(config, unit, parameter, grid, config.orders, "scan")
     for value, reports in zip(map(_format_float, grid), points):
         for order, report in zip(config.orders, reports):
             verdict = "true" if report.is_liouvillian else "false"
@@ -547,7 +545,7 @@ def cmd_fit_modelc(config: RunConfig) -> str:
     unit = bch_orders(build_model(replace(params, jz=1.0)), 2)
     min_eigs = [
         report.min_eigenvalue
-        for (report,) in _certify_grid(config, unit, "jz", grid / params.tau, (2,))
+        for (report,) in _certify_grid(config, unit, "jz", grid / params.tau, (2,), "fit")
     ]
     scale = params.gamma * 2.0 ** (params.num_sites - 1)
     normalized = []
@@ -607,39 +605,46 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
     one-period step and the cumulative orders' blocks ``(n, k, m, m)`` at ``tau``.
     A point scales the durations by ``s = value / tau`` and the order-k term
     by ``s^k``: the blocks and term transfers are formed once and the points
-    (and ``s = 1``) stacked. The residual is taken on the L-site transfer
+    (then ``s = 1``) stacked, a chunk of them at a time, each chunk's guards
+    run before the next. The residual is taken on the L-site transfer
     matrices: squared differences on the blocks plus the entries off them.
     """
     blocks = TransferBlocks(expansion.drive)
-    terms = [transfer(term) for term in expansion.order_terms]
-    codes, where = np.unique(np.concatenate([c for c, _ in terms]), return_inverse=True)
-    values = np.zeros((len(terms), codes.size), dtype=complex)
-    rows = np.repeat(np.arange(len(terms)), [c.size for c, _ in terms])
-    values[rows, where] = np.concatenate([v for _, v in terms])
-    scales = np.asarray(grid, dtype=float) / config.params.tau
-    steps = blocks.propagator(np.append(scales, 1.0))
-    try:
-        logs = block_logs([step[:-1] for step in steps])
-    except BranchCutError:
+    codes, values = stack_pauli_terms([transfer(term) for term in expansion.order_terms])
+    scales = np.append(np.asarray(grid, dtype=float) / config.params.tau, 1.0)
+    point_bytes = max(16 * group.size * group.shape[1] for group in blocks.groups)
+    chunk = max(1, _GRID_BYTES // point_bytes)
+    results = []
+    for start in range(0, scales.size, chunk):
+        steps = blocks.propagator(scales[start : start + chunk])
+        points = scales[start : min(start + chunk, len(grid))]  # the step s = 1 is last
+        if not points.size:
+            continue
+        try:
+            logs = block_logs([step[: points.size] for step in steps])
+        except BranchCutError:  # at every point of the chunk
+            logs = [np.full(step[: points.size].shape, np.nan) for step in steps]
+        period = points[:, None, None, None] * expansion.drive.period
+        powers = points[:, None] ** np.arange(len(values))
+        residuals = []
+        for order in config.orders:
+            sums = _combine(powers[:, : order + 1], values[: order + 1])
+            stacks, outside = blocks.split((codes, sums))
+            inside = sum(
+                np.sum(np.abs(log / period - stack) ** 2, axis=(1, 2, 3))
+                for log, stack in zip(logs, stacks)
+            )
+            residuals.append(np.sqrt(inside + outside))
+        failed = np.isnan(logs[0][:, 0, 0, 0])  # block_logs marks them with NaN
+        results += [
+            ([None] * len(config.orders), True) if flag else (list(map(float, row)), False)
+            for flag, row in zip(failed, np.transpose(residuals))
+        ]
+    if all(failed for _, failed in results):
         raise BranchCutError(
             "the exact effective generator is branch-ambiguous at every "
             "grid point"
-        ) from None
-    period = scales[:, None, None, None] * expansion.drive.period
-    powers = scales[:, None] ** np.arange(len(terms))
-    residuals = []
-    for order in config.orders:
-        stacks, outside = blocks.split((codes, powers[:, : order + 1] @ values[: order + 1]))
-        inside = sum(
-            np.sum(np.abs(log / period - stack) ** 2, axis=(1, 2, 3))
-            for log, stack in zip(logs, stacks)
         )
-        residuals.append(np.sqrt(inside + outside))
-    failed = np.isnan(logs[0][:, 0, 0, 0])  # block_logs marks them with NaN
-    results = [
-        ([None] * len(config.orders), True) if flag else (list(map(float, row)), False)
-        for flag, row in zip(failed, np.transpose(residuals))
-    ]
     cumulative = blocks.split((codes, np.cumsum(values, axis=0)[list(config.orders)]))[0]
     return results, blocks, [step[-1] for step in steps], cumulative
 

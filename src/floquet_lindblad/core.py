@@ -48,6 +48,11 @@ BRANCH_ANGLE_TOL = 1e-6
 #: logarithm is considered unreliable.
 LOG_CONDITION_LIMIT = 1e10
 
+#: Bytes that a grid pass may stack per point for a chunk of grid points
+#: (at least one point a chunk): ``compare-exact`` one block group's
+#: propagators, ``scan`` and ``fit-modelc`` one order term's sums.
+_GRID_BYTES = 2**17
+
 
 def _require_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(matrix)
@@ -110,14 +115,30 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
-def _check_hermitian(defect: float, scale: float, rtol: float = HERMITICITY_RTOL) -> None:
-    """Raise :class:`HermiticityError` if the Hermiticity ``defect`` of a
-    matrix exceeds ``rtol`` times its largest entry ``scale``."""
-    if scale > 0.0 and defect > rtol * scale:
-        raise HermiticityError(
-            f"matrix deviates from Hermiticity by {defect:.3e} "
-            f"(limit {rtol * scale:.3e})"
-        )
+def _combine(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``weights @ rows``, a row of ``rows`` at a time, so that each result
+    row does not depend on the other rows of ``weights`` (BLAS may)."""
+    return sum(weight[:, None] * row for weight, row in zip(weights.T, rows))
+
+
+def _raise_first(stages) -> None:
+    """Raise the error of the first point that fails a check, at its first
+    failing one. ``stages`` lists the checks in order as ``(failed, error,
+    message, *values)``: a flag per point (or one), and the exception class
+    and message format for a point's values."""
+    stages = list(stages)
+    if any(np.any(stage[0]) for stage in stages):
+        failed = np.array([np.reshape(stage[0], -1) for stage in stages], dtype=bool)
+        point = np.flatnonzero(failed.any(axis=0))[0]
+        _, error, message, *values = stages[np.argmax(failed[:, point])]
+        raise error(message.format(*(np.reshape(v, -1)[point] for v in values)))
+
+
+def _hermiticity_stage(defect, scale, rtol: float = HERMITICITY_RTOL) -> tuple:
+    """The stage of :func:`_raise_first` that the Hermiticity ``defect`` of
+    each matrix is within ``rtol`` times its largest entry ``scale``."""
+    return ((scale > 0.0) & (defect > rtol * scale), HermiticityError,
+            "matrix deviates from Hermiticity by {:.3e} (limit {:.3e})", defect, rtol * scale)
 
 
 def component_labels(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
@@ -182,6 +203,17 @@ class BlockLayout:
         ]
         return stacks, ~inside
 
+    def bounded_split(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+        """:meth:`split`, with ``delta`` in place of the mask: the largest
+        absolute row sum of the entries outside the blocks, one per matrix.
+        For a Hermitian matrix, Weyl's inequality puts every eigenvalue of
+        the block-diagonal part within ``delta`` of the matrix's."""
+        stacks, outside = self.split(rows, cols, values)
+        sums = np.zeros(np.shape(values)[:-1] + (self.labels.size,))
+        np.add.at(sums.T, rows[outside], np.abs(values[..., outside]).T)
+        delta = sums.max(axis=-1, initial=0.0)
+        return stacks, (delta if delta.ndim else float(delta))
+
     def unstack(self, *per_group) -> list[tuple]:
         """Every block as a tuple of its ascending indices and its row in
         each of ``per_group`` (lists with one array per group, such as the
@@ -201,10 +233,8 @@ def coupled_components(
     its NaN reaches the spectrum. Indices without any edge (in their row
     or column) belong to no block.
 
-    :return: ``(layout, stacks, delta)``, where ``delta`` is the largest
-        absolute row sum of the entries outside the blocks. For a
-        Hermitian matrix, Weyl's inequality puts every eigenvalue of the
-        block-diagonal part within ``delta`` of the matrix's.
+    :return: ``(layout, stacks, delta)``, with ``delta`` as in
+        :meth:`BlockLayout.bounded_split`.
     """
     magnitudes = np.abs(values)
     edges = ~(magnitudes <= tol) | np.isinf(magnitudes)
@@ -214,9 +244,7 @@ def coupled_components(
     touched[rows[edges]] = touched[cols[edges]] = True
     labels[~touched] = -1
     layout = BlockLayout(labels)
-    stacks, outside = layout.split(rows, cols, values)
-    sums = np.bincount(rows[outside], weights=magnitudes[outside])
-    return layout, stacks, float(sums.max(initial=0.0))
+    return (layout, *layout.bounded_split(rows, cols, values))
 
 
 def block_eigvalsh(stacks) -> list[np.ndarray]:
@@ -251,7 +279,8 @@ def herm_eigs(
     :raises HermiticityError: if the Hermiticity check fails.
     """
     arr = np.asarray(_require_square(matrix), dtype=complex)
-    _check_hermitian(hermiticity_defect(arr), np.max(np.abs(arr), initial=0.0), rtol)
+    scale = np.max(np.abs(arr), initial=0.0)
+    _raise_first([_hermiticity_stage(hermiticity_defect(arr), scale, rtol)])
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     eigenvectors = eigenvectors.copy()
     for col in range(eigenvectors.shape[1]):

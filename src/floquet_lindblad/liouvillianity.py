@@ -37,10 +37,11 @@ locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
 beyond the cap.
 
 Both ``a_jk`` and ``h_j`` are linear in ``S``: :func:`decompose` gets
-both from one signed table, and the decompositions of summands add by
-merging nonzeros. Positive semidefiniteness is certified block by block,
-over the connected components of the nonzeros of ``[a_jk]``
-(:func:`psd_report`).
+both from one signed table, the decompositions of summands add by
+merging nonzeros, and :func:`graded_reports` weights those of an
+expansion's parts for a whole grid. Positive semidefiniteness is
+certified block by block, over the connected components of the nonzeros
+of ``[a_jk]`` (:func:`psd_report`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import BlockLayout, _check_hermitian, block_eigvalsh, coupled_components, herm_eigs
+from .core import _GRID_BYTES, BlockLayout, _combine, _hermiticity_stage, _raise_first
+from .core import block_eigvalsh, coupled_components, herm_eigs
 from .errors import (
     DecompositionInconsistencyError,
     DimensionMismatchError,
@@ -67,6 +69,7 @@ from .pauli import (
     matrix_from_pauli_terms,
     merge_pauli_terms,
     pauli_coefficients,
+    stack_pauli_terms,
 )
 
 __all__ = [
@@ -220,7 +223,7 @@ class DissipatorMatrix(_Indexed):
     def structural_tol(self) -> float:
         """Magnitude at or below which an entry counts as a structural
         zero: ``1e-12 * max(1, max|a|)``."""
-        return STRUCTURAL_ZERO_RTOL * max(1.0, self.max_abs())
+        return float(_structural_tol(self.max_abs()))
 
     def restricted(self, weight_limit: int | None) -> "DissipatorMatrix":
         """The matrix that :func:`extract_dissipator` returns for
@@ -253,7 +256,7 @@ class DissipatorMatrix(_Indexed):
 
         :raises HermiticityError: if the Hermiticity check fails.
         """
-        _check_hermitian(self._skew, self.max_abs())
+        _raise_first([_hermiticity_stage(self._skew, self.max_abs())])
         layout, stacks, delta = coupled_components(*self._nonzeros, tol)
         return layout, stacks, block_eigvalsh(stacks), delta
 
@@ -343,6 +346,12 @@ class SignedLindbladForm:
         )
 
 
+def _structural_tol(peak):
+    """:meth:`DissipatorMatrix.structural_tol` of matrices whose largest
+    entries are ``peak``."""
+    return STRUCTURAL_ZERO_RTOL * np.fmax(1.0, peak)
+
+
 def _sum(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The sparse sum of ``(keys, values)`` parts, added in order."""
     keys, values = zip(*parts)
@@ -368,23 +377,84 @@ def _gram(dissipator: "DissipatorMatrix") -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _table_defects(
-    codes: np.ndarray, signed: np.ndarray, num_sites: int
-) -> tuple[float, float, float]:
-    """Trace and Hermiticity defects of the sparse signed table ``t``
-    (``signed`` at doubled ``codes``) and their scale. As ``S rho =
-    sum_jk t[j, k] F_j rho F_k``, ``||K||_F`` with ``K = sum_jk t[j, k]
-    F_k F_j`` is the residual of :func:`is_trace_preserving` and
-    ``||t - t^dag||_F`` bounds the entry defect of
-    :func:`is_hermiticity_preserving` from above; the scale
-    ``max(1, ||t||_F / 4^L)`` is at most their ``max(1, max|S|)``.
-    """
+def _linear_sums(table, num_sites: int, dissipator=None, coherent: bool = True) -> dict:
+    """The sparse sums linear in a superoperator, from its signed table
+    ``t``, unchecked: ``table``; ``gram``, ``K = sum_jk t[j, k] F_k F_j``,
+    the residual of trace preservation; ``skew``, ``t - t^dag``; unless
+    ``dissipator`` is given, the Hermitian part of the inner entries,
+    ``[a_jk]``; if ``coherent``, ``1j (t[j, 0] / sqrt(d) + K_j / 2)`` with
+    ``K`` of ``[a_jk]`` by L-site code ``j >= 1``, the ``h_j`` with a residue
+    as imaginary parts. A weighted sum of tables has their weighted sums."""
     size = 4**num_sites
+    codes, values = table
     rows, cols = np.divmod(codes, size)
-    _, gram = merge_pauli_terms(*_string_products(cols, rows, signed, num_sites, False))
-    _, skew = _adjoint_sum(codes, signed, size, -1.0)
-    scale = max(1.0, float(np.linalg.norm(signed)) / size)
-    return float(np.linalg.norm(gram)), float(np.linalg.norm(skew)), scale
+    sums = dict(
+        table=table,
+        gram=merge_pauli_terms(*_string_products(cols, rows, values, num_sites, False)),
+        skew=_adjoint_sum(codes, values, size, -1.0),
+    )
+    if dissipator is None:
+        inner = (rows > 0) & (cols > 0)
+        keys = (rows[inner] - 1) * (size - 1) + cols[inner] - 1
+        keys, summed = _adjoint_sum(keys, values[inner], size - 1, 1.0)
+        dissipator = _matrix((keys, 0.5 * summed), num_sites)
+        sums["dissipator"] = dissipator._terms
+    if coherent:
+        raw = np.zeros(size, dtype=complex)
+        column = codes % size == 0
+        raw[codes[column] // size] = values[column] / np.sqrt(2.0**num_sites)
+        gram_codes, gram_values = _gram(dissipator)
+        raw[gram_codes] += 0.5 * gram_values
+        nonzero = 1 + np.flatnonzero(raw[1:])
+        sums["coherent"] = nonzero, 1j * raw[nonzero]
+    return sums
+
+
+def _matrix(terms, num_sites: int) -> DissipatorMatrix:
+    """The ``[a_jk]`` of ``terms`` over every non-identity index."""
+    return DissipatorMatrix._of(_nonidentity_indices(num_sites), terms, num_sites)
+
+
+def _checks(sums: dict, num_sites: int) -> dict:
+    """The checks of :func:`decompose` on :func:`_linear_sums`, by name in
+    order, as stages of :func:`~floquet_lindblad.core._raise_first` with a
+    flag per sum (values with leading axes are sums on the same codes):
+    ``trace`` and ``Hermiticity``, ``||K||_F`` and ``||t - t^dag||_F`` within
+    ``1e-8 max(1, ||t||_F / 4^L)`` (at most ``max(1, max|S|)``); ``inner``,
+    the raw ``[a_jk]`` (the inner entries) Hermitian within ``max(1e-10
+    max|a|, 1e-12)``; with ``coherent``, ``residue``: the ``h_j`` real within
+    ``1e-8 max(1, max|h|)``."""
+    size = 4**num_sites
+    gram, skew, table = (np.linalg.norm(sums[k][1], axis=-1) for k in ("gram", "skew", "table"))
+    limit = VALIDATION_TOL * np.fmax(1.0, table / size)
+    checks = {
+        what: (~(defect <= limit), NotLindbladCandidateError,
+               f"superoperator is not {what} preserving within {VALIDATION_TOL:g}")
+        for defect, what in ((gram, "trace"), (skew, "Hermiticity"))
+    }
+    raw_skew, peak = (
+        np.max(np.abs(v[..., (c >= size) & (c % size > 0)]), axis=-1, initial=0.0)
+        for c, v in (sums["skew"], sums["table"])
+    )
+    checks["inner"] = (raw_skew > np.maximum(1e-10 * peak, 1e-12), HermiticityError,
+                       "extracted coefficient matrix deviates from Hermiticity by {:.3e}", raw_skew)
+    if "coherent" in sums:
+        coherent = sums["coherent"][1]
+        residue, scale = (
+            np.max(np.abs(v), axis=-1, initial=0.0) for v in (coherent.imag, coherent)
+        )
+        checks["residue"] = (residue > VALIDATION_TOL * np.fmax(1.0, scale),
+                             DecompositionInconsistencyError,
+                             "hamiltonian coefficients have imaginary residue {:.3e}", residue)
+    return checks
+
+
+def _hamiltonian(coherent, num_sites: int) -> HamiltonianCoefficients:
+    """The ``h_j``: the real parts of the ``coherent`` sum of
+    :func:`_linear_sums`."""
+    values = np.zeros(4**num_sites - 1)
+    values[coherent[0] - 1] = coherent[1].real
+    return HamiltonianCoefficients(_nonidentity_indices(num_sites), values, num_sites)
 
 
 @lru_cache(maxsize=None)
@@ -402,24 +472,12 @@ def _signs(codes: np.ndarray, num_sites: int) -> np.ndarray:
     return (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
 
 
-def _signed_table(
-    superop: Superoperator, validate: bool
-) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+def _signed_table(superop: Superoperator) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """The signed table ``t`` of ``superop`` (module docstring) as its
-    nonzeros ``(codes, values)``, from its doubled Pauli sum, validated in
-    table space."""
+    nonzeros ``(codes, values)``, from its doubled Pauli sum, unchecked."""
     num_sites = _num_sites(superop)
     codes, values = _pauli_terms(superop)
-    signed = values * _signs(codes, num_sites)
-    if validate:
-        *defects, scale = _table_defects(codes, signed, num_sites)
-        for defect, what in zip(defects, ("trace", "Hermiticity")):
-            if not defect <= VALIDATION_TOL * scale:
-                raise NotLindbladCandidateError(
-                    f"superoperator is not {what} preserving within "
-                    f"{VALIDATION_TOL:g}"
-                )
-    return (codes, signed), num_sites
+    return (codes, values * _signs(codes, num_sites)), num_sites
 
 
 def _form_parts(hamiltonian, dissipator: DissipatorMatrix):
@@ -465,47 +523,6 @@ def _form_superop(h, a, gram, num_sites: int) -> Superoperator:
     )
 
 
-def _dissipator_from_table(table, num_sites: int) -> DissipatorMatrix:
-    size = 4**num_sites
-    codes, signed = table
-    rows, cols = np.divmod(codes, size)
-    inner = (rows > 0) & (cols > 0)
-    keys = (rows[inner] - 1) * (size - 1) + cols[inner] - 1
-    raw = DissipatorMatrix._of(
-        _nonidentity_indices(num_sites), (keys, signed[inner]), num_sites
-    )
-    if raw._skew > max(1e-10 * raw.max_abs(), 1e-12):
-        raise HermiticityError(
-            f"extracted coefficient matrix deviates from Hermiticity by "
-            f"{raw._skew:.3e}"
-        )
-    keys, values = _adjoint_sum(*raw._terms, size - 1, 1.0)
-    return DissipatorMatrix._of(raw.index_set, (keys, 0.5 * values), num_sites)
-
-
-def _hamiltonian_from_table(
-    table, dissipator: DissipatorMatrix
-) -> HamiltonianCoefficients:
-    num_sites = dissipator.num_sites
-    size = 4**num_sites
-    codes, signed = table
-    column, gram = np.zeros((2, size), dtype=complex)
-    first = codes % size == 0
-    column[codes[first] // size] = signed[first]
-    gram_codes, gram_values = _gram(dissipator)
-    gram[gram_codes] = gram_values
-    raw = 1j * (column[1:] / np.sqrt(2**num_sites) + 0.5 * gram[1:])
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > VALIDATION_TOL * scale:
-        raise DecompositionInconsistencyError(
-            f"hamiltonian coefficients have imaginary residue {residue:.3e}"
-        )
-    return HamiltonianCoefficients(
-        _nonidentity_indices(num_sites), raw.real.copy(), num_sites
-    )
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """The decomposition ``(h_j, [a_jk])`` of one superoperator and its
@@ -544,10 +561,61 @@ def decompose(superop: Superoperator) -> Decomposition:
     """Full ``[a_jk]`` and ``h_j`` of ``superop`` from one signed table,
     with the checks of :func:`extract_dissipator` and
     :func:`extract_hamiltonian` (validation included)."""
-    table, num_sites = _signed_table(superop, True)
-    dissipator = _dissipator_from_table(table, num_sites)
-    hamiltonian = _hamiltonian_from_table(table, dissipator)
-    return Decomposition(hamiltonian, dissipator, table)
+    table, num_sites = _signed_table(superop)
+    sums = _linear_sums(table, num_sites)
+    _raise_first(_checks(sums, num_sites).values())
+    dissipator = _matrix(sums["dissipator"], num_sites)
+    return Decomposition(_hamiltonian(sums["coherent"], num_sites), dissipator, table)
+
+
+def graded_reports(expansion: EffectiveExpansion, weights, orders, weight_limit, tol_psd):
+    """For each row of ``weights``, the :func:`psd_report` of the cumulative
+    generators of ``orders`` (restricted to ``weight_limit``) when the
+    expansion's parts take the row's weights: a row's sums are the weighted
+    sums of the parts', decomposed once and unchecked, added a part at a
+    time. A first pass over chunks of rows (each row stacking at most
+    ``core._GRID_BYTES`` of one term's sums) runs every check of
+    :func:`decompose` and :func:`psd_report` as reductions over the rows,
+    the first failing row raising at its first failing check. An order's
+    blocks join the entries above their row's structural tolerance at any
+    row, so a report depends on the grid only in roundoff."""
+    superops = [superop for parts in expansion.parts for *_, superop in parts]
+    of_order = np.repeat(np.arange(len(expansion.parts)), [len(p) for p in expansion.parts])
+    num_sites = _num_sites(superops[0])
+    per_part = [_linear_sums(_signed_table(superop)[0], num_sites) for superop in superops]
+    sums = {key: stack_pauli_terms([part[key] for part in per_part]) for key in per_part[0]}
+    keys, parts = sums["dissipator"]
+    cut = _matrix((keys, np.arange(keys.size)), num_sites).restricted(weight_limit)
+    rows, cols, kept = cut._nonzeros
+    parts, size = parts[:, kept], cut.size
+    adjoint = np.searchsorted(cut._terms[0], cols * size + rows)
+    step = max(1, _GRID_BYTES // (16 * sum(v.shape[1] for _, v in sums.values())))
+    chunks = [weights[start : start + step] for start in range(0, len(weights), step)]
+    above = dict.fromkeys(orders, 0.0)  # per entry, its largest |a| / structural tolerance
+    for chunk in chunks:
+        stages = []
+        for order in range(len(expansion.parts)):
+            term = {k: (c, _combine(chunk[:, of_order == order], v[of_order == order]))
+                    for k, (c, v) in sums.items()}
+            stages += _checks(term, num_sites).values()
+            if order in orders:
+                a = _combine(chunk[:, of_order <= order], parts[of_order <= order])
+                peak = np.max(np.abs(a), axis=1, initial=0.0)
+                skew = np.max(np.abs(a - a[:, adjoint].conj()), axis=1, initial=0.0)
+                stages.append(_hermiticity_stage(skew, peak))
+                ratio = np.abs(a) / _structural_tol(peak)[:, None]
+                above[order] = np.maximum(above[order], np.max(ratio, axis=0, initial=0.0))
+        _raise_first(stages)
+    layouts = {order: coupled_components(rows, cols, above[order], 1.0)[0] for order in orders}
+    for chunk in chunks:
+        reports = []
+        for order in orders:
+            a = _combine(chunk[:, of_order <= order], parts[of_order <= order])
+            stacks, deltas = layouts[order].bounded_split(rows, cols, a)
+            peaks = np.max(np.abs(a), axis=1, initial=0.0)
+            spectra = block_eigvalsh(stacks)
+            reports.append(_reports(spectra, deltas, peaks, tol_psd, (rows, cols, a), size))
+        yield from zip(*reports)
 
 
 def extract_dissipator(
@@ -566,8 +634,12 @@ def extract_dissipator(
     :raises HermiticityError: if the extracted (full) matrix is not
         Hermitian within tolerance (signals a corrupted input).
     """
-    table, num_sites = _signed_table(superop, validate)
-    return _dissipator_from_table(table, num_sites).restricted(weight_limit)
+    table, num_sites = _signed_table(superop)
+    sums = _linear_sums(table, num_sites, coherent=False)
+    checks = _checks(sums, num_sites)
+    names = ("trace", "Hermiticity", "inner") if validate else ("inner",)
+    _raise_first([checks[name] for name in names])
+    return _matrix(sums["dissipator"], num_sites).restricted(weight_limit)
 
 
 def extract_hamiltonian(
@@ -584,15 +656,19 @@ def extract_hamiltonian(
         imaginary residue beyond tolerance, signalling an input outside
         the decomposable class.
     """
-    table, num_sites = _signed_table(superop, validate)
-    if dissipator is None:
-        dissipator = _dissipator_from_table(table, num_sites)
-    elif dissipator.weight_limit is not None:
+    table, num_sites = _signed_table(superop)
+    sums = _linear_sums(table, num_sites, dissipator)
+    checks = _checks(sums, num_sites)
+    names = ("trace", "Hermiticity") if validate else ()
+    names += ("inner",) if dissipator is None else ()
+    _raise_first([checks[name] for name in names])
+    if dissipator is not None and dissipator.weight_limit is not None:
         raise DimensionMismatchError(
             "hamiltonian extraction needs a full dissipator matrix, "
             "got a weight-limited one"
         )
-    return _hamiltonian_from_table(table, dissipator)
+    _raise_first([checks["residue"]])
+    return _hamiltonian(sums["coherent"], num_sites)
 
 
 def psd_report(
@@ -625,26 +701,35 @@ def block_report(
     solve. A NaN eigenvalue (from a non-finite entry) becomes the
     minimum, so it never passes.
     """
-    if tol_psd is None:
-        tol_psd = PSD_RTOL * max(1.0, dissipator.max_abs())
     layout, stacks, values, delta = dissipator._blocks(dissipator.structural_tol())
-    spectrum = [block for _, block in layout.unstack(values)]
-    if delta > BLOCK_DROP_RATIO * tol_psd:
-        whole = BlockLayout(np.zeros(dissipator.size, dtype=np.int64))
-        (dense,) = block_eigvalsh(whole.split(*dissipator._nonzeros)[0])
-        spectrum = list(dense)
-    uncoupled = dissipator.size - sum(block.size for block in spectrum)
-    eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *spectrum]))
-    min_eig = float(np.min(eigenvalues)) if eigenvalues.size else 0.0
-    is_liouvillian = min_eig >= -tol_psd
-    report = LiouvillianityReport(
-        eigenvalues=eigenvalues,
-        min_eigenvalue=min_eig,
-        tol=float(tol_psd),
-        is_liouvillian=is_liouvillian,
-        breaking_degree=0.0 if is_liouvillian else -min_eig,
-    )
+    rows, cols, entries = dissipator._nonzeros
+    spectra = [eigenvalues[None] for eigenvalues in values]
+    nonzeros = rows, cols, entries[None]
+    peaks = [dissipator.max_abs()]
+    (report,) = _reports(spectra, [delta], peaks, tol_psd, nonzeros, dissipator.size)
     return report, layout, stacks, values
+
+
+def _reports(spectra, deltas, peaks, tol_psd, nonzeros, size: int) -> list:
+    """The :func:`block_report` of each of a stack of ``size x size``
+    matrices, ``nonzeros = (rows, cols, values)`` with values ``(p, nnz)``,
+    from their block eigenvalues ``spectra`` (one ``(p, k, m)`` array per
+    stack), their ``deltas`` and their largest entries ``peaks``."""
+    rows, cols, values = nonzeros
+    reports = []
+    for point, (delta, peak) in enumerate(zip(deltas, peaks)):
+        tol = PSD_RTOL * max(1.0, peak) if tol_psd is None else tol_psd
+        spectrum = [eigenvalues[point].reshape(-1) for eigenvalues in spectra]
+        if delta > BLOCK_DROP_RATIO * tol:
+            whole = BlockLayout(np.zeros(size, dtype=np.int64))
+            spectrum = [block_eigvalsh(whole.split(rows, cols, values[point])[0])[0].reshape(-1)]
+        uncoupled = size - sum(part.size for part in spectrum)
+        eigenvalues = np.sort(np.concatenate([np.zeros(uncoupled), *spectrum]))
+        min_eig = float(np.min(eigenvalues)) if eigenvalues.size else 0.0
+        ok = bool(min_eig >= -tol)
+        breaking = 0.0 if ok else -min_eig
+        reports.append(LiouvillianityReport(eigenvalues, min_eig, float(tol), ok, breaking))
+    return reports
 
 
 def canonical_decomposition(
@@ -741,7 +826,7 @@ def roundtrip_residual(
 
     :raises DimensionMismatchError: if the three act on different sites.
     """
-    table, num_sites = _signed_table(superop, False)
+    table, num_sites = _signed_table(superop)
     if num_sites != dissipator.num_sites:
         raise DimensionMismatchError(
             f"superoperator on {num_sites} sites, not {dissipator.num_sites}"

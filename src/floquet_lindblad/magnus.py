@@ -137,18 +137,18 @@ class EffectiveExpansion:
         terms = self.order_terms[: cap + 1]
         return _weighted_sum([1.0] * len(terms), terms, self.drive.dim)
 
-    def scaled_terms(self, segment: int | None, value: float) -> tuple:
-        """The order terms with the generator of segment ``segment`` times
-        ``value``, or with every duration times ``value`` if ``segment`` is
-        None: a part is weighted by ``value`` to its degree in that
-        generator (to the order, for durations)."""
-        def degree(word):
-            return len(word) - 1 if segment is None else word.count(segment)
-
-        return tuple(
-            _sum_parts(p, [c * value ** degree(w) for c, w, _ in p], self.drive.dim)
-            for p in self.parts
-        )
+    def part_weights(self, segment: int | None, values) -> np.ndarray:
+        """The weight of every part, in order, when the generator of segment
+        ``segment`` is multiplied by each of ``values`` (or every duration,
+        if ``segment`` is None), one row per value: the part's coefficient
+        times the value to the part's degree in that generator (to its
+        order, for durations). A weight may overflow to inf."""
+        coefficients, degrees = np.array([
+            (c, len(word) - 1 if segment is None else word.count(segment))
+            for parts in self.parts for c, word, _ in parts
+        ]).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coefficients * np.asarray(values, dtype=float)[:, None] ** degrees
 
 
 def _sum_parts(parts, weights, system_dim: int) -> Superoperator:

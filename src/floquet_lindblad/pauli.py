@@ -365,6 +365,17 @@ def merge_pauli_terms(
     return (kept if direct else slots[kept]), sums[kept]
 
 
+def stack_pauli_terms(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse sums ``(codes, values)`` on the union of their codes: the
+    ascending codes and one row of values per sum, zero where it lacks a
+    code."""
+    codes, where = np.unique(np.concatenate([c for c, _ in terms]), return_inverse=True)
+    values = np.zeros((len(terms), codes.size), dtype=complex)
+    rows = np.repeat(np.arange(len(terms)), [c.size for c, _ in terms])
+    values[rows, where] = np.concatenate([v for _, v in terms])
+    return codes, values
+
+
 def _string_products(left, right, weights, num_sites: int, commutator: bool):
     """Codes and values of ``weights[i] F_left[i] F_right[i]`` (or of the
     commutators), not merged: ``F_a F_b = 2^(-L/2) prod_l 1j^p(a_l, b_l)

@@ -1,18 +1,27 @@
 """The ``scan`` and ``fit-modelc`` grid against its per-point reference:
 graded expansion parts, the linearity of every scannable parameter in
-one segment generator, the work done once per run, and the scan's
-configuration errors."""
+one segment generator, the work done once per run, the scan's
+configuration errors, the stacked pass against the per-point pass on
+planted failures, its memory and the 6-site scan."""
 
 import functools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from floquet_lindblad import cli, magnus
-from floquet_lindblad.lindblad import PiecewiseLiouvillian
-from floquet_lindblad.liouvillianity import psd_report
+from floquet_lindblad import cli, liouvillianity, magnus
+from floquet_lindblad.core import (
+    _hermiticity_stage,
+    _raise_first,
+    block_eigvalsh,
+    coupled_components,
+)
+from floquet_lindblad.errors import HermiticityError
+from floquet_lindblad.lindblad import PiecewiseLiouvillian, Superoperator
+from floquet_lindblad.liouvillianity import DissipatorMatrix, psd_report
 from floquet_lindblad.models import PARAMETER_SEGMENTS, ModelParams, build_model
 from floquet_lindblad.pauli import merge_pauli_terms
 
@@ -218,7 +227,20 @@ def test_van_vleck_parts_of_a_binary_drive(key):
 
 def count_grid_work(monkeypatch):
     """Patch the segment generator build and the commutator to record
-    their calls; returns the two lists."""
+    their calls; returns the two lists, and a count of the signed tables
+    read (one per decomposed superoperator) and of the ``eigvalsh`` calls."""
+    solves = {"tables": 0, "eigvalsh": 0}
+    for name, module, attribute in (
+        ("tables", liouvillianity, "_signed_table"),
+        ("eigvalsh", np.linalg, "eigvalsh"),
+    ):
+        function = getattr(module, attribute)
+
+        def counted(*args, name=name, function=function):
+            solves[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, attribute, counted)
     builds, commutators = [], []
     build = PiecewiseLiouvillian._segment_generators.func
 
@@ -236,7 +258,7 @@ def count_grid_work(monkeypatch):
         return commutator(a, b)
 
     monkeypatch.setattr(magnus, "_commutator", counted_commutator)
-    return builds, commutators
+    return builds, commutators, solves
 
 
 @pytest.mark.parametrize(
@@ -251,17 +273,21 @@ def count_grid_work(monkeypatch):
 def test_grid_commands_do_their_parameter_independent_work_once(
     monkeypatch, tmp_path, command, orders, section
 ):
-    """One run builds the segment generators once and forms each
-    commutator of the closed-form orders once, whatever the grid size, and
-    two runs give byte-identical reports."""
-    builds, commutators = count_grid_work(monkeypatch)
+    """One run builds the segment generators once, forms each commutator
+    of the closed-form orders once and decomposes each graded part once,
+    whatever the grid size; it makes as many ``eigvalsh`` calls at 3
+    points as at 6; and two runs give byte-identical reports."""
+    builds, commutators, solves = count_grid_work(monkeypatch)
     name = next(iter(section))
     expected_commutators = {2: 3, 3: 4}[max(orders) if command == "scan" else 2]
+    expected_parts = {2: 5, 3: 6}[max(orders) if command == "scan" else 2]
+    eigensolves = []
     for count in (3, 6):
         reports = []
         for run in range(2):
             builds.clear()
             commutators.clear()
+            solves.update(tables=0, eigvalsh=0)
             path = tmp_path / "config.json"
             path.write_text(json.dumps({
                 "schema_version": 1,
@@ -273,8 +299,11 @@ def test_grid_commands_do_their_parameter_independent_work_once(
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
             assert len(builds) == 1
             assert len(commutators) == expected_commutators
+            assert solves["tables"] == expected_parts
+            eigensolves.append(solves["eigvalsh"])
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+    assert eigensolves[0] == eigensolves[-1] > 0
 
 
 @pytest.mark.parametrize("key, parameter", [(k, p) for k, p in SCANS if p != "tau"])
@@ -291,3 +320,231 @@ def test_scan_refuses_a_negative_grid_and_names_the_parameter(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"scan.start: {parameter} grid must stay nonnegative" in err
     assert "rate grids" not in err
+
+
+def scaled_terms(unit, segment, value):
+    """The order terms of ``unit`` with the generator of segment ``segment``
+    times ``value`` (every duration, if None): each part weighted by its
+    coefficient times ``value`` to its degree in that generator."""
+
+    def degree(word):
+        return len(word) - 1 if segment is None else word.count(segment)
+
+    return tuple(
+        magnus._sum_parts(p, [c * value ** degree(w) for c, w, _ in p], unit.drive.dim)
+        for p in unit.parts
+    )
+
+
+def oracle_certify_grid(config, unit, parameter, grid, orders):
+    """The per-point grid pass over the unit expansion ``unit``: each point's
+    order terms are weighted sums of the parts, and each point is decomposed
+    and certified on its own, in grid order."""
+    segment = PARAMETER_SEGMENTS[config.params.name].get(parameter)
+    for value in grid:
+        terms = scaled_terms(unit, segment, float(value))
+        yield [
+            psd_report(
+                cumulative.dissipator.restricted(config.weight_limit),
+                tol_psd=config.tol_psd,
+            )
+            for order, _, cumulative in cli._running_decompositions(terms)
+            if order in orders
+        ]
+
+
+def outcome(points):
+    """The reports of every point, or the error (type and message) raised
+    instead, and the number of points reported before it."""
+    reports = []
+    try:
+        for point in points:
+            reports.append(point)
+    except Exception as error:
+        return len(reports), type(error), str(error)
+    return reports
+
+
+def planted(unit, order, position, codes, values):
+    """``unit`` with ``values`` added to part ``position`` of ``order`` at the
+    doubled Pauli ``codes``."""
+    parts = [list(p) for p in unit.parts]
+    coefficient, word, superop = parts[order][position]
+    terms = [np.concatenate(pair) for pair in zip(superop.pauli_terms, (codes, values))]
+    part = Superoperator.from_pauli_terms(*merge_pauli_terms(*terms), superop.system_dim)
+    parts[order][position] = (coefficient, word, part)
+    return replace(unit, parts=tuple(map(tuple, parts)))
+
+
+#: Doubled codes of X and Z on the first of three sites, which anticommute
+#: and carry no Y, so their signed-table entries are their coefficients.
+X0, Z0, SIZE = 16, 48, 4**3
+
+
+def residue_plant(size):
+    """``t[j, 0] = size`` and ``t[0, j] = -size`` under the dissipator
+    ``1e4 * 1`` on every non-identity index with its trace-preserving first
+    row and column: a valid GKLS form whose table norm raises the
+    validation scale far above its coherent part."""
+    indices = liouvillianity._nonidentity_indices(3)
+    dissipator = DissipatorMatrix(indices, 1e4 * np.eye(SIZE - 1), 3)
+    form = liouvillianity._form_parts(None, dissipator)
+    codes, values = liouvillianity._form_superop(*form, 3).pauli_terms
+    return np.append(codes, [X0 * SIZE, X0]), np.append(values, [size, -size])
+
+
+PLANTS = {
+    # A real diagonal table entry: K gains an identity part.
+    "trace": (1, 0, lambda e: ([X0 * SIZE + X0], [e])),
+    # t[j, 0] = e, t[0, j] = -e: K keeps zero, t - t^dag does not.
+    "hermiticity": (1, 0, lambda e: ([X0 * SIZE, X0], [e, -e])),
+    # An anti-Hermitian pair of anticommuting inner entries.
+    "raw-skew": (2, 0, lambda e: ([X0 * SIZE + Z0, Z0 * SIZE + X0], [1j * e, 1j * e])),
+    # The same first row and column defect under a large valid form.
+    "residue": (1, 0, residue_plant),
+    "nan": (1, 0, lambda e: ([X0 * SIZE + X0], [np.nan])),
+    "inf": (1, 0, lambda e: ([X0 * SIZE + X0], [np.inf])),
+}
+
+
+@pytest.mark.parametrize(
+    "plant, size, error, first",
+    [
+        ("trace", 1e-6, "not trace preserving", 3),
+        ("hermiticity", 1e-7, "not Hermiticity preserving", 4),
+        ("raw-skew", 3e-9, "extracted coefficient matrix deviates from Hermiticity by 3.600e-12", 3),
+        ("residue", 1e-6, "hamiltonian coefficients have imaginary residue 1.061e-08", 3),
+        ("nan", None, "not trace preserving", 0),
+        ("inf", None, "not trace preserving", 0),
+        ("trace", 1e-8, None, None),
+        ("hermiticity", 1e-9, None, None),
+    ],
+)
+def test_stacked_grid_raises_what_the_per_point_pass_raises(plant, size, error, first):
+    """A perturbed part of model D's unit expansion (L=3, ``gamma`` from 0
+    to 1.6) fails one check of ``decompose`` from grid point ``first`` on,
+    the earlier points passing it. The stacked pass raises the error of the
+    per-point pass, or writes its reports when no point fails."""
+    scan = {"parameter": "gamma", "start": 0.0, "stop": 1.6, "count": 9}
+    config = run_config("scan", MODELS["D3"], scan=scan)
+    grid = cli._parse_grid(config.scan_section, "scan")
+    unit = config.expansion(build_model(replace(config.params, gamma=1.0)))
+    order, position, terms = PLANTS[plant]
+    codes, values = terms(size)
+    unit = planted(unit, order, position, np.array(codes), np.array(values, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        expected = outcome(oracle_certify_grid(config, unit, "gamma", grid, config.orders))
+        stacked = outcome(cli._certify_grid(config, unit, "gamma", grid, config.orders, "scan"))
+    if error is None:
+        assert len(stacked) == len(expected) == grid.size
+        for ours, theirs in zip(stacked, expected):
+            for report, reference in zip(ours, theirs):
+                assert report.is_liouvillian == reference.is_liouvillian
+                assert report.min_eigenvalue == pytest.approx(reference.min_eigenvalue, abs=1e-12)
+        return
+    assert expected[0] == first and error in expected[2]
+    assert stacked[1:] == expected[1:]
+
+
+def test_stacked_certification_is_the_per_matrix_report():
+    """Matrices on the same positions, certified together on one layout
+    that joins the entries above any one's structural tolerance, get each
+    matrix's ``psd_report``; the Hermiticity stage of a stack raises the
+    error that ``psd_report`` raises for its first non-Hermitian matrix."""
+    config = run_config("scan", MODELS["C3"], orders=(0, 1, 2))
+    expansion = config.expansion(config.drive())
+    keys, values = liouvillianity.decompose(expansion.cumulative(2)).dissipator._terms
+    stack = values * np.array([[0.0], [0.5], [1.0], [2.0]])
+    stack[1, 0] = 3.0  # the diagonal of the first index set grows
+    matrices = [liouvillianity._matrix((keys, row), 3) for row in stack]
+    rows, cols, _ = matrices[0]._nonzeros
+    above = np.max(np.abs(stack) / [[m.structural_tol()] for m in matrices], axis=0)
+    layout = coupled_components(rows, cols, above, 1.0)[0]
+    stacks, deltas = layout.bounded_split(rows, cols, stack)
+    spectra = block_eigvalsh(stacks)
+    peaks = np.max(np.abs(stack), axis=1)
+    reports = liouvillianity._reports(spectra, deltas, peaks, None, (rows, cols, stack), SIZE - 1)
+    for report, matrix in zip(reports, matrices):
+        alone = psd_report(matrix)
+        assert report.is_liouvillian == alone.is_liouvillian
+        assert report.tol == alone.tol
+        np.testing.assert_allclose(report.eigenvalues, alone.eigenvalues, rtol=0, atol=1e-14)
+    skewed = stack.copy()
+    skewed[2, 1] += 1e-3j
+    skewed[3, 1] += 1e-2j
+    with pytest.raises(HermiticityError) as alone:
+        psd_report(liouvillianity._matrix((keys, skewed[2]), 3))
+    matrices = [liouvillianity._matrix((keys, row), 3) for row in skewed]
+    skews = np.array([matrix._skew for matrix in matrices])
+    peaks = np.array([matrix.max_abs() for matrix in matrices])
+    with pytest.raises(HermiticityError) as stacked:
+        _raise_first([_hermiticity_stage(skews, peaks)])
+    assert str(stacked.value) == str(alone.value)
+
+
+def scan_peak(count, orders):
+    """The traced peak of the scan pass of model D at L=4 over ``count``
+    ``gamma`` points, after one untraced run for caches."""
+    scan = {"parameter": "gamma", "start": 0.0, "stop": 1.6, "count": count}
+    config = run_config("scan", MODELS["D4"], orders=orders, scan=scan)
+    grid = cli._parse_grid(config.scan_section, "scan")
+    unit = config.expansion(build_model(replace(config.params, gamma=1.0)))
+
+    def run():
+        for _ in cli._certify_grid(config, unit, "gamma", grid, config.orders, "scan"):
+            pass
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    """The scan pass takes the grid a chunk at a time. For model D at L=4
+    through order 3 a chunk holds fewer than 16 points, and the traced
+    peak at 160 points is that at 16."""
+    peaks = [scan_peak(count, (0, 1, 2, 3)) for count in (16, 160)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("key, parameter", [("D3", "jx"), ("D4", "tau")])
+def test_scan_reports_do_not_depend_on_the_chunks(monkeypatch, key, parameter):
+    """One point per chunk and one chunk for the whole grid write the same
+    report, bit for bit: a point's sums are added a part at a time (a
+    matrix product of the weights and the parts would differ in the last
+    digits on these grids), and every chunk is certified on the blocks of
+    the whole grid."""
+    scan = {"parameter": parameter, **scan_grid(parameter)}
+    config = run_config("scan", MODELS[key], orders=(0, 1, 2, 3), scan=scan)
+    reports = []
+    for budget in (1, 2**40):
+        monkeypatch.setattr(liouvillianity, "_GRID_BYTES", budget)
+        reports.append(cli.cmd_scan(config))
+    assert reports[0] == reports[1]
+
+
+def test_six_site_scan_certifies_from_nonzeros(monkeypatch, tmp_path, capsys):
+    """A 16-point ``gamma`` scan of model D at L=6 through order 3 runs
+    through ``cli.main`` with every dense superoperator, dense coefficient
+    view and 2L-site transform forbidden, and writes the rows of the model
+    rebuilt at a point, at three of its points."""
+    from test_pauli_expansion import forbid_materialization
+
+    model = {"name": "D", "tau": 0.2, "num_sites": 6, "jx": 1.0, "gamma": 0.5}
+    scan = {"parameter": "gamma", "start": 0.0, "stop": 1.5, "count": 16}
+    document = {"schema_version": 1, "model": model, "orders": [0, 1, 2, 3], "scan": scan}
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(document))
+    forbid_materialization(monkeypatch, 6)
+    assert cli.main(["scan", "--config", str(path)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 16 * 4
+    config = run_config("scan", model, orders=(0, 1, 2, 3), scan=scan)
+    grid = cli._parse_grid(config.scan_section, "scan")
+    for point in (0, 7, 15):
+        expected = reference_scan_rows(config, "gamma", grid[point : point + 1])
+        assert_rows_agree(rows[4 * point : 4 * point + 4], expected)

@@ -1041,3 +1041,52 @@ def test_non_finite_matrices_are_configuration_errors(tmp_path, capsys, bad):
     code, out, err = run_cli(capsys, ["analyze", "--config", config])
     assert code == 2 and out == ""
     assert "segments[0].hamiltonian_terms[0].matrix" in err and "finite" in err
+
+
+@pytest.mark.parametrize("key", ["start", "stop"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("command", ["scan", "fit-modelc", "compare-exact"])
+def test_non_finite_grid_ends_are_configuration_errors(tmp_path, capsys, command, bad, key):
+    """A grid end that is NaN or infinite (JSON ``NaN``, ``Infinity``)
+    exits 2 naming the key, not 3 with a failed check at some point."""
+    section = {"start": 0.05, "stop": 0.2, "count": 4, key: bad}
+    name = {"scan": "scan", "fit-modelc": "fit", "compare-exact": "compare"}[command]
+    if command == "scan":
+        section["parameter"] = "gamma"
+    document = {
+        "schema_version": 1,
+        "model": {"name": "C", "tau": 0.2, "num_sites": 3, "jz": 1.0, "gamma": 0.5},
+        name: section,
+    }
+    code, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, document)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {name}.{key}: must be finite")
+
+
+@pytest.mark.parametrize(
+    "command, model, section",
+    [
+        (
+            "scan",
+            {"name": "D", "tau": 0.2, "num_sites": 3, "jx": 1.0, "gamma": 0.5},
+            {"scan": {"parameter": "gamma", "start": 0.0, "stop": 1e200, "count": 4}},
+        ),
+        (
+            "fit-modelc",
+            {"name": "C", "tau": 0.2, "num_sites": 3, "jz": 1.0, "gamma": 0.5},
+            {"fit": {"start": 0.05, "stop": 1e200, "count": 4}},
+        ),
+    ],
+    ids=["scan", "fit-modelc"],
+)
+def test_grids_whose_part_weights_overflow_are_configuration_errors(
+    tmp_path, capsys, command, model, section
+):
+    """A finite grid end at which a graded part's weight (its coefficient
+    times the value to its degree) overflows exits 2 naming the stop, with
+    no traceback."""
+    document = {"schema_version": 1, "model": model, **section}
+    code, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, document)])
+    name = next(iter(section))
+    assert code == 2 and out == ""
+    assert err == f"config error: {name}.stop: the expansion's part weights overflow on this grid\n"

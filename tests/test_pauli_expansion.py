@@ -323,10 +323,12 @@ def sparse_form(superop):
 
 
 def table_defects(superop):
-    num_sites = superop.system_dim.bit_length() - 1
-    codes, values = lindblad._pauli_terms(superop)
-    signs = (-1.0) ** pauli.code_two_counts(num_sites)[codes % 4**num_sites]
-    return liouvillianity._table_defects(codes, values * signs, num_sites)
+    """``||K||_F``, ``||t - t^dag||_F`` and the validation scale ``max(1,
+    ||t||_F / 4^L)`` of the signed table ``t`` of ``superop``."""
+    table, num_sites = liouvillianity._signed_table(superop)
+    sums = liouvillianity._linear_sums(table, num_sites)
+    gram, skew, norm = (np.linalg.norm(sums[key][1]) for key in ("gram", "skew", "table"))
+    return gram, skew, max(1.0, norm / 4**num_sites)
 
 
 def verdict_cases():

@@ -26,7 +26,7 @@ from floquet_lindblad import (
     pauli_coefficients,
     pauli_string,
 )
-from floquet_lindblad import cli, dynamics, lindblad, magnus
+from floquet_lindblad import cli, core, dynamics, lindblad, magnus
 from floquet_lindblad.core import block_logs, matrix_exp
 from floquet_lindblad.lindblad import PiecewiseLiouvillian
 from floquet_lindblad.magnus import TransferBlocks, transfer
@@ -240,6 +240,94 @@ def test_compare_grid_matches_the_per_point_reference(model, flavor):
             assert residual == pytest.approx(value, rel=1e-12, abs=1e-14 * norm)
     if model["name"] != "B":
         assert any(failed for _, failed in results)
+
+
+D4 = {"name": "D", "tau": 0.2, "num_sites": 4, "jx": 1.0, "gamma": 0.5}
+
+
+def compare_grid(model, count, stop=0.2):
+    """A ``compare-exact`` configuration for ``model`` over ``count`` points
+    of the ``exact-ring4`` benchmark grid (0.02 to 0.2), with its expansion
+    and grid."""
+    config = compare_config(model, "fm")
+    config.compare_section.update(start=0.02, stop=stop, count=count)
+    grid = cli._parse_grid(config.compare_section, "compare", geometric=True)
+    return config, config.expansion(config.drive()), grid
+
+
+def test_compare_pass_raises_after_the_first_ill_conditioned_chunk(monkeypatch):
+    """Model D at L=4 is ill-conditioned from its first grid point. Over 60
+    points the pass exponentiates that point's chunk only, in one
+    ``matrix_exp`` call per segment and block group, and raises the
+    ``ConditioningError`` of the whole-grid pass."""
+    config, expansion, grid = compare_grid(D4, 60)
+    groups = TransferBlocks(expansion.drive).groups
+    exponentiated = []
+    stacked = core.matrix_exp
+
+    def counted(matrix):
+        exponentiated.append(len(matrix))
+        return stacked(matrix)
+
+    monkeypatch.setattr(core, "matrix_exp", counted)
+    with pytest.raises(ConditioningError) as raised:
+        cli._compare_pass(config, expansion, grid)
+    assert str(raised.value) == (
+        "eigenvector condition number 3.995e+10 exceeds 1.000e+10; logarithm unreliable"
+    )
+    # One point per chunk: each call stacks that point's blocks of a group.
+    assert exponentiated == [len(group) for group in groups] * len(expansion.drive.segments)
+
+
+def peak_bytes(run) -> int:
+    """The traced peak of ``run()``, after one untraced call for caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_pass_memory_does_not_grow_with_the_grid():
+    """The pass walks the grid a chunk of points at a time. For model D at
+    L=4, whose chunk is one point, its traced peak up to the conditioning
+    error is the same at 60 points as at 6; the whole-grid stacks grew
+    with the count."""
+    peaks = []
+    for count in (6, 60):
+        config, expansion, grid = compare_grid(D4, count)
+
+        def run():
+            with pytest.raises(ConditioningError):
+                cli._compare_pass(config, expansion, grid)
+
+        peaks.append(peak_bytes(run))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("model", [MODELS[3], MODELS[4]], ids=["C4", "D3"])
+def test_chunked_compare_pass_equals_the_whole_grid_bit_for_bit(monkeypatch, model):
+    """A chunk of one point and one chunk for the whole grid give the same
+    residuals, branch flags, step and cumulative blocks, bit for bit: the
+    stacked exponentials, ``eig``, ``svd`` and ``inv`` of a matrix do not
+    depend on the other matrices of the stack, and the residual sums over
+    the orders one at a time. The grid reaches D3's branch ambiguity."""
+    model = {k: v for k, v in vars(model).items() if v is not None}
+    config, expansion, grid = compare_grid(model, 9, stop=4.0)
+    passes = []
+    for budget in (1, 2**40):
+        monkeypatch.setattr(cli, "_GRID_BYTES", budget)
+        passes.append(cli._compare_pass(config, expansion, grid))
+    (results, _, step, cumulative), (whole, _, whole_step, whole_cumulative) = passes
+    assert results == whole
+    for ours, theirs in zip(step + cumulative, whole_step + whole_cumulative):
+        assert np.array_equal(ours, theirs)
+    stack = TransferBlocks(expansion.drive).propagator(np.geomspace(0.1, 1.0, 7))
+    chunks = [block_logs([s[start : start + 2] for s in stack]) for start in range(0, 7, 2)]
+    for position, log in enumerate(block_logs(stack)):
+        assert np.array_equal(log, np.concatenate([chunk[position] for chunk in chunks]))
 
 
 def compare_exact_run(tmp_path, count):
