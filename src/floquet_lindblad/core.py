@@ -165,10 +165,15 @@ class BlockLayout:
     """The indices ``0..size-1`` split into blocks by integer ``labels``:
     equal labels share a block, and a negative label puts an index in
     none. Blocks of equal size ``m`` form one stack ``(k, m, m)``, ordered
-    by label; row ``i`` of ``groups[g]`` holds the ascending indices of
-    block ``i`` of stack ``g``."""
+    by label; row ``i`` of ``groups[g]`` holds the indices of block ``i``
+    of stack ``g`` in the order of the block's rows. They ascend unless an
+    index permutation ``shift`` is given. Then each orbit of ``shift`` over
+    a stack's blocks is walked from its first block, and each next block
+    takes the image of the previous one's row; so every block of a matrix
+    that ``shift`` leaves invariant equals the first block of its orbit,
+    entry for entry."""
 
-    def __init__(self, labels: np.ndarray) -> None:
+    def __init__(self, labels: np.ndarray, shift: np.ndarray | None = None) -> None:
         self.labels = labels
         inside = np.flatnonzero(labels >= 0)
         members = inside[np.argsort(labels[inside], kind="stable")]
@@ -181,6 +186,16 @@ class BlockLayout:
         self._row, self._pos = np.empty((2, labels.size), dtype=np.int64)
         for width in np.unique(counts).tolist():
             indices = members[starts[counts == width][:, None] + np.arange(width)]
+            if shift is not None:
+                place = {label: i for i, label in enumerate(labels[indices[:, 0]].tolist())}
+                onto = [place.get(image[0], -1) if (image == image[0]).all() else -1
+                        for image in labels[shift[indices]]]
+                reached = np.zeros(len(onto), dtype=bool)
+                for block in range(len(onto)):
+                    reached[block] = True
+                    while (image := onto[block]) >= 0 and not reached[image]:
+                        indices[image], reached[image] = shift[indices[block]], True
+                        block = image
             self._pos[indices] = np.arange(width)
             places = width * np.arange(indices.size).reshape(indices.shape)
             self._row[indices] = self._bounds[-1] + places
@@ -215,9 +230,9 @@ class BlockLayout:
         return stacks, (delta if delta.ndim else float(delta))
 
     def unstack(self, *per_group) -> list[tuple]:
-        """Every block as a tuple of its ascending indices and its row in
-        each of ``per_group`` (lists with one array per group, such as the
-        stacks), in the order of the blocks' first indices."""
+        """Every block as a tuple of its indices (its row of ``groups``) and
+        its row in each of ``per_group`` (lists with one array per group,
+        such as the stacks), in the order of the blocks' first indices."""
         blocks = [block for group in zip(self.groups, *per_group) for block in zip(*group)]
         return sorted(blocks, key=lambda block: block[0][0])
 
@@ -295,6 +310,20 @@ def herm_eigs(
     return eigenvalues, eigenvectors
 
 
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct matrices of a stack ``(k, m, m)``, told apart by their
+    bytes (``-0.0`` is not ``0.0``; a NaN matches only the same bits), and
+    the position of each matrix among them."""
+    if not stack.size:
+        return stack[:1], np.zeros(len(stack), dtype=np.int64)
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(stack):  # all distinct: no copy
+        return stack, np.arange(len(stack))
+    return stack[first], inverse
+
+
 #: Padé degrees of :func:`matrix_exp`, each with the largest 1-norm for
 #: which it reaches double precision (Higham 2005, Table 2.3).
 _PADE_THETAS = {
@@ -316,7 +345,8 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     scaling ``2^-s`` so that its norm is at most ``theta_13``. The matrices
     of one degree take batched products and one batched solve, and each is
     then squared ``s`` times. So every matrix's exponential is the one it
-    has on its own. A matrix with a non-finite entry gives NaN.
+    has on its own, and equal matrices (bit for bit) are solved once. A
+    matrix with a non-finite entry gives NaN.
     """
     arr = np.asarray(matrix)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
@@ -325,6 +355,7 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
         )
     shape = arr.shape
     arr = (arr[None] if arr.ndim == 2 else arr).astype(np.result_type(arr, 1.0), copy=False)
+    arr, inverse = _distinct(arr)
     norms = np.abs(arr).sum(axis=1).max(axis=1, initial=0.0)
     finite = np.isfinite(norms)
     norms[~finite] = 0.0
@@ -356,7 +387,7 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
         more = squarings > done
         result[more] = result[more] @ result[more]
     result[~finite] = np.nan
-    return result.reshape(shape)
+    return result[inverse].reshape(shape)
 
 
 def block_exps(stacks) -> list[np.ndarray]:
@@ -386,7 +417,9 @@ def block_logs(
 ) -> list[np.ndarray]:
     """Principal logarithms of block-diagonal matrices, given as stacks of
     equal-size blocks, ``(k, m, m)`` for one matrix or ``(p, k, m, m)`` for
-    ``p`` of them; one eigensolve, one SVD and one inverse per stack.
+    ``p`` of them; one eigensolve, one SVD and one inverse per stack, each
+    over the stack's distinct blocks (equal bit for bit), whose results are
+    then gathered to every block, so a block's are those it has on its own.
 
     Each block is diagonalized, the principal scalar logarithm is applied
     to the eigenvalues, and the similarity transform is undone. Two failure
@@ -404,9 +437,12 @@ def block_logs(
     :raises ConditioningError: for the first other ill-conditioned one.
     """
     shapes = [np.shape(stack) for stack in stacks]
-    stacks = [np.asarray(s, complex).reshape(-1, *n[-3:]) for s, n in zip(stacks, shapes)]
-    values, vectors = zip(*map(np.linalg.eig, stacks))
-    eigenvalues = np.concatenate([v.reshape(len(v), -1) for v in values], axis=1)
+    # Per stack: its distinct blocks' eig, and each block's place among them (p, k).
+    solved = []
+    for stack, shape in zip(stacks, shapes):
+        blocks, where = _distinct(np.asarray(stack, complex).reshape(-1, *shape[-2:]))
+        solved.append((*np.linalg.eig(blocks), where.reshape(int(np.prod(shape[:-3])), -1)))
+    eigenvalues = np.concatenate([w[i].reshape(len(i), -1) for w, _, i in solved], axis=1)
     moduli = np.abs(eigenvalues)
     scale = moduli.max(axis=1, initial=0.0)
     zero = (scale == 0.0) | np.any(moduli <= 1e-300 * np.maximum(scale, 1.0)[:, None], axis=1)
@@ -422,7 +458,7 @@ def block_logs(
             f"eigenvalue within {np.min(off_axis[0]):.3e} rad of the negative real "
             f"axis (limit {branch_tol:.3e}); principal branch is ambiguous"
         )
-    singular = [np.linalg.svd(v, compute_uv=False).reshape(len(v), -1) for v in vectors]
+    singular = [np.linalg.svd(v, compute_uv=False)[i].reshape(len(i), -1) for _, v, i in solved]
     singular = np.concatenate(singular, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = singular.max(axis=1) / singular.min(axis=1)
@@ -433,8 +469,9 @@ def block_logs(
             f"exceeds {condition_limit:.3e}; logarithm unreliable"
         )
     logs, kept = [], ~ambiguous
-    for shape, w, v in zip(shapes, values, vectors):
+    for shape, (w, v, where) in zip(shapes, solved):
+        used = np.bincount(where[kept].ravel(), minlength=len(v)) > 0
         log = np.full(v.shape, np.nan, dtype=complex)
-        log[kept] = (v[kept] * np.log(w[kept])[..., None, :]) @ np.linalg.inv(v[kept])
-        logs.append(log.reshape(shape))
+        log[used] = (v[used] * np.log(w[used])[..., None, :]) @ np.linalg.inv(v[used])
+        logs.append(np.where(kept[:, None, None, None], log[where], np.nan).reshape(shape))
     return logs

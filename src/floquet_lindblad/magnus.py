@@ -334,7 +334,8 @@ class TransferBlocks:
 
     These matrices, and their products, exponentials and logarithms, are
     block diagonal in the split, whose stacks ``groups`` lays out as
-    :class:`~floquet_lindblad.core.BlockLayout` does.
+    :class:`~floquet_lindblad.core.BlockLayout` does, its rows oriented by
+    the cyclic site shift (a rotation of the codes' base-4 digits).
     ``segment_blocks[s]`` holds the stacks of the generator of segment
     ``s``.
     """
@@ -345,7 +346,8 @@ class TransferBlocks:
         self.others = [transfer(other) for other in others]
         patterns = [codes for codes, _ in generators + self.others]
         rows, cols = np.divmod(np.concatenate(patterns), size)
-        self._layout = BlockLayout(component_labels(rows, cols, size))
+        shift = np.arange(size).reshape(4, -1).T.ravel()
+        self._layout = BlockLayout(component_labels(rows, cols, size), shift)
         self.groups = self._layout.groups
         self.segment_blocks = [self.split(generator)[0] for generator in generators]
 

@@ -373,6 +373,108 @@ def test_stacked_logs_raise_for_the_first_ill_conditioned_point():
     assert str(stacked.value) == str(alone.value)
 
 
+def same_bits(ours, theirs):
+    """Equal shapes and equal bytes: ``-0.0`` is not ``0.0``, and NaN is NaN."""
+    return ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def counting(monkeypatch, name):
+    """The stack sizes passed to ``np.linalg.<name>`` from now on."""
+    sizes, solver = [], getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
+def signed_zero_twins():
+    """A matrix with an exact zero off its diagonal, and its twin with ``-0.0`` there."""
+    plus = np.diag([1.0, 0.5, 2.0]).astype(complex)
+    minus = plus.copy()
+    minus[0, 1] = -0.0
+    return plus, minus
+
+
+def test_matrix_exp_solves_each_distinct_matrix_once(monkeypatch):
+    """A stack with repeated matrices (NaN ones and ``+0.0``/``-0.0`` twins
+    among them) takes one solve per distinct matrix, bit for bit, and each
+    exponential equals, bit for bit, the one-matrix call's, without a
+    ``RuntimeWarning``; an empty stack keeps its shape."""
+    base = stack_with_norms(np.random.default_rng(47), 3, [0.1, 20.0, 0.5], True)
+    spoiled = base[1].copy()
+    spoiled[2, 0] = np.nan
+    plus, minus = signed_zero_twins()
+    stack = np.stack([base[0], spoiled, base[1], plus, base[0], minus, spoiled, base[2], plus])
+    solves = counting(monkeypatch, "solve")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = matrix_exp(stack)
+    assert sum(solves) == 6
+    for matrix, exponential in zip(stack, result):
+        assert same_bits(exponential, matrix_exp(matrix))
+    assert matrix_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_block_logs_solve_each_distinct_block_once(monkeypatch):
+    """Stacks of points with blocks repeated within and across points (a
+    repeated branch-ambiguous block and ``+0.0``/``-0.0`` twins among them)
+    take one ``eig`` over each stack's distinct blocks. Every point's
+    logarithms equal, bit for bit, those of the point on its own, without a
+    ``RuntimeWarning``; the points with the ambiguous block get NaN, as
+    they raise on their own. A group of no blocks is accepted."""
+    stacks = planted_points(np.random.default_rng(53), 5)
+    stacks[0][:, 0] = stacks[0][0, 0]
+    stacks[0][1, 2] = stacks[0][3, 1]
+    stacks[0][2, 1] = stacks[0][4, 2] = np.diag([-1.0, 0.5])
+    plus, minus = signed_zero_twins()
+    stacks[1][0, 1] = stacks[1][3, 1] = plus
+    stacks[1][3, 0] = minus
+    eigs = counting(monkeypatch, "eig")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        logs = block_logs(stacks)
+        assert eigs == [9, 9]
+        for point in range(5):
+            if point in (2, 4):
+                assert all(np.isnan(log[point]).all() for log in logs)
+                with pytest.raises(BranchCutError):
+                    block_logs([stack[point] for stack in stacks])
+                continue
+            alone = block_logs([stack[point] for stack in stacks])
+            assert all(same_bits(log[point], one) for log, one in zip(logs, alone))
+    empty = [np.zeros((5, 0, 4, 4), dtype=complex), *stacks]
+    assert all(map(same_bits, block_logs(empty)[1:], logs))
+    assert same_bits(block_logs([empty[0][0], stacks[1][0]])[1], logs[1][0])
+
+
+@pytest.mark.parametrize("defect", ["nan", "ill-conditioned", "ambiguous"])
+def test_block_logs_with_repeated_blocks_raise_as_the_point_alone(defect):
+    """A repeated NaN block raises NumPy's ``LinAlgError``, a repeated
+    ill-conditioned block the ``ConditioningError`` of its first point, and
+    an ambiguous block repeated at every point the first point's
+    ``BranchCutError``, each with the message the point raises on its own."""
+    stacks = planted_points(np.random.default_rng(59), 4)
+    block = {
+        "nan": np.full((2, 2), np.nan),
+        "ill-conditioned": np.array([[1.0, 1.0], [0.0, 1.0 + 1e-14]]),
+        "ambiguous": np.diag([-1.0, 0.5]),
+    }[defect]
+    points = range(4) if defect == "ambiguous" else (1, 3)
+    for point in points:
+        stacks[0][point, 0] = stacks[0][point, 2] = block
+    error = np.linalg.LinAlgError if defect == "nan" else (ConditioningError, BranchCutError)
+    with pytest.raises(error) as alone:
+        block_logs([stack[points[0]] for stack in stacks])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(type(alone.value)) as stacked:
+            block_logs(stacks)
+    assert str(stacked.value) == str(alone.value)
+
+
 @given(
     widths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
     count=st.integers(1, 5),

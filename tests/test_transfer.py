@@ -273,10 +273,13 @@ def test_compare_pass_raises_after_the_first_ill_conditioned_chunk(monkeypatch):
     with pytest.raises(ConditioningError) as raised:
         cli._compare_pass(config, expansion, grid)
     assert str(raised.value) == (
-        "eigenvector condition number 3.995e+10 exceeds 1.000e+10; logarithm unreliable"
+        "eigenvector condition number 3.621e+10 exceeds 1.000e+10; logarithm unreliable"
     )
     # One point per chunk: each call stacks that point's blocks of a group.
     assert exponentiated == [len(group) for group in groups] * len(expansion.drive.segments)
+    with pytest.raises(ConditioningError) as whole:
+        block_logs(TransferBlocks(expansion.drive).propagator(grid / config.params.tau))
+    assert str(whole.value) == str(raised.value)
 
 
 def peak_bytes(run) -> int:
@@ -499,6 +502,57 @@ def test_log_guards_one_bad_block_among_good_ones():
     turned[1, 0, 0] = -1.0
     with pytest.raises(BranchCutError):
         block_logs([turned, good])
+
+
+def non_invariant_drive():
+    """A 3-site drive whose terms sit on sites 0 and 1 only: an ``x`` field
+    on site 0, then decay on site 1. The cyclic site shift maps none of its
+    blocks of more than one index onto another."""
+    field = lindblad.HamiltonianTerm(np.array([[0.0, 1.0], [1.0, 0.0]]), (0,))
+    decay = lindblad.JumpTerm(0.5, np.array([[0.0, 1.0], [0.0, 0.0]]), (1,))
+    return PiecewiseLiouvillian(
+        (lindblad.LindbladSegment(0.2, (field,)), lindblad.LindbladSegment(0.2, (), (decay,))), 3
+    )
+
+
+ORIENTED = [
+    ModelParams(name=name, tau=0.2, num_sites=sites, **couplings)
+    for name, couplings in (("C", {"jz": 1.0, "gamma": 0.5}), ("D", {"jx": 1.0, "gamma": 0.5}))
+    for sites in (3, 4, 5)
+]
+
+
+@pytest.mark.parametrize(
+    ("drive", "invariant"),
+    [*((build_model(p), True) for p in ORIENTED), (non_invariant_drive(), False)],
+    ids=[f"{p.name}{p.num_sites}" for p in ORIENTED] + ["custom"],
+)
+def test_transfer_blocks_are_shift_oriented_components(drive, invariant):
+    """The blocks of ``TransferBlocks`` are the components that
+    ``component_labels`` finds in the segment generators' patterns, in the
+    same groups and order, and each row is a permutation of its block.
+    The rows of a drive that the cyclic site shift does not map onto
+    itself ascend."""
+    size = 4**drive.num_sites
+    codes = np.concatenate([transfer(g)[0] for g in drive.segment_generators()])
+    plain = core.BlockLayout(core.component_labels(*np.divmod(codes, size), size))
+    groups = TransferBlocks(drive).groups
+    assert [g.shape for g in groups] == [g.shape for g in plain.groups]
+    for oriented, ascending in zip(groups, plain.groups):
+        assert np.array_equal(np.sort(oriented, axis=1), ascending)
+        assert (plain.labels[oriented] == plain.labels[oriented[:, :1]]).all()
+    if not invariant:
+        assert all(map(np.array_equal, groups, plain.groups))
+
+
+def test_model_c_step_blocks_repeat_along_shift_orbits():
+    """Model C's one-period step at L=4 has 5, 12 and 2 distinct blocks in
+    its groups of 32, 48 and 4: translated blocks are equal bit for bit,
+    because the rows follow the shift. With ascending rows it has more."""
+    drive = build_model(MODELS[3])
+    step = TransferBlocks(drive).propagator()
+    assert [len(s) for s in step] == [32, 48, 4]
+    assert [len(core._distinct(s)[0]) for s in step] == [5, 12, 2]
 
 
 def test_model_d_exact_log_is_ill_conditioned():
