@@ -52,15 +52,8 @@ from .lindblad import (
     MAX_NUM_SITES,
     PiecewiseLiouvillian,
 )
-from .liouvillianity import (
-    TRACE_TOL,
-    VALIDATION_TOL,
-    Decomposition,
-    PerOrderCheck,
-    decompose,
-    graded_reports,
-)
-from .locality import certify, coefficient_bounds
+from .liouvillianity import TRACE_TOL, VALIDATION_TOL, graded_reports, order_certificates
+from .locality import coefficient_bounds
 from .magnus import (
     DEFAULT_M_MAX,
     FLAVOR_STROBOSCOPIC,
@@ -389,67 +382,43 @@ class RunConfig:
         return meta
 
 
-def _cumulative_record(config: RunConfig, decomposition: Decomposition) -> dict:
-    dissipator = decomposition.dissipator.restricted(config.weight_limit)
-    report, structure = certify(dissipator, tol_psd=config.tol_psd)
-    return {
-        "spectrum": [float(v) for v in report.eigenvalues],
-        "min_eigenvalue": report.min_eigenvalue,
-        "verdict": report.is_liouvillian,
-        "breaking_degree": report.breaking_degree,
-        "psd_tol": report.tol,
-        "block_structure": {
-            "d_n": structure.d_n,
-            "blocks": [
-                {
-                    "indices": [str(index) for index in block.index_set],
-                    "size": block.size,
-                    "min_eigenvalue": block.min_eigenvalue(),
-                }
-                for block in structure.blocks
-            ],
-        },
-        "roundtrip_residual": (
-            decomposition.residual() if config.weight_limit is None else None
-        ),
-    }
-
-
-def _running_decompositions(terms):
-    """``(order, term, cumulative)`` for every order term: each term is
-    decomposed once, and the cumulative decompositions (signed tables
-    included) are their running sums."""
-    cumulative = None
-    for order, term in enumerate(terms):
-        term = decompose(term)
-        cumulative = term if cumulative is None else cumulative + term
-        yield order, term, cumulative
-
-
 def cmd_analyze(config: RunConfig) -> str:
     """Build the JSON certification report for one drive."""
     drive = config.drive()
     expansion = config.expansion(drive)
-    order_records = []
-    max_abs = []
-    for order, term, cumulative in _running_decompositions(expansion.order_terms):
-        max_abs.append(term.dissipator.max_abs())
-        if order not in config.orders:
-            continue
-        check = PerOrderCheck.of(
-            order, term.dissipator.restricted(config.weight_limit)
-        )
-        order_records.append(
-            {
-                "order": order,
-                "cumulative": _cumulative_record(config, cumulative),
-                "term": {
-                    "trace": check.trace,
-                    "trace_ok": check.trace_ok,
-                    "min_eigenvalue": check.report.min_eigenvalue,
+    max_abs, certificates = order_certificates(
+        expansion, config.orders, config.weight_limit, config.tol_psd
+    )
+    order_records = [
+        {
+            "order": order,
+            "cumulative": {
+                "spectrum": [float(v) for v in report.eigenvalues],
+                "min_eigenvalue": report.min_eigenvalue,
+                "verdict": report.is_liouvillian,
+                "breaking_degree": report.breaking_degree,
+                "psd_tol": report.tol,
+                "block_structure": {
+                    "d_n": sum(len(indices) for indices, _ in blocks),
+                    "blocks": [
+                        {
+                            "indices": [str(index) for index in indices],
+                            "size": len(indices),
+                            "min_eigenvalue": float(eigenvalues[0]),
+                        }
+                        for indices, eigenvalues in blocks
+                    ],
                 },
-            }
-        )
+                "roundtrip_residual": residual,
+            },
+            "term": {
+                "trace": trace,
+                "trace_ok": None if order == 0 else abs(trace) <= TRACE_TOL,
+                "min_eigenvalue": term.min_eigenvalue,
+            },
+        }
+        for order, (report, blocks, residual, term, trace) in zip(config.orders, certificates)
+    ]
     try:
         bound_checks = [
             {

@@ -37,16 +37,19 @@ locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
 beyond the cap.
 
 Both ``a_jk`` and ``h_j`` are linear in ``S``: :func:`decompose` gets
-both from one signed table, the decompositions of summands add by
-merging nonzeros, and :func:`graded_reports` weights those of an
-expansion's parts for a whole grid. Positive semidefiniteness is
+both from one signed table. The package certifies an expansion one way,
+:func:`_graded_pass`, which decomposes each summand once and weights the
+decompositions: :func:`graded_reports` weights an expansion's graded
+parts over a whole grid (``scan``, ``fit-modelc``), and
+:func:`order_certificates` adds its order terms at one point
+(``analyze``). Positive semidefiniteness is
 certified block by block, over the connected components of the nonzeros
 of ``[a_jk]`` (:func:`psd_report`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -526,25 +529,11 @@ def _form_superop(h, a, gram, num_sites: int) -> Superoperator:
 @dataclass(frozen=True)
 class Decomposition:
     """The decomposition ``(h_j, [a_jk])`` of one superoperator and its
-    signed table, held as its nonzeros ``(codes, values)``. All three are
-    linear in the superoperator, so ``+`` adds each of them."""
+    signed table, held as its nonzeros ``(codes, values)``."""
 
     hamiltonian: HamiltonianCoefficients
     dissipator: DissipatorMatrix
     table: tuple[np.ndarray, np.ndarray]
-
-    def __add__(self, other: "Decomposition") -> "Decomposition":
-        a, b = self.dissipator, other.dissipator
-        if a.num_sites != b.num_sites:
-            raise DimensionMismatchError(
-                "decompositions on different sites cannot be added"
-            )
-        h = self.hamiltonian
-        return Decomposition(
-            replace(h, values=h.values + other.hamiltonian.values),
-            DissipatorMatrix._of(a.index_set, _sum(a._terms, b._terms), a.num_sites),
-            _sum(self.table, other.table),
-        )
 
     def residual(self) -> float:
         """:func:`roundtrip_residual` of the decomposed superoperator."""
@@ -568,54 +557,121 @@ def decompose(superop: Superoperator) -> Decomposition:
     return Decomposition(_hamiltonian(sums["coherent"], num_sites), dissipator, table)
 
 
-def graded_reports(expansion: EffectiveExpansion, weights, orders, weight_limit, tol_psd):
-    """For each row of ``weights``, the :func:`psd_report` of the cumulative
-    generators of ``orders`` (restricted to ``weight_limit``) when the
-    expansion's parts take the row's weights: a row's sums are the weighted
-    sums of the parts', decomposed once and unchecked, added a part at a
-    time. A first pass over chunks of rows (each row stacking at most
-    ``core._GRID_BYTES`` of one term's sums) runs every check of
-    :func:`decompose` and :func:`psd_report` as reductions over the rows,
-    the first failing row raising at its first failing check. An order's
+def _graded_pass(parts, weights, selections, weight_limit, tol_psd):
+    """The certification of weighted sums of superoperators, the one pass
+    behind :func:`graded_reports` and :func:`order_certificates`. ``parts``
+    lists the superoperators of each order, and a row of ``weights`` gives
+    one point: its order-n term is the weighted sum of order n's parts, and
+    a selection ``(first, last)`` of orders is the sum of their terms,
+    restricted to ``weight_limit``. Each part is decomposed once, unchecked,
+    and a point's sums are the weighted sums of the parts', added a part at
+    a time.
+
+    A first pass over chunks of rows (each row stacking at most
+    ``core._GRID_BYTES`` of one part's sums) runs every check of
+    :func:`decompose` on every order term and the Hermiticity check of
+    :func:`psd_report` on every selection, as reductions over the rows; the
+    first failing row raises at its first failing check. A selection's
     blocks join the entries above their row's structural tolerance at any
-    row, so a report depends on the grid only in roundoff."""
-    superops = [superop for parts in expansion.parts for *_, superop in parts]
-    of_order = np.repeat(np.arange(len(expansion.parts)), [len(p) for p in expansion.parts])
+    row, so a report depends on the grid only in roundoff.
+
+    :return: ``(sums, cut, layouts, chunks)``: the stacked sums of the
+        parts, the restricted index set (a :class:`DissipatorMatrix` whose
+        values are column positions in the sums), each selection's
+        :class:`~floquet_lindblad.core.BlockLayout`, and an iterator that
+        certifies a chunk at a time: ``(reports, spectra)``, each one list
+        per selection, of the chunk's :func:`psd_report` and of its
+        :func:`~floquet_lindblad.core.block_eigvalsh` arrays ``(p, k, m)``.
+    """
+    superops = [superop for order in parts for superop in order]
+    of_order = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     num_sites = _num_sites(superops[0])
     per_part = [_linear_sums(_signed_table(superop)[0], num_sites) for superop in superops]
     sums = {key: stack_pauli_terms([part[key] for part in per_part]) for key in per_part[0]}
-    keys, parts = sums["dissipator"]
+    keys, values = sums["dissipator"]
     cut = _matrix((keys, np.arange(keys.size)), num_sites).restricted(weight_limit)
     rows, cols, kept = cut._nonzeros
-    parts, size = parts[:, kept], cut.size
+    values, size = values[:, kept], cut.size
     adjoint = np.searchsorted(cut._terms[0], cols * size + rows)
-    step = max(1, _GRID_BYTES // (16 * sum(v.shape[1] for _, v in sums.values())))
+    width = sum(v.shape[1] for _, v in sums.values())  # 0 when every part is zero
+    step = max(1, _GRID_BYTES // (16 * max(1, width)))
     chunks = [weights[start : start + step] for start in range(0, len(weights), step)]
-    above = dict.fromkeys(orders, 0.0)  # per entry, its largest |a| / structural tolerance
+    masks = [(of_order >= first) & (of_order <= last) for first, last in selections]
+    above = [0.0] * len(selections)  # per entry, its largest |a| / structural tolerance
     for chunk in chunks:
         stages = []
-        for order in range(len(expansion.parts)):
+        for order in range(len(parts)):
             term = {k: (c, _combine(chunk[:, of_order == order], v[of_order == order]))
                     for k, (c, v) in sums.items()}
             stages += _checks(term, num_sites).values()
-            if order in orders:
-                a = _combine(chunk[:, of_order <= order], parts[of_order <= order])
-                peak = np.max(np.abs(a), axis=1, initial=0.0)
-                skew = np.max(np.abs(a - a[:, adjoint].conj()), axis=1, initial=0.0)
-                stages.append(_hermiticity_stage(skew, peak))
-                ratio = np.abs(a) / _structural_tol(peak)[:, None]
-                above[order] = np.maximum(above[order], np.max(ratio, axis=0, initial=0.0))
+            for s, ((_, last), mask) in enumerate(zip(selections, masks)):
+                if last == order:
+                    a = _combine(chunk[:, mask], values[mask])
+                    peak = np.max(np.abs(a), axis=1, initial=0.0)
+                    skew = np.max(np.abs(a - a[:, adjoint].conj()), axis=1, initial=0.0)
+                    stages.append(_hermiticity_stage(skew, peak))
+                    ratio = np.abs(a) / _structural_tol(peak)[:, None]
+                    above[s] = np.maximum(above[s], np.max(ratio, axis=0, initial=0.0))
         _raise_first(stages)
-    layouts = {order: coupled_components(rows, cols, above[order], 1.0)[0] for order in orders}
-    for chunk in chunks:
-        reports = []
-        for order in orders:
-            a = _combine(chunk[:, of_order <= order], parts[of_order <= order])
-            stacks, deltas = layouts[order].bounded_split(rows, cols, a)
-            peaks = np.max(np.abs(a), axis=1, initial=0.0)
-            spectra = block_eigvalsh(stacks)
-            reports.append(_reports(spectra, deltas, peaks, tol_psd, (rows, cols, a), size))
+    layouts = [coupled_components(rows, cols, peaks, 1.0)[0] for peaks in above]
+
+    def certified():
+        for chunk in chunks:
+            reports, spectra = [], []
+            for layout, mask in zip(layouts, masks):
+                a = _combine(chunk[:, mask], values[mask])
+                stacks, deltas = layout.bounded_split(rows, cols, a)
+                peaks = np.max(np.abs(a), axis=1, initial=0.0)
+                spectra.append(block_eigvalsh(stacks))
+                reports.append(_reports(spectra[-1], deltas, peaks, tol_psd, (rows, cols, a), size))
+            yield reports, spectra
+
+    return sums, cut, layouts, certified()
+
+
+def graded_reports(expansion: EffectiveExpansion, weights, orders, weight_limit, tol_psd):
+    """For each row of ``weights``, the :func:`psd_report` of the cumulative
+    generators of ``orders`` (restricted to ``weight_limit``) when the
+    expansion's graded parts take the row's weights: :func:`_graded_pass`
+    over the grid, certifying a chunk at a time."""
+    parts = [[superop for *_, superop in order] for order in expansion.parts]
+    *_, chunks = _graded_pass(parts, weights, [(0, n) for n in orders], weight_limit, tol_psd)
+    for reports, _ in chunks:
         yield from zip(*reports)
+
+
+def order_certificates(expansion: EffectiveExpansion, orders, weight_limit, tol_psd):
+    """What ``analyze`` reports: :func:`_graded_pass` at one point, whose
+    parts are the expansion's order terms at unit weight.
+
+    :return: the largest entry of every order term's full ``[a_jk]``, and
+        per order of ``orders`` a tuple ``(report, blocks, residual,
+        term_report, term_trace)``: the :func:`psd_report` of the cumulative
+        generator restricted to ``weight_limit``, its blocks as ``(indices,
+        eigenvalues)`` in the order of their first index, its
+        :func:`roundtrip_residual` (None under a ``weight_limit``), and the
+        order term's own restricted report and trace.
+    """
+    terms = [[term] for term in expansion.order_terms]
+    selections = sorted({(0, n) for n in orders} | {(n, n) for n in orders})
+    ones = np.ones((1, len(terms)))
+    sums, cut, layouts, chunks = _graded_pass(terms, ones, selections, weight_limit, tol_psd)
+    ((reports, spectra),) = chunks
+    keys, values = sums["dissipator"]
+    num_sites, certificates = cut.num_sites, []
+    for order in orders:
+        s, t = selections.index((0, order)), selections.index((order, order))
+        points = layouts[s].unstack([eigenvalues[0] for eigenvalues in spectra[s]])
+        blocks = [(tuple(cut.index_set[p] for p in block), vals) for block, vals in points]
+        residual = None
+        if weight_limit is None:
+            row = {k: (c, sum(v[: order + 1])) for k, (c, v) in sums.items()}
+            hamiltonian = _hamiltonian(row["coherent"], num_sites)
+            dissipator = _matrix(row["dissipator"], num_sites)
+            residual = Decomposition(hamiltonian, dissipator, row["table"]).residual()
+        term = _matrix((keys, values[order]), num_sites).restricted(weight_limit)
+        certificates.append((reports[s][0], blocks, residual, reports[t][0], term.trace()))
+    return [float(v) for v in np.max(np.abs(values), axis=1, initial=0.0)], certificates
 
 
 def extract_dissipator(
@@ -677,41 +733,28 @@ def psd_report(
     """Certify positive semidefiniteness of a coefficient matrix.
 
     The default tolerance is ``1e-9 * max(1, max|a|)``; eigenvalues above
-    ``-tol`` count as nonnegative. The spectrum is solved block by block
-    (see :func:`block_report`).
+    ``-tol`` count as nonnegative. The spectrum is solved block by block,
+    over the connected components of the entries above
+    :meth:`DissipatorMatrix.structural_tol`: it is the ascending union of
+    the block eigenvalues and one exact zero per index outside every block.
+    Let delta be the largest absolute row sum of the entries outside the
+    blocks: each value is within delta of the dense eigenvalue (Weyl). When
+    delta exceeds ``1e-3 * tol_psd`` that bound no longer settles the
+    verdict, and the spectrum comes from one block holding every index
+    instead: the dense solve. A NaN eigenvalue (from a non-finite entry)
+    becomes the minimum, so it never passes.
     """
-    return block_report(dissipator, tol_psd)[0]
-
-
-def block_report(
-    dissipator: DissipatorMatrix, tol_psd: float | None = None
-) -> tuple[LiouvillianityReport, BlockLayout, list[np.ndarray], list[np.ndarray]]:
-    """:func:`psd_report` with the partition behind it: the
-    :class:`~floquet_lindblad.core.BlockLayout` of the connected
-    components of the entries above
-    :meth:`DissipatorMatrix.structural_tol`, its stacks of dense blocks
-    and their eigenvalues, one ``(k, m)`` array per stack.
-
-    The spectrum is the ascending union of the block eigenvalues and one
-    exact zero per index outside every block. Let delta be the largest
-    absolute row sum of the entries outside the blocks: each value is
-    within delta of the dense eigenvalue (Weyl). When delta exceeds
-    ``1e-3 * tol_psd`` that bound no longer settles the verdict, and the
-    spectrum comes from one block holding every index instead: the dense
-    solve. A NaN eigenvalue (from a non-finite entry) becomes the
-    minimum, so it never passes.
-    """
-    layout, stacks, values, delta = dissipator._blocks(dissipator.structural_tol())
+    _, _, values, delta = dissipator._blocks(dissipator.structural_tol())
     rows, cols, entries = dissipator._nonzeros
     spectra = [eigenvalues[None] for eigenvalues in values]
     nonzeros = rows, cols, entries[None]
     peaks = [dissipator.max_abs()]
     (report,) = _reports(spectra, [delta], peaks, tol_psd, nonzeros, dissipator.size)
-    return report, layout, stacks, values
+    return report
 
 
 def _reports(spectra, deltas, peaks, tol_psd, nonzeros, size: int) -> list:
-    """The :func:`block_report` of each of a stack of ``size x size``
+    """The :func:`psd_report` of each of a stack of ``size x size``
     matrices, ``nonzeros = (rows, cols, values)`` with values ``(p, nnz)``,
     from their block eigenvalues ``spectra`` (one ``(p, k, m)`` array per
     stack), their ``deltas`` and their largest entries ``peaks``."""
@@ -780,18 +823,6 @@ class PerOrderCheck:
     trace_ok: bool | None
     report: LiouvillianityReport
 
-    @classmethod
-    def of(cls, order: int, dissipator: DissipatorMatrix) -> "PerOrderCheck":
-        """The check of one order term's dissipator matrix."""
-        trace = dissipator.trace()
-        return cls(
-            order=order,
-            dissipator=dissipator,
-            trace=trace,
-            trace_ok=None if order == 0 else abs(trace) <= TRACE_TOL,
-            report=psd_report(dissipator),
-        )
-
 
 #: Absolute tolerance on per-order dissipator traces (orders >= 1).
 TRACE_TOL = 1e-9
@@ -807,13 +838,13 @@ def per_order_checks(
     order-zero matrix must be positive semidefinite (it is a convex
     average of instantaneous dissipators).
     """
-    return tuple(
-        PerOrderCheck.of(
-            order,
-            extract_dissipator(expansion.term(order), weight_limit=weight_limit),
-        )
-        for order in range(expansion.max_order + 1)
-    )
+    checks = []
+    for order in range(expansion.max_order + 1):
+        dissipator = extract_dissipator(expansion.term(order), weight_limit=weight_limit)
+        trace = dissipator.trace()
+        trace_ok = None if order == 0 else abs(trace) <= TRACE_TOL
+        checks.append(PerOrderCheck(order, dissipator, trace, trace_ok, psd_report(dissipator)))
+    return tuple(checks)
 
 
 def roundtrip_residual(

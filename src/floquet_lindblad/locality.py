@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BlockLayout, herm_eigs
+from .core import herm_eigs
 from .errors import (
     DimensionMismatchError,
     StructureViolationError,
@@ -38,13 +38,7 @@ from .lindblad import (
     PiecewiseLiouvillian,
     liouvillian_superop,
 )
-from .liouvillianity import (
-    DissipatorMatrix,
-    LiouvillianityReport,
-    block_report,
-    extract_dissipator,
-    psd_report,
-)
+from .liouvillianity import DissipatorMatrix, extract_dissipator, psd_report
 from .magnus import EffectiveExpansion
 from .pauli import MultiIndex, code_weights, matrix_from_pauli_terms
 
@@ -174,12 +168,20 @@ class BlockStructure:
         return min(block.min_eigenvalue() for block in self.blocks)
 
 
-def _block_structure(
-    dissipator: DissipatorMatrix,
-    layout: BlockLayout,
-    stacks: list[np.ndarray],
-    values: list[np.ndarray],
+def block_partition(
+    dissipator: DissipatorMatrix, tol: float | None = None
 ) -> BlockStructure:
+    """Split the support into connected components.
+
+    Two indices are connected when their coupling entry is above ``tol``
+    in magnitude (default ``1e-12 * max(1, max|a|)``). Components come
+    back sorted by their smallest index code, with indices inside a
+    block likewise code-sorted. Every block is solved once and keeps
+    its eigenvalues.
+    """
+    if tol is None:
+        tol = dissipator.structural_tol()
+    layout, stacks, values, _ = dissipator._blocks(tol)
     ordered = sorted(
         layout.unstack(stacks, values),
         key=lambda block: dissipator.index_set[block[0][0]].code,
@@ -197,32 +199,6 @@ def _block_structure(
         d_n=sum(block.size for block in blocks),
         num_sites=dissipator.num_sites,
     )
-
-
-def block_partition(
-    dissipator: DissipatorMatrix, tol: float | None = None
-) -> BlockStructure:
-    """Split the support into connected components.
-
-    Two indices are connected when their coupling entry is above ``tol``
-    in magnitude (default ``1e-12 * max(1, max|a|)``). Components come
-    back sorted by their smallest index code, with indices inside a
-    block likewise code-sorted. Every block is solved once and keeps
-    its eigenvalues.
-    """
-    if tol is None:
-        tol = dissipator.structural_tol()
-    return _block_structure(dissipator, *dissipator._blocks(tol)[:3])
-
-
-def certify(
-    dissipator: DissipatorMatrix, tol_psd: float | None = None
-) -> tuple[LiouvillianityReport, BlockStructure]:
-    """:func:`~floquet_lindblad.liouvillianity.psd_report` and
-    :func:`block_partition` (default tolerance) from one partition and
-    one eigensolve of every block."""
-    report, *partition = block_report(dissipator, tol_psd)
-    return report, _block_structure(dissipator, *partition)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Tests for block-wise certification and per-term decomposition: the
 block spectrum against dense eigensolves, the rule that falls back to
-one dense block, and running sums of term decompositions against direct
-extraction of each cumulative generator."""
+one dense block, and the cumulative sums of the stacked order terms
+against direct extraction of each cumulative generator."""
 
 import json
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -33,9 +32,10 @@ from floquet_lindblad import (
     triangular_split,
     van_vleck_orders,
 )
+from floquet_lindblad import liouvillianity
 from floquet_lindblad.cli import main
-from floquet_lindblad.liouvillianity import block_report, decompose
-from floquet_lindblad.locality import certify, coefficient_bounds
+from floquet_lindblad.liouvillianity import decompose
+from floquet_lindblad.locality import coefficient_bounds
 
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -112,16 +112,7 @@ def test_block_spectrum_matches_dense(case, weight_limit):
         structural = dissipator.structural_tol()
         assert split.negative_count == np.count_nonzero(dense < -structural)
 
-        same_report, structure = certify(dissipator)
-        np.testing.assert_array_equal(
-            same_report.eigenvalues, report.eigenvalues
-        )
-        partition = block_partition(dissipator)
-        assert structure.d_n == partition.d_n
-        assert [block.index_set for block in structure.blocks] == [
-            block.index_set for block in partition.blocks
-        ]
-        for block in structure.blocks:
+        for block in block_partition(dissipator).blocks:
             block_dense, _ = herm_eigs(block.entries)
             assert block.min_eigenvalue() == pytest.approx(
                 block_dense[0], abs=1e-12 * scale
@@ -137,57 +128,58 @@ def dense_table(table, num_sites):
     return dense.reshape(4**num_sites, 4**num_sites)
 
 
+def cumulative_sums(expansion):
+    """The sums of :func:`liouvillianity._linear_sums` of the cumulative
+    generator of every order, as ``analyze`` takes them: the order terms
+    stacked at unit weight, added a term at a time."""
+    terms = [[term] for term in expansion.order_terms]
+    sums, *_ = liouvillianity._graded_pass(terms, np.ones((1, len(terms))), [], None, None)
+    for order in range(len(terms)):
+        yield {key: (codes, sum(values[: order + 1])) for key, (codes, values) in sums.items()}
+
+
 @pytest.mark.parametrize("case", sorted(EXPANSIONS))
 def test_summed_term_decompositions_match_cumulative_extraction(case):
-    """Running sums of the term decompositions equal direct extraction
-    of each cumulative generator, full and weight-limited; the summed
-    table is the cumulative generator's, and round trips."""
+    """The cumulative sums of the stacked order terms equal direct
+    extraction of each cumulative generator, full and weight-limited; the
+    summed table is the cumulative generator's, and round trips."""
     expansion = EXPANSIONS[case]()
-    terms = [
-        decompose(expansion.term(order))
-        for order in range(expansion.max_order + 1)
-    ]
-    for order, summed in enumerate(accumulate(terms)):
+    num_sites = expansion.drive.num_sites
+    for order, sums in enumerate(cumulative_sums(expansion)):
         cumulative = expansion.cumulative(order)
-        table = dense_table(decompose(cumulative).table, expansion.drive.num_sites)
+        table = dense_table(decompose(cumulative).table, num_sites)
         np.testing.assert_allclose(
-            dense_table(summed.table, expansion.drive.num_sites), table, rtol=0.0,
+            dense_table(sums["table"], num_sites), table, rtol=0.0,
             atol=1e-12 * max(1.0, float(np.max(np.abs(table)))),
         )
+        dissipator = liouvillianity._matrix(sums["dissipator"], num_sites)
+        hamiltonian = liouvillianity._hamiltonian(sums["coherent"], num_sites)
+        summed = liouvillianity.Decomposition(hamiltonian, dissipator, sums["table"])
         assert summed.residual() <= 1e-12
         direct = extract_dissipator(cumulative)
         scale = max(1.0, direct.max_abs())
-        assert summed.dissipator.index_set == direct.index_set
+        assert dissipator.index_set == direct.index_set
         np.testing.assert_allclose(
-            summed.dissipator.entries, direct.entries, rtol=0.0,
-            atol=1e-12 * scale,
+            dissipator.entries, direct.entries, rtol=0.0, atol=1e-12 * scale
         )
-        hamiltonian = extract_hamiltonian(cumulative)
-        assert summed.hamiltonian.index_set == hamiltonian.index_set
+        expected = extract_hamiltonian(cumulative)
+        assert hamiltonian.index_set == expected.index_set
         np.testing.assert_allclose(
-            summed.hamiltonian.values, hamiltonian.values, rtol=0.0,
-            atol=1e-12 * max(1.0, float(np.max(np.abs(hamiltonian.values)))),
+            hamiltonian.values, expected.values, rtol=0.0,
+            atol=1e-12 * max(1.0, float(np.max(np.abs(expected.values)))),
         )
         limited = extract_dissipator(cumulative, weight_limit=3)
-        sliced = summed.dissipator.restricted(3)
+        sliced = dissipator.restricted(3)
         assert sliced.index_set == limited.index_set
         assert sliced.weight_limit == limited.weight_limit == 3
         np.testing.assert_allclose(
             sliced.entries, limited.entries, rtol=0.0, atol=1e-12 * scale
         )
-    for order, term in enumerate(terms):
+    for order in range(expansion.max_order + 1):
         np.testing.assert_array_equal(
-            term.dissipator.restricted(4).entries,
+            decompose(expansion.term(order)).dissipator.restricted(4).entries,
             extract_dissipator(expansion.term(order), weight_limit=4).entries,
         )
-
-
-def test_decompositions_over_different_sizes_do_not_add():
-    """Only decompositions over the same index set add."""
-    small = decompose(ring_expansion("C", 3).term(0))
-    large = decompose(ring_expansion("C", 4).term(0))
-    with pytest.raises(DimensionMismatchError):
-        small + large
 
 
 @pytest.mark.parametrize("weight_limit", [None, 2])
@@ -409,7 +401,7 @@ def test_non_finite_entries_are_never_certified(positions):
 def test_a_nan_block_leaves_its_stack_neighbours_exact(position):
     """Three interleaved blocks of three share one stack. A NaN entry in
     the middle one gives it only NaN eigenvalues, in
-    ``block_report`` and ``block_partition`` alike, while the other two
+    ``psd_report`` and ``block_partition`` alike, while the other two
     keep the eigenvalues of their own one-block solve bit for bit."""
     rng = np.random.default_rng(3)
     entries = np.zeros((9, 9), dtype=complex)
@@ -420,7 +412,8 @@ def test_a_nan_block_leaves_its_stack_neighbours_exact(position):
     dissipator = DissipatorMatrix(
         tuple(MultiIndex.from_code(code, 2) for code in range(1, 10)), entries, 2
     )
-    report, layout, stacks, values = block_report(dissipator)
+    report = psd_report(dissipator)
+    layout, stacks, values, _ = dissipator._blocks(dissipator.structural_tol())
     assert [group.tolist() for group in layout.groups] == [[[0, 3, 6], [1, 4, 7], [2, 5, 8]]]
     structure = block_partition(dissipator)
     for (positions, _, got), block in zip(layout.unstack(stacks, values), structure.blocks):

@@ -1,8 +1,10 @@
-"""The ``scan`` and ``fit-modelc`` grid against its per-point reference:
-graded expansion parts, the linearity of every scannable parameter in
-one segment generator, the work done once per run, the scan's
-configuration errors, the stacked pass against the per-point pass on
-planted failures, its memory and the 6-site scan."""
+"""The graded pass against its per-point reference: the ``scan`` and
+``fit-modelc`` grid against every point decomposed on its own, and
+``analyze`` (the pass at one point, over the order terms) against every
+order term decomposed on its own; graded expansion parts, the linearity
+of every scannable parameter in one segment generator, the work done once
+per run, the scan's configuration errors, the stacked pass against the
+per-point pass on planted failures, its memory and the 6-site scan."""
 
 import functools
 import json
@@ -19,11 +21,15 @@ from floquet_lindblad.core import (
     block_eigvalsh,
     coupled_components,
 )
-from floquet_lindblad.errors import HermiticityError
+from floquet_lindblad.errors import HermiticityError, SupportsUndeclaredError
 from floquet_lindblad.lindblad import PiecewiseLiouvillian, Superoperator
-from floquet_lindblad.liouvillianity import DissipatorMatrix, psd_report
+from floquet_lindblad.liouvillianity import Decomposition, DissipatorMatrix, psd_report
+from floquet_lindblad.locality import block_partition, coefficient_bounds
+from floquet_lindblad.magnus import EffectiveExpansion
 from floquet_lindblad.models import PARAMETER_SEGMENTS, ModelParams, build_model
 from floquet_lindblad.pauli import merge_pauli_terms
+
+from test_reference_reports import compare_reports
 
 MODELS = {
     "A": {"name": "A", "tau": 0.2, "h": 1.0, "gamma1": 0.7},
@@ -34,15 +40,22 @@ MODELS = {
     "D4": {"name": "D", "tau": 0.2, "num_sites": 4, "jx": 1.0, "gamma": 0.5},
 }
 
-#: Every model with each of its scannable parameters.
+#: Drives whose expansion is zero at every period.
+ZERO_MODELS = {
+    "A0": {"name": "A", "tau": 0.2, "h": 0.0, "gamma1": 0.0},
+    "B0": {"name": "B", "tau": 0.2, "gamma1": 0.0, "gamma2": 0.0},
+}
+
+#: Every model with each of its scannable parameters, and the period scan
+#: of each zero drive.
 SCANS = [
     (key, parameter)
     for key, model in MODELS.items()
     for parameter in cli.SCANNABLE[model["name"]]
-]
+] + [(key, "tau") for key in ZERO_MODELS]
 
 
-def run_config(command, model, flavor="fm", orders=(0, 1, 2), **sections):
+def run_config(command, model, flavor="fm", orders=(0, 1, 2), flags=(), **sections):
     raw = {
         "schema_version": 1,
         "model": model,
@@ -50,8 +63,96 @@ def run_config(command, model, flavor="fm", orders=(0, 1, 2), **sections):
         "orders": list(orders),
         **sections,
     }
-    args = cli.build_parser().parse_args([command, "--config", "unused.json"])
+    args = cli.build_parser().parse_args([command, "--config", "unused.json", *flags])
     return cli.RunConfig(raw, args)
+
+
+def added(first, second):
+    """The decomposition of the sum of two superoperators from theirs: the
+    tables, ``h_j`` and ``[a_jk]`` are linear, so each adds."""
+    a, b = first.dissipator, second.dissipator
+    h = first.hamiltonian
+    return Decomposition(
+        replace(h, values=h.values + second.hamiltonian.values),
+        DissipatorMatrix._of(a.index_set, liouvillianity._sum(a._terms, b._terms), a.num_sites),
+        liouvillianity._sum(first.table, second.table),
+    )
+
+
+def running_decompositions(terms):
+    """``(order, term, cumulative)`` for every order term: each term is
+    decomposed on its own, with every check, and the cumulative
+    decompositions (signed tables included) are their running sums."""
+    cumulative = None
+    for order, term in enumerate(terms):
+        term = liouvillianity.decompose(term)
+        cumulative = term if cumulative is None else added(cumulative, term)
+        yield order, term, cumulative
+
+
+def reference_analyze(config):
+    """The per-term formulation of ``analyze``: the running decompositions
+    of the order terms; each requested cumulative matrix, restricted to
+    the weight limit, certified by ``psd_report`` and partitioned by
+    ``block_partition``, and each restricted order term by ``psd_report``
+    at its default tolerance."""
+    drive = config.drive()
+    expansion = config.expansion(drive)
+    records, max_abs = [], []
+    for order, term, cumulative in running_decompositions(expansion.order_terms):
+        max_abs.append(term.dissipator.max_abs())
+        if order not in config.orders:
+            continue
+        dissipator = cumulative.dissipator.restricted(config.weight_limit)
+        report = psd_report(dissipator, tol_psd=config.tol_psd)
+        structure = block_partition(dissipator)
+        term_matrix = term.dissipator.restricted(config.weight_limit)
+        trace = term_matrix.trace()
+        records.append({
+            "order": order,
+            "cumulative": {
+                "spectrum": [float(v) for v in report.eigenvalues],
+                "min_eigenvalue": report.min_eigenvalue,
+                "verdict": report.is_liouvillian,
+                "breaking_degree": report.breaking_degree,
+                "psd_tol": report.tol,
+                "block_structure": {
+                    "d_n": structure.d_n,
+                    "blocks": [
+                        {
+                            "indices": [str(index) for index in block.index_set],
+                            "size": block.size,
+                            "min_eigenvalue": block.min_eigenvalue(),
+                        }
+                        for block in structure.blocks
+                    ],
+                },
+                "roundtrip_residual": (
+                    cumulative.residual() if config.weight_limit is None else None
+                ),
+            },
+            "term": {
+                "trace": trace,
+                "trace_ok": None if order == 0 else abs(trace) <= liouvillianity.TRACE_TOL,
+                "min_eigenvalue": psd_report(term_matrix).min_eigenvalue,
+            },
+        })
+    try:
+        bound_checks = [
+            {"order": check.order, "max_abs": check.max_abs, "bound": check.bound, "ok": check.ok}
+            for check in coefficient_bounds(drive, max_abs)
+            if check.order in config.orders
+        ]
+    except SupportsUndeclaredError:
+        bound_checks = None
+    document = {
+        "schema_version": 1,
+        "metadata": config.metadata("analyze"),
+        "orders": records,
+        "bound_checks": bound_checks,
+        "tail_estimate": expansion.tail_estimate,
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def reference_scan_rows(config, parameter, grid):
@@ -63,8 +164,7 @@ def reference_scan_rows(config, parameter, grid):
     for value in grid:
         params = replace(config.params, **{parameter: float(value)})
         expansion = config.expansion(build_model(params))
-        decompositions = cli._running_decompositions(expansion.order_terms)
-        for order, _, cumulative in decompositions:
+        for order, _, cumulative in running_decompositions(expansion.order_terms):
             if order not in config.orders:
                 continue
             dissipator = cumulative.dissipator.restricted(config.weight_limit)
@@ -91,7 +191,7 @@ def reference_fit_min_eigs(config, grid):
     for product in grid:
         params = replace(config.params, jz=float(product) / config.params.tau)
         expansion = magnus.bch_orders(build_model(params), 2)
-        *_, (_, _, cumulative) = cli._running_decompositions(expansion.order_terms)
+        *_, (_, _, cumulative) = running_decompositions(expansion.order_terms)
         dissipator = cumulative.dissipator.restricted(config.weight_limit)
         min_eigs.append(psd_report(dissipator, tol_psd=config.tol_psd).min_eigenvalue)
     return min_eigs
@@ -127,7 +227,8 @@ def test_scan_grid_matches_the_per_point_reference(key, parameter, flavor):
     the model rebuilt at every point."""
     orders = (0, 1) if flavor == "vanvleck" else (0, 1, 2, 3)
     grid_section = {"parameter": parameter, **scan_grid(parameter)}
-    config = run_config("scan", MODELS[key], flavor, orders, scan=grid_section)
+    model = {**MODELS, **ZERO_MODELS}[key]
+    config = run_config("scan", model, flavor, orders, scan=grid_section)
     report = cli.cmd_scan(config)
     lines = report.splitlines()
     assert lines[0] == cli.CSV_HEADER
@@ -150,6 +251,64 @@ def test_fit_grid_matches_the_per_point_reference(weight_limit):
     normalized = np.array(document["normalized_min_eigs"])
     tolerance = 1e-12 * np.max(np.abs(expected))
     np.testing.assert_allclose(normalized, expected, rtol=0.0, atol=tolerance)
+
+
+def kick_free_model():
+    """The custom three-segment 4-site drive of the ``kickfree-3seg4``
+    benchmark workload: zz bonds, an x field, then lowering channels."""
+    from test_reference_reports import BENCH
+
+    return json.loads((BENCH / "workloads" / "kickfree-3seg4.json").read_text())["model"]
+
+
+#: ``(model, flavor, orders, flags, other configuration keys)`` per case.
+ANALYZE_CASES = {
+    **{key: (model, "fm", (0, 1, 2, 3), (), {}) for key, model in MODELS.items()},
+    "C5": (dict(MODELS["C4"], num_sites=5), "fm", (0, 1, 2), (), {}),
+    "D5": (dict(MODELS["D4"], num_sites=5), "fm", (0, 1, 2), (), {}),
+    **{key: (model, "fm", (0, 1, 2), (), {}) for key, model in ZERO_MODELS.items()},
+    "A-vanvleck": (MODELS["A"], "vanvleck", (0, 1), (), {}),
+    "custom-vanvleck": ("kick-free", "vanvleck", (0, 1), (), {}),
+    "custom-fm-general": ("kick-free", "fm", (0, 1), (), {}),
+    "C4-weight-limit": (MODELS["C4"], "fm", (0, 1, 2), (), {"weight_limit": 4}),
+    "D4-weight-limit": (MODELS["D4"], "fm", (0, 1, 2, 3), (), {"weight_limit": 3}),
+    "C3-tol-psd": (MODELS["C3"], "fm", (0, 1, 2), (), {"tol_psd": 1e-12}),
+    "D3-tol-psd-flag": (MODELS["D3"], "fm", (0, 1, 2), ("--tol-psd", "1e-3"), {}),
+    "B-orders-1-3": (MODELS["B"], "fm", (1, 3), (), {}),
+    "D4-orders-1-3": (MODELS["D4"], "fm", (1, 3), (), {}),
+    "C3-order-flag": (MODELS["C3"], "fm", (0,), ("--order", "2"), {}),
+}
+
+
+@pytest.mark.parametrize("case", ANALYZE_CASES)
+def test_analyze_matches_the_per_term_reference(case):
+    """``analyze``, which certifies the stacked order terms at one point,
+    writes the report of every order term decomposed on its own and every
+    cumulative matrix certified on its own: block index sets, ``d_n``,
+    verdicts, ``trace_ok`` and bound ``ok`` exactly, other numbers to 1e-9
+    of their field's scale, roundoff fields at most 1e-9."""
+    model, flavor, orders, flags, raw = ANALYZE_CASES[case]
+    model = kick_free_model() if model == "kick-free" else model
+    config = run_config("analyze", model, flavor, orders, flags, **raw)
+    report = cli.cmd_analyze(config)
+    reference = reference_analyze(config)
+    assert compare_reports(report.encode(), reference.encode()) == []
+    document = json.loads(report)
+    assert [record["order"] for record in document["orders"]] == list(config.orders)
+
+
+def test_analyze_decomposes_and_certifies_no_matrix_on_its_own(monkeypatch):
+    """``analyze`` writes its report with ``decompose`` and ``psd_report``
+    raising: it runs the graded pass alone."""
+    config = run_config("analyze", MODELS["D4"], orders=(0, 1, 2, 3))
+    expected = cli.cmd_analyze(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze takes no per-matrix path")
+
+    monkeypatch.setattr(liouvillianity, "decompose", refuse)
+    monkeypatch.setattr(liouvillianity, "psd_report", refuse)
+    assert cli.cmd_analyze(config) == expected
 
 
 def difference_norm(a, b):
@@ -348,7 +507,7 @@ def oracle_certify_grid(config, unit, parameter, grid, orders):
                 cumulative.dissipator.restricted(config.weight_limit),
                 tol_psd=config.tol_psd,
             )
-            for order, _, cumulative in cli._running_decompositions(terms)
+            for order, _, cumulative in running_decompositions(terms)
             if order in orders
         ]
 
@@ -363,6 +522,12 @@ def outcome(points):
     except Exception as error:
         return len(reports), type(error), str(error)
     return reports
+
+
+def one_report(command, config):
+    """The report of ``command`` as the only point of a pass, for
+    :func:`outcome`."""
+    yield command(config)
 
 
 def planted(unit, order, position, codes, values):
@@ -407,6 +572,7 @@ PLANTS = {
 }
 
 
+@pytest.mark.parametrize("command", ["scan", "analyze"])
 @pytest.mark.parametrize(
     "plant, size, error, first",
     [
@@ -420,11 +586,15 @@ PLANTS = {
         ("hermiticity", 1e-9, None, None),
     ],
 )
-def test_stacked_grid_raises_what_the_per_point_pass_raises(plant, size, error, first):
+def test_stacked_grid_raises_what_the_per_point_pass_raises(
+    monkeypatch, plant, size, error, first, command
+):
     """A perturbed part of model D's unit expansion (L=3, ``gamma`` from 0
     to 1.6) fails one check of ``decompose`` from grid point ``first`` on,
     the earlier points passing it. The stacked pass raises the error of the
-    per-point pass, or writes its reports when no point fails."""
+    per-point pass, or writes its reports when no point fails. ``analyze``
+    of the order terms at the grid's last point raises the error of the
+    per-term pass there, or writes its report."""
     scan = {"parameter": "gamma", "start": 0.0, "stop": 1.6, "count": 9}
     config = run_config("scan", MODELS["D3"], scan=scan)
     grid = cli._parse_grid(config.scan_section, "scan")
@@ -432,6 +602,18 @@ def test_stacked_grid_raises_what_the_per_point_pass_raises(plant, size, error, 
     order, position, terms = PLANTS[plant]
     codes, values = terms(size)
     unit = planted(unit, order, position, np.array(codes), np.array(values, dtype=complex))
+    if command == "analyze":
+        with np.errstate(invalid="ignore"):
+            terms = scaled_terms(unit, PARAMETER_SEGMENTS["D"]["gamma"], grid[-1])
+            expansion = EffectiveExpansion(unit.flavor, terms, unit.drive)
+            monkeypatch.setattr(config, "expansion", lambda drive: expansion)
+            expected = outcome(one_report(reference_analyze, config))
+            written = outcome(one_report(cli.cmd_analyze, config))
+        if error is None:
+            assert compare_reports(written[0].encode(), expected[0].encode()) == []
+        else:
+            assert isinstance(expected, tuple) and written == expected
+        return
     with np.errstate(invalid="ignore"):
         expected = outcome(oracle_certify_grid(config, unit, "gamma", grid, config.orders))
         stacked = outcome(cli._certify_grid(config, unit, "gamma", grid, config.orders, "scan"))

@@ -491,8 +491,8 @@ def test_six_site_analyze_certifies_from_nonzeros(
     """L=6 ``analyze`` through ``cli.main`` with every dense
     superoperator, dense coefficient view and 2L-site transform
     forbidden: verdicts, ``d_n``, block sizes and minimum eigenvalues as
-    the dense path gave them, and running sums of the term
-    decompositions equal to the direct cumulative decompositions."""
+    the dense path gave them, and the cumulative sums of the stacked
+    order terms equal to the direct cumulative decompositions."""
     forbid_materialization(monkeypatch, 6)
     model = {"name": name, "num_sites": 6, "tau": 0.2, coupling: 1.0, "gamma": 0.5}
     path = tmp_path / "analyze.json"
@@ -513,18 +513,16 @@ def test_six_site_analyze_certifies_from_nonzeros(
         assert cumulative["roundtrip_residual"] <= 1e-12
     params = ModelParams(name=name, tau=0.2, num_sites=6, gamma=0.5, **{coupling: 1.0})
     expansion = bch_orders(build_model(params), 2)
-    summed = None
-    for order, term in enumerate(expansion.order_terms):
-        term = liouvillianity.decompose(term)
-        summed = term if summed is None else summed + term
+    from test_block_certification import cumulative_sums
+
+    for order, sums in enumerate(cumulative_sums(expansion)):
         direct = liouvillianity.decompose(expansion.cumulative(order))
         scale = max(1.0, np.linalg.norm(direct.table[1]))
-        assert sparse_distance(summed.table, direct.table) <= 1e-12 * scale
-        assert sparse_distance(
-            summed.dissipator._terms, direct.dissipator._terms
-        ) <= 1e-12 * scale
+        assert sparse_distance(sums["table"], direct.table) <= 1e-12 * scale
+        assert sparse_distance(sums["dissipator"], direct.dissipator._terms) <= 1e-12 * scale
+        hamiltonian = liouvillianity._hamiltonian(sums["coherent"], 6)
         np.testing.assert_allclose(
-            summed.hamiltonian.values, direct.hamiltonian.values, rtol=0.0, atol=1e-12 * scale
+            hamiltonian.values, direct.hamiltonian.values, rtol=0.0, atol=1e-12 * scale
         )
 
 

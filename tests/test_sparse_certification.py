@@ -1,7 +1,8 @@
 """Certification from nonzeros against the dense formulas it replaced:
-decomposition, running sums, round-trip residuals, weight restriction,
-the block partition with its dense fallback, and non-finite entries, on
-models C and D and on random custom drives with at most four sites."""
+decomposition, the cumulative round-trip residuals of ``analyze``,
+weight restriction, the block partition with its dense fallback, and
+non-finite entries, on models C and D and on random custom drives with at
+most four sites."""
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from floquet_lindblad import (
     herm_eigs,
     psd_report,
 )
-from floquet_lindblad.liouvillianity import Decomposition, block_report, decompose
-from floquet_lindblad.locality import certify
+from floquet_lindblad.liouvillianity import Decomposition, decompose, order_certificates
+from floquet_lindblad.locality import block_partition
 from floquet_lindblad.magnus import is_binary_drive
 from floquet_lindblad.pauli import code_two_counts, quadratic_product_coefficients
 
@@ -155,12 +156,14 @@ def dense_block_report(dissipator, tol_psd=None):
 
 
 def assert_reports_match(dissipator, tol_psd=None):
-    """``block_report`` and ``certify`` equal the dense block
-    certification bit for bit; returns whether it fell back."""
+    """``psd_report``, the partition behind it and ``block_partition``
+    equal the dense block certification bit for bit; returns whether it
+    fell back."""
     eigenvalues, components, blocks, values, fallback = dense_block_report(
         dissipator, tol_psd
     )
-    report, layout, stacks, stacked_values = block_report(dissipator, tol_psd)
+    report = psd_report(dissipator, tol_psd)
+    layout, stacks, stacked_values, _ = dissipator._blocks(dissipator.structural_tol())
     unstacked = layout.unstack(stacks, stacked_values)
     got_components = [positions for positions, _, _ in unstacked]
     got_blocks = [block for _, block, _ in unstacked]
@@ -174,8 +177,7 @@ def assert_reports_match(dissipator, tol_psd=None):
         np.testing.assert_array_equal(got, expected)
     for got, expected in zip(got_values, values):
         np.testing.assert_array_equal(got, expected)
-    same_report, structure = certify(dissipator, tol_psd)
-    np.testing.assert_array_equal(same_report.eigenvalues, eigenvalues)
+    structure = block_partition(dissipator)
     assert structure.d_n == sum(c.size for c in components)
     for block in structure.blocks:
         positions = [dissipator.position(index) for index in block.index_set]
@@ -189,56 +191,42 @@ def assert_reports_match(dissipator, tol_psd=None):
 @given(drive=drives)
 def test_decomposition_and_running_sums_match_the_dense_tables(drive):
     """Each term's nonzero table, ``h_j`` and ``[a_jk]`` equal the dense
-    formulas bit for bit; ``+`` adds tables, ``h_j`` and ``[a_jk]``
-    exactly as dense arrays add; residuals match the dense residual, for
-    a matched and for a mismatched table."""
+    formulas bit for bit. The cumulative residuals of ``analyze``, taken
+    from the running sums of the terms' tables, ``h_j`` and ``[a_jk]``,
+    match the dense residual of the summed dense arrays; so do residuals
+    of a term against the cumulative generator's table."""
     num_sites = drive.num_sites
     expansion, terms = term_decompositions(drive)
-    summed = None
-    for term, superop in zip(terms, expansion.order_terms):
-        table = dense_table(superop)
+    _, certificates = order_certificates(expansion, range(len(terms)), None, None)
+    tables, values, entries = 0.0, 0.0, 0.0
+    for order, (term, certificate) in enumerate(zip(terms, certificates)):
+        table = dense_table(expansion.order_terms[order])
         np.testing.assert_array_equal(scattered(term.table, num_sites), table)
-        values, entries = dense_decomposition(table, num_sites)
-        np.testing.assert_array_equal(term.hamiltonian.values, values)
-        np.testing.assert_array_equal(term.dissipator.entries, entries)
-        if summed is not None:
-            total = summed + term
-            np.testing.assert_array_equal(
-                scattered(total.table, num_sites),
-                scattered(summed.table, num_sites) + table,
-            )
-            np.testing.assert_array_equal(
-                total.hamiltonian.values, summed.hamiltonian.values + values
-            )
-            np.testing.assert_array_equal(
-                total.dissipator.entries, summed.dissipator.entries + entries
-            )
-            summed = total
-        else:
-            summed = term
-        for decomposition, against in ((summed, summed.table), (term, summed.table)):
-            residual = Decomposition(
-                decomposition.hamiltonian, decomposition.dissipator, against
-            ).residual()
-            expected = dense_residual(
-                scattered(against, num_sites),
-                dense_form_table(
-                    decomposition.hamiltonian.values, decomposition.dissipator
-                ),
-            )
-            assert residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        term_values, term_entries = dense_decomposition(table, num_sites)
+        np.testing.assert_array_equal(term.hamiltonian.values, term_values)
+        np.testing.assert_array_equal(term.dissipator.entries, term_entries)
+        tables, values, entries = tables + table, values + term_values, entries + term_entries
+        summed = DissipatorMatrix(term.dissipator.index_set, entries, num_sites)
+        expected = dense_residual(tables, dense_form_table(values, summed))
+        assert certificate[2] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        against = decompose(expansion.cumulative(order)).table
+        residual = Decomposition(term.hamiltonian, term.dissipator, against).residual()
+        expected = dense_residual(
+            scattered(against, num_sites),
+            dense_form_table(term.hamiltonian.values, term.dissipator),
+        )
+        assert residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=25)
 @given(drive=drives)
 def test_restriction_and_block_certification_match_the_dense_path(drive):
-    """``restricted`` at every weight limit and ``block_report``/``certify``
-    of every term and running sum, full and restricted, equal the dense
-    formulas bit for bit."""
-    _, terms = term_decompositions(drive)
-    summed = None
-    for term in terms:
-        summed = term if summed is None else summed + term
+    """``restricted`` at every weight limit and the block certification
+    of every term and cumulative generator, full and restricted, equal the
+    dense formulas bit for bit."""
+    expansion, terms = term_decompositions(drive)
+    for order, term in enumerate(terms):
+        summed = decompose(expansion.cumulative(order))
         for dissipator in (term.dissipator, summed.dissipator):
             assert_reports_match(dissipator)
             for weight_limit in range(2, 2 * drive.num_sites + 1):
@@ -317,9 +305,10 @@ def test_non_finite_entries_of_a_term_are_never_certified(
         entries[col, row] = value
     with np.errstate(invalid="ignore"):
         dissipator = DissipatorMatrix(term.index_set, entries, term.num_sites)
-        reports = (psd_report(dissipator), certify(dissipator)[0])
+        report = psd_report(dissipator)
+        blocks = block_partition(dissipator).blocks
     assert np.array_equal(dissipator.entries[row, col], value, equal_nan=True)
-    for report in reports:
-        assert np.isnan(report.min_eigenvalue)
-        assert not report.is_liouvillian
-        assert report.eigenvalues.size == dissipator.size
+    assert np.isnan(report.min_eigenvalue)
+    assert not report.is_liouvillian
+    assert report.eigenvalues.size == dissipator.size
+    assert any(np.isnan(block.eigenvalues).all() for block in blocks)
