@@ -352,10 +352,10 @@ class RunConfig:
         _check_keys(section, allowed, key)
         return section
 
-    def drive(self, params: ModelParams | None = None) -> PiecewiseLiouvillian:
+    def drive(self) -> PiecewiseLiouvillian:
         if self.custom_drive is not None:
             return self.custom_drive
-        return build_model(params if params is not None else self.params)
+        return build_model(self.params)
 
     def expansion(self, drive: PiecewiseLiouvillian):
         max_order = max(self.orders)
@@ -570,8 +570,9 @@ def cmd_fit_modelc(config: RunConfig) -> str:
 
 
 def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
-    """The grid's residual pairs, then the transfer blocks, the exact
-    one-period step and the cumulative orders' blocks ``(n, k, m, m)`` at ``tau``.
+    """The grid's residuals ``(points, orders)``, NaN where branch-ambiguous,
+    then the transfer blocks, the exact one-period step and the cumulative
+    orders' blocks ``(n, k, m, m)`` at ``tau``.
     A point scales the durations by ``s = value / tau`` and the order-k term
     by ``s^k``: the blocks and term transfers are formed once and the points
     (then ``s = 1``) stacked, a chunk of them at a time, each chunk's guards
@@ -583,7 +584,7 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
     scales = np.append(np.asarray(grid, dtype=float) / config.params.tau, 1.0)
     point_bytes = max(16 * group.size * group.shape[1] for group in blocks.groups)
     chunk = max(1, _GRID_BYTES // point_bytes)
-    results = []
+    residuals = np.empty((len(grid), len(config.orders)))
     for start in range(0, scales.size, chunk):
         steps = blocks.propagator(scales[start : start + chunk])
         points = scales[start : min(start + chunk, len(grid))]  # the step s = 1 is last
@@ -595,27 +596,21 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
             logs = [np.full(step[: points.size].shape, np.nan) for step in steps]
         period = points[:, None, None, None] * expansion.drive.period
         powers = points[:, None] ** np.arange(len(values))
-        residuals = []
-        for order in config.orders:
+        for column, order in enumerate(config.orders):
             sums = _combine(powers[:, : order + 1], values[: order + 1])
             stacks, outside = blocks.split((codes, sums))
             inside = sum(
                 np.sum(np.abs(log / period - stack) ** 2, axis=(1, 2, 3))
                 for log, stack in zip(logs, stacks)
             )
-            residuals.append(np.sqrt(inside + outside))
-        failed = np.isnan(logs[0][:, 0, 0, 0])  # block_logs marks them with NaN
-        results += [
-            ([None] * len(config.orders), True) if flag else (list(map(float, row)), False)
-            for flag, row in zip(failed, np.transpose(residuals))
-        ]
-    if all(failed for _, failed in results):
+            residuals[start : start + points.size, column] = np.sqrt(inside + outside)
+    if np.isnan(residuals).all():
         raise BranchCutError(
             "the exact effective generator is branch-ambiguous at every "
             "grid point"
         )
     cumulative = blocks.split((codes, np.cumsum(values, axis=0)[list(config.orders)]))[0]
-    return results, blocks, [step[-1] for step in steps], cumulative
+    return residuals, blocks, [step[-1] for step in steps], cumulative
 
 
 def cmd_compare_exact(config: RunConfig) -> str:
@@ -650,25 +645,16 @@ def cmd_compare_exact(config: RunConfig) -> str:
                 "semidefinite and of unit trace"
             )
     expansion = config.expansion(drive)
-    results, blocks, step, cumulative = _compare_pass(config, expansion, grid)
-    branch_failures = [float(tau) for tau, (_, failed) in zip(grid, results) if failed]
-    columns = zip(*(point_residuals for point_residuals, _ in results))
-    residuals = {str(order): list(column) for order, column in zip(config.orders, columns)}
+    table, blocks, step, cumulative = _compare_pass(config, expansion, grid)
+    kept = ~np.isnan(table[:, 0])
+    branch_failures = [float(tau) for tau in grid[~kept]]
+    residuals: dict[str, list] = {}
     slopes: dict[str, float | None] = {}
-    log_grid = np.log(grid)
-    for order in config.orders:
-        values = residuals[str(order)]
-        kept = [
-            (log_grid[pos], np.log(max(value, 1e-300)))
-            for pos, value in enumerate(values)
-            if value is not None
-        ]
-        if len(kept) < 2:
-            slopes[str(order)] = None
-            continue
-        xs, ys = zip(*kept)
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        slopes[str(order)] = slope if np.isfinite(slope) else None
+    for order, column in zip(config.orders, table.T):
+        residuals[str(order)] = [float(v) if ok else None for v, ok in zip(column, kept)]
+        ys = np.log(np.maximum(column[kept], 1e-300))
+        slope = np.polyfit(np.log(grid[kept]), ys, 1)[0] if kept.sum() >= 2 else np.nan
+        slopes[str(order)] = float(slope) if np.isfinite(slope) else None
     comparisons = stroboscopic_compares(blocks, step, cumulative, num_periods, initial_state)
     stroboscopic = {
         str(order): {
@@ -764,6 +750,14 @@ def main(argv: list[str] | None = None) -> int:
             ) from None
         config = RunConfig(raw, args)
         output = _COMMANDS[args.command](config)
+        if config.out is None:
+            sys.stdout.write(output)
+            return 0
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -773,11 +767,6 @@ def main(argv: list[str] | None = None) -> int:
     except FloquetLindbladError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
-    if config.out is not None:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
-    else:
-        sys.stdout.write(output)
     return 0
 
 

@@ -48,9 +48,9 @@ BRANCH_ANGLE_TOL = 1e-6
 #: logarithm is considered unreliable.
 LOG_CONDITION_LIMIT = 1e10
 
-#: Bytes that a grid pass may stack per point for a chunk of grid points
-#: (at least one point a chunk): ``compare-exact`` one block group's
-#: propagators, ``scan`` and ``fit-modelc`` one order term's sums.
+#: Bytes that a chunked pass may stack per point (at least one point a
+#: chunk): ``compare-exact`` one block group's propagators, ``scan`` and
+#: ``fit-modelc`` one order term's sums, the kick-free sum one harmonic's.
 _GRID_BYTES = 2**17
 
 

@@ -569,11 +569,12 @@ def _graded_pass(parts, weights, selections, weight_limit, tol_psd):
 
     A first pass over chunks of rows (each row stacking at most
     ``core._GRID_BYTES`` of one part's sums) runs every check of
-    :func:`decompose` on every order term and the Hermiticity check of
-    :func:`psd_report` on every selection, as reductions over the rows; the
+    :func:`decompose` on every order term, as reductions over the rows; the
     first failing row raises at its first failing check. A selection's
-    blocks join the entries above their row's structural tolerance at any
-    row, so a report depends on the grid only in roundoff.
+    ``[a_jk]`` needs no Hermiticity check: each part's is ``0.5 (M +
+    M^dag)``, conjugate-symmetric bit for bit, and real weights keep it so.
+    A selection's blocks join the entries above their row's structural
+    tolerance at any row, so a report depends on the grid only in roundoff.
 
     :return: ``(sums, cut, layouts, chunks)``: the stacked sums of the
         parts, the restricted index set (a :class:`DissipatorMatrix` whose
@@ -592,7 +593,6 @@ def _graded_pass(parts, weights, selections, weight_limit, tol_psd):
     cut = _matrix((keys, np.arange(keys.size)), num_sites).restricted(weight_limit)
     rows, cols, kept = cut._nonzeros
     values, size = values[:, kept], cut.size
-    adjoint = np.searchsorted(cut._terms[0], cols * size + rows)
     width = sum(v.shape[1] for _, v in sums.values())  # 0 when every part is zero
     step = max(1, _GRID_BYTES // (16 * max(1, width)))
     chunks = [weights[start : start + step] for start in range(0, len(weights), step)]
@@ -608,8 +608,6 @@ def _graded_pass(parts, weights, selections, weight_limit, tol_psd):
                 if last == order:
                     a = _combine(chunk[:, mask], values[mask])
                     peak = np.max(np.abs(a), axis=1, initial=0.0)
-                    skew = np.max(np.abs(a - a[:, adjoint].conj()), axis=1, initial=0.0)
-                    stages.append(_hermiticity_stage(skew, peak))
                     ratio = np.abs(a) / _structural_tol(peak)[:, None]
                     above[s] = np.maximum(above[s], np.max(ratio, axis=0, initial=0.0))
         _raise_first(stages)

@@ -62,15 +62,16 @@ the returned vec-basis superoperators are dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .core import BlockLayout, block_exps, block_logs, component_labels, kron
+from .core import _GRID_BYTES, BlockLayout, block_exps, block_logs, component_labels
 from .errors import DimensionMismatchError, UnsupportedOrderError
 from .lindblad import (
     PiecewiseLiouvillian, Superoperator, _num_sites, _pauli_terms, _weighted_sum
 )
-from .pauli import PAULI, pauli_commutator, pauli_transfer
+from .pauli import matrix_from_pauli_terms, pauli_commutator, pauli_transfer
 
 __all__ = [
     "EffectiveExpansion",
@@ -299,17 +300,19 @@ def van_vleck_orders(
     parts = [_segment_parts(drive, generators)]
     tail_estimate: float | None = None
     if max_order >= 1:
-        harmonics = np.arange(1, m_max + 1)
-        c = _segment_coefficients(drive, harmonics)
-        # w[m - 1, a, b] = w_ab(m), the weight of [L_a, L_b] in harmonic m.
-        w = (
-            2.0
-            * np.imag(c.conj()[:, :, None] * c[:, None, :])
-            / (harmonics * 2.0 * np.pi / drive.period)[:, None, None]
-        )
-        # The truncated sum, then the last (at most two) harmonic terms.
+        def weights(start: int, stop: int) -> np.ndarray:
+            # w[m - start, a, b] = w_ab(m), the weight of [L_a, L_b] in harmonic m.
+            harmonics = np.arange(start, stop)
+            c = _segment_coefficients(drive, harmonics)
+            w = 2.0 * np.imag(c.conj()[:, :, None] * c[:, None, :])
+            return w / (harmonics * 2.0 * np.pi / drive.period)[:, None, None]
+        # The truncated sum, a chunk of harmonics at a time, then the last
+        # (at most two) harmonic terms.
+        step = max(1, _GRID_BYTES // (16 * len(generators) ** 2))
+        chunks = range(1, m_max + 1, step)
+        total = reduce(np.add, (weights(m, min(m + step, m_max + 1)).sum(axis=0) for m in chunks))
         summed, *last = _pair_parts(
-            generators, np.concatenate([w.sum(axis=0)[None], w[-2:]])
+            generators, np.concatenate([total[None], weights(max(1, m_max - 1), m_max + 1)])
         )
         parts.append(summed)
         tail_estimate = 2.0 * max(
@@ -383,13 +386,9 @@ class TransferBlocks:
     def superoperator(self, stacks: list[np.ndarray]) -> Superoperator:
         """The dense vec-basis superoperator ``V R V^dag`` of the
         block-diagonal transfer matrix ``R`` of ``stacks``."""
-        sites = self.drive.num_sites
-        # Column b of V is vec(F_b): vec(sigma^p) / sqrt 2 per site, with the
-        # row digits reordered from (i_l, j_l) pairs to all i, then all j.
-        axes = [*range(0, 2 * sites, 2), *range(1, 2 * sites, 2), 2 * sites]
-        basis = kron(*[PAULI.reshape(4, 4).T / np.sqrt(2.0)] * sites)
-        basis = basis.reshape((2,) * 2 * sites + (-1,)).transpose(axes)
-        basis = basis.reshape(4**sites, -1)
+        sites, size = self.drive.num_sites, 4**self.drive.num_sites
+        # Column b of V is vec(F_b).
+        basis = matrix_from_pauli_terms(np.arange(size), np.eye(size), sites).reshape(size, size)
         matrix = basis @ self.apply(stacks, basis.conj()).T
         return Superoperator(matrix, self.drive.dim)
 

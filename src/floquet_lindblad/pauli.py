@@ -16,7 +16,8 @@ A multi-index is packed into an integer code ``sum_l j_l * 4^(L-1-l)``
 (site 0 most significant). The fast transforms below return coefficient
 arrays indexed by code, which keeps superoperator-sized transforms (2L
 sites) cheap: one unitary 4 x 4 contraction per site instead of a dense
-inner product per basis element.
+inner product per basis element. The way back is one scatter,
+:func:`matrix_from_pauli_terms`, behind every dense matrix built here.
 
 Sparse sums
 -----------
@@ -306,18 +307,7 @@ def matrix_from_pauli_coefficients(
         raise DimensionMismatchError(
             f"expected {4 ** num_sites} coefficients, got shape {coeffs.shape}"
         )
-    batch = coeffs.shape[1:]
-    tensor = coeffs.reshape((4,) * num_sites + batch)
-    inverse = _SITE_TRANSFORM.conj().T
-    for axis in range(num_sites):
-        tensor = np.moveaxis(
-            np.tensordot(inverse, tensor, axes=([1], [axis])), 0, axis
-        )
-    # Site digits (i_l, j_l) in pairs, reordered to all i, then all j.
-    tensor = tensor.reshape((2, 2) * num_sites + batch)
-    columns = range(1, 2 * num_sites, 2)
-    tensor = np.moveaxis(tensor, columns, range(num_sites, 2 * num_sites))
-    return tensor.reshape((2**num_sites,) * 2 + batch)
+    return matrix_from_pauli_terms(np.arange(4**num_sites), coeffs, num_sites)
 
 
 def quadratic_product_coefficients(
@@ -460,24 +450,30 @@ def matrix_from_pauli_terms(
     z) / 2^(L/2)``, bit ``p`` of ``x`` (of ``z``) set where code digit
     ``p`` is 1 or 2 (2 or 3). The strings sharing an ``x`` fill one
     generalized diagonal, a Walsh-Hadamard transform over ``z``, taken
-    in place for all diagonals at once."""
+    in place for all diagonals at once. This is the package's one map
+    from Pauli coefficients to matrices: axes of ``values`` after the
+    first are carried along, ``(n, ...) -> (2^L, 2^L, ...)``."""
+    batch = np.shape(values)[1:]
     position = np.arange(num_sites)
     digits = (np.asarray(codes, dtype=np.int64)[:, None] >> 2 * position) & 3
     z = digits >> 1
     x = (digits & 1) ^ z
-    phases = _PHASES[False] * 2.0 ** (-num_sites / 2.0)
-    weights = values * phases[np.sum(x & z, axis=1) & 3]
+    phases = (_PHASES[False] * 2.0 ** (-num_sites / 2.0))[np.sum(x & z, axis=1) & 3]
     x, z = x @ (1 << position), z @ (1 << position)
     diagonals = np.unique(x)
     dim = 2**num_sites
-    columns = np.zeros((diagonals.size, dim), dtype=complex)
-    columns[np.searchsorted(diagonals, x), z] = weights
+    where = np.searchsorted(diagonals, x), z
+    columns = np.zeros((diagonals.size, dim) + batch, dtype=complex)
+    columns[where] = values
+    grid = np.zeros((diagonals.size, dim), dtype=complex)
+    grid[where] = phases
+    columns *= grid.reshape(grid.shape + (1,) * len(batch))  # no temporary of the values' size
     for stride in (2**bit for bit in range(num_sites)):  # one butterfly per bit
-        pairs = columns.reshape(-1, 2, stride)
+        pairs = columns.reshape((-1, 2, stride) + batch)
         low = pairs[:, 0].copy()
         pairs[:, 0] += pairs[:, 1]
         np.subtract(low, pairs[:, 1], out=pairs[:, 1])
-    out, index = np.zeros((dim, dim), dtype=complex), np.arange(dim)
+    out, index = np.zeros((dim, dim) + batch, dtype=complex), np.arange(dim)
     out[diagonals[:, None] ^ index, index] = columns
     return out
 

@@ -311,6 +311,46 @@ def test_analyze_decomposes_and_certifies_no_matrix_on_its_own(monkeypatch):
     assert cli.cmd_analyze(config) == expected
 
 
+def hermitian_cases():
+    """Every scan of ``SCANS`` in both flavors, and every ``analyze`` case."""
+    for flavor in ("fm", "vanvleck"):
+        for key, parameter in SCANS:
+            yield pytest.param("scan", key, parameter, flavor, id=f"scan-{key}-{parameter}-{flavor}")
+    for case in ANALYZE_CASES:
+        yield pytest.param("analyze", case, None, None, id=f"analyze-{case}")
+
+
+@pytest.mark.parametrize("command, key, parameter, flavor", hermitian_cases())
+def test_every_selection_is_hermitian_bit_for_bit(monkeypatch, command, key, parameter, flavor):
+    """The graded pass runs no Hermiticity check on a selection's stacked
+    ``[a_jk]``, because it cannot fail: every stack it certifies equals its
+    conjugate transpose exactly, entry ``(r, c)`` against ``(c, r)``."""
+    stacks = []
+    reports = liouvillianity._reports
+
+    def recorded(spectra, deltas, peaks, tol_psd, nonzeros, size):
+        stacks.append((*nonzeros, size))
+        return reports(spectra, deltas, peaks, tol_psd, nonzeros, size)
+
+    monkeypatch.setattr(liouvillianity, "_reports", recorded)
+    if command == "scan":
+        orders = (0, 1) if flavor == "vanvleck" else (0, 1, 2, 3)
+        section = {"parameter": parameter, **scan_grid(parameter)}
+        model = {**MODELS, **ZERO_MODELS}[key]
+        cli.cmd_scan(run_config("scan", model, flavor, orders, scan=section))
+    else:
+        model, flavor, orders, flags, raw = ANALYZE_CASES[key]
+        model = kick_free_model() if model == "kick-free" else model
+        cli.cmd_analyze(run_config("analyze", model, flavor, orders, flags, **raw))
+    assert stacks
+    for rows, cols, values, size in stacks:
+        keys = rows * size + cols
+        order = np.argsort(keys)
+        adjoint = order[np.searchsorted(keys[order], cols * size + rows)]
+        assert np.array_equal(keys[adjoint], cols * size + rows)
+        assert np.array_equal(values[:, adjoint], values.conj())
+
+
 def difference_norm(a, b):
     """Frobenius norm of the difference of two sparse superoperators."""
     codes, values = merge_pauli_terms(

@@ -304,6 +304,20 @@ def test_config_error_paths(tmp_path, capsys):
     assert code == 2 and "not valid JSON" in err
 
 
+def test_unwritable_output_is_a_configuration_error(tmp_path, capsys):
+    """An ``--out`` path that cannot be written exits with the configuration
+    code and a one-line message, as an unreadable config does: no
+    traceback, no file and no report on stdout."""
+    config = write_config(tmp_path, model_a_config())
+    target = tmp_path / "absent" / "report.json"
+    code, out, err = run_cli(capsys, ["analyze", "--config", config, "--out", str(target)])
+    assert code == 2
+    assert err.startswith("config error: cannot write output: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert out == ""
+    assert not target.parent.exists()
+
+
 def test_kick_free_flavor_covers_two_orders(tmp_path, capsys):
     """The kick-free expansion rejects orders beyond one but runs at
     orders zero and one, reporting its Fourier cutoff."""

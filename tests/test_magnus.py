@@ -3,6 +3,7 @@ stroboscopic orders for binary drives, the general piecewise first
 order, Fourier components, the kick-free expansion, the period
 propagator, and the exact effective generator."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from floquet_lindblad import (
     van_vleck_orders,
     vectorize,
 )
+from floquet_lindblad import magnus
 from floquet_lindblad.magnus import _segment_coefficients
 from floquet_lindblad.models import ModelParams, build_model
 
@@ -316,6 +318,31 @@ def test_kick_free_first_order_matches_fourier_loop():
         assert expansion.tail_estimate == pytest.approx(
             2.0 * max(last_norms), rel=1e-12
         )
+
+
+def test_kick_free_weights_are_summed_in_bounded_chunks(monkeypatch):
+    """The harmonics' pair weights are summed a ``_GRID_BYTES`` chunk at a
+    time: for model A the traced peak at ``m_max = 10^6`` is at most twice
+    the peak at ``10^4`` (all harmonics stacked at once took 162 MB of RSS
+    at ``10^6``), and chunks of one harmonic give the single chunk's first
+    order to roundoff and its tail estimate exactly."""
+    drive = build_model(ModelParams(name="A", tau=0.2, h=1.0, gamma1=0.7))
+    peaks = []
+    for m_max in (10**4, 10**6):
+        van_vleck_orders(drive, max_order=1, m_max=m_max)
+        tracemalloc.start()
+        try:
+            van_vleck_orders(drive, max_order=1, m_max=m_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
+    whole = van_vleck_orders(drive, max_order=1, m_max=37)
+    monkeypatch.setattr(magnus, "_GRID_BYTES", 1)
+    chunked = van_vleck_orders(drive, max_order=1, m_max=37)
+    difference = np.linalg.norm(chunked.term(1).matrix - whole.term(1).matrix)
+    assert difference <= 1e-14 * whole.term(1).norm()
+    assert chunked.tail_estimate == whole.tail_estimate
 
 
 def test_kick_free_input_validation():

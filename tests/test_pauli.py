@@ -155,13 +155,14 @@ def scatter_cases():
 @pytest.mark.parametrize("num_sites, codes", scatter_cases())
 def test_scatter_matches_the_inverse_transform(num_sites, codes):
     """The direct scatter of a sparse Pauli sum equals the inverse
-    transform of its coefficients to 1e-14 relative (exactly, for the
-    empty sum)."""
+    transform taken term by term, the sum of its Kronecker-built strings
+    ``values[i] F_codes[i]``, to 1e-14 relative (exactly, for the empty
+    sum)."""
     rng = np.random.default_rng(num_sites + codes.size)
     values = rng.standard_normal(codes.size) + 1j * rng.standard_normal(codes.size)
-    coefficients = np.zeros(4**num_sites, dtype=complex)
-    coefficients[codes] = values
-    expected = matrix_from_pauli_coefficients(coefficients, num_sites)
+    expected = np.zeros((2**num_sites, 2**num_sites), dtype=complex)
+    for code, value in zip(codes.tolist(), values):
+        expected += value * pauli_string(MultiIndex.from_code(code, num_sites))
     matrix = matrix_from_pauli_terms(codes, values, num_sites)
     assert matrix.shape == expected.shape
     scale = np.max(np.abs(expected), initial=0.0)
