@@ -167,6 +167,8 @@ class LindbladSegment:
             self, "hamiltonian_terms", tuple(self.hamiltonian_terms)
         )
         object.__setattr__(self, "jump_terms", tuple(self.jump_terms))
+        if not np.isfinite(self.duration):
+            raise DimensionMismatchError(f"segment duration must be finite, got {self.duration}")
         if self.duration <= 0.0:
             raise DimensionMismatchError(
                 f"segment duration must be positive, got {self.duration}"

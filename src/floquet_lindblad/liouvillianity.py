@@ -67,7 +67,7 @@ from .magnus import EffectiveExpansion
 from .pauli import (
     MultiIndex,
     _string_products,
-    code_two_counts,
+    _transpose_signs,
     code_weights,
     matrix_from_pauli_terms,
     merge_pauli_terms,
@@ -469,18 +469,12 @@ def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
     )
 
 
-def _signs(codes: np.ndarray, num_sites: int) -> np.ndarray:
-    """``(-1)^(#2s in k)`` at doubled codes ``j 4^L + k``, which turns
-    Pauli coefficients into the signed table and back."""
-    return (-1.0) ** code_two_counts(num_sites)[codes % 4**num_sites]
-
-
 def _signed_table(superop: Superoperator) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """The signed table ``t`` of ``superop`` (module docstring) as its
     nonzeros ``(codes, values)``, from its doubled Pauli sum, unchecked."""
     num_sites = _num_sites(superop)
     codes, values = _pauli_terms(superop)
-    return (codes, values * _signs(codes, num_sites)), num_sites
+    return (codes, values * _transpose_signs(codes, num_sites)), num_sites
 
 
 def _form_parts(hamiltonian, dissipator: DissipatorMatrix):
@@ -522,7 +516,7 @@ def _form_superop(h, a, gram, num_sites: int) -> Superoperator:
     """The sparse superoperator of the table :func:`_form_table` writes."""
     codes, signed = _form_table(h, a, gram, num_sites)
     return Superoperator.from_pauli_terms(
-        codes, signed * _signs(codes, num_sites), 2**num_sites
+        codes, signed * _transpose_signs(codes, num_sites), 2**num_sites
     )
 
 

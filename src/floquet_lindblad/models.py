@@ -105,13 +105,17 @@ class ModelParams:
             raise DimensionMismatchError(
                 f"unknown model {self.name!r}, expected A, B, C or D"
             )
+        # The couplings are the fields after name, tau and num_sites.
+        couplings = [f.name for f in fields(self)][3:]
+        for field_name in ("tau", *couplings):
+            if not np.isfinite(value := getattr(self, field_name)):
+                raise DimensionMismatchError(f"{field_name} must be finite, got {value}")
         if self.tau <= 0.0:
             raise DimensionMismatchError(
                 f"tau must be positive, got {self.tau}"
             )
         used = PARAMETER_SEGMENTS[self.name]
-        # The couplings are the fields after name, tau and num_sites.
-        for field_name in [f.name for f in fields(self)][3:]:
+        for field_name in couplings:
             value = getattr(self, field_name)
             if field_name not in used and value != 0.0:
                 raise DimensionMismatchError(

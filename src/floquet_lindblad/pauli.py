@@ -23,7 +23,8 @@ Sparse sums
 -----------
 A sparse Pauli sum is a pair ``(codes, values)`` of ascending distinct
 codes and nonzero coefficients. :func:`pauli_commutator` takes the
-commutator of two by digit lookup, one per site and pair of strings.
+commutator of two pair by pair, each phase from the codes' X and Z bit
+masks (:func:`_masks`; Aaronson & Gottesman, PRA 70, 052328 (2004)).
 """
 
 from __future__ import annotations
@@ -86,23 +87,16 @@ def _build_product_tables() -> tuple[np.ndarray, np.ndarray]:
 
 PAULI_PRODUCT_INDEX, PAULI_PRODUCT_PHASE = _build_product_tables()
 
-#: ``PAULI_PRODUCT_PHASE[a, b] = 1j ** _PHASE_POWER[4 a + b]``, while
-#: ``PAULI_PRODUCT_INDEX[a, b] = a ^ b``, so whole codes multiply by XOR.
-_PHASE_POWER = (np.rint(np.angle(PAULI_PRODUCT_PHASE) / (np.pi / 2)) % 4).astype(
-    np.uint8
-).reshape(-1)
-
 #: ``1j ** p`` for a product, ``1j ** p - 1j ** -p`` for a commutator.
 _PHASES = {False: 1j ** np.arange(4), True: np.array([0, 2j, 0, -2j])}
 
-#: One digit lookup of :func:`pauli_commutator` costs about as much as this
-#: many multiply-adds of a dense product (equal times at 3.2e6 string
-#: pairs on 10 sites, measured on a 2-core VM with OpenBLAS, the dense
-#: operands built by scatter). Checked on random strings at 4, 6, 8 and
-#: 10 sites: the pairs stay faster up to about 30, 15, 1.9 and 1 times
-#: the pair count where this rule turns dense, so on fewer sites it turns
-#: dense early, at a cost of at most 1 ms a commutator on 6 sites or
-#: fewer and 2.5x on 8.
+#: :func:`pauli_commutator` turns dense once ``_LOOKUP_COST * L`` per pair
+#: of strings exceeds the ``8^L`` multiply-adds of a dense product. The
+#: value was measured against the former per-site digit lookup (equal
+#: times at 3.2e6 pairs on 10 sites, 2-core VM, OpenBLAS). The mask rule
+#: made pairs cheaper: they now win up to about 35, 3.5 and 2 times the
+#: switch's pair count at 6, 8 and 10 sites, and past 256 times at 4. A
+#: new value would move the roundoff of reports that cross the switch.
 _LOOKUP_COST = 33
 
 #: Per-site transform with rows (1/sqrt(2)) vec(conj(sigma^p)); unitary.
@@ -245,28 +239,33 @@ class FrobeniusBasis:
         return code_weights(self.num_sites)
 
 
-# One table at a time: on 12 sites it takes 200 MB.
-@lru_cache(maxsize=1)
-def _code_digits(num_sites: int) -> np.ndarray:
-    """The ``L`` base-4 digits of every code, ``(L, 4^L)``, one row per
-    site (least significant first)."""
-    codes = np.arange(4**num_sites, dtype=np.int64)
-    digits = np.empty((num_sites, codes.size), dtype=np.uint8)
-    for position, row in enumerate(digits):
-        row[:] = (codes >> (2 * position)) & 3
-    return digits
+def _masks(codes, num_sites: int):
+    """X and Z bit masks of codes on ``num_sites`` sites: bit ``2l`` is set
+    where digit ``l`` is 1 or 2 (X), 2 or 3 (Z); ``F = 1j^#Y X^x Z^z /
+    2^(L/2)`` with ``#Y = popcount(x & z)``. The masks of ``a ^ b`` are
+    the XORs of those of ``a`` and ``b``."""
+    even = (4**num_sites - 1) // 3
+    return (codes ^ codes >> 1) & even, (codes >> 1) & even
+
+
+def _transpose_signs(codes, num_sites: int) -> np.ndarray:
+    """``(-1)^#Y`` of each code's last ``num_sites`` digits: ``F^T = (-1)^#Y F``."""
+    x, z = _masks(codes, num_sites)
+    return 1.0 - 2.0 * (np.bitwise_count(x & z) & 1)
 
 
 @lru_cache(maxsize=None)
 def code_weights(num_sites: int) -> np.ndarray:
     """Array over all 4^L codes giving each index's weight."""
-    return np.sum(_code_digits(num_sites) != 0, axis=0, dtype=np.int64)
+    x, z = _masks(np.arange(4**num_sites), num_sites)
+    return np.bitwise_count(x | z).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
 def code_two_counts(num_sites: int) -> np.ndarray:
     """Array over all 4^L codes counting sigma^2 entries per index."""
-    return np.sum(_code_digits(num_sites) == 2, axis=0, dtype=np.int64)
+    x, z = _masks(np.arange(4**num_sites), num_sites)
+    return np.bitwise_count(x & z).astype(np.int64)
 
 
 def _as_site_tensor(matrix: np.ndarray, num_sites: int) -> np.ndarray:
@@ -368,12 +367,12 @@ def stack_pauli_terms(terms) -> tuple[np.ndarray, np.ndarray]:
 
 def _string_products(left, right, weights, num_sites: int, commutator: bool):
     """Codes and values of ``weights[i] F_left[i] F_right[i]`` (or of the
-    commutators), not merged: ``F_a F_b = 2^(-L/2) prod_l 1j^p(a_l, b_l)
-    F_(a ^ b)``."""
-    left, right = np.broadcast_arrays(left, right)
-    power = np.zeros(left.shape, dtype=np.uint8)  # only p mod 4 matters
-    for shift in range(0, 2 * num_sites, 2):
-        power += _PHASE_POWER[(((left >> shift) & 3) << 2) | ((right >> shift) & 3)]
+    commutators), not merged: ``F_a F_b = 1j^p F_(a ^ b) / 2^(L/2)``, ``p =
+    #Y(a) + #Y(b) - #Y(a ^ b) + 2 popcount(z_a & x_b)`` mod 4 (uint8 wraps)."""
+    (xa, za), (xb, zb) = _masks(left, num_sites), _masks(right, num_sites)
+    power = np.bitwise_count(xa & za) + np.bitwise_count(xb & zb)
+    power -= np.bitwise_count((xa ^ xb) & (za ^ zb))
+    power += 2 * np.bitwise_count(za & xb)
     values = weights * (_PHASES[commutator] * 2.0 ** (-num_sites / 2.0))[power & 3]
     return (left ^ right).reshape(-1), values.reshape(-1)
 
@@ -384,10 +383,11 @@ def pauli_commutator(
     num_sites: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sparse sum of ``[A, B]`` from those of ``A`` and ``B``: one
-    digit lookup per site and pair of strings, ``2^16`` pairs per pass;
-    commuting pairs drop out exactly. When the lookups would cost more
-    than the ``8^L`` multiply-adds of a dense product, the commutator is
-    taken densely instead: two scatters, the products and one transform."""
+    mask-rule phase per pair of strings, ``2^16`` pairs per pass;
+    commuting pairs drop out exactly. Past the pair count that
+    ``_LOOKUP_COST`` sets against the ``8^L`` multiply-adds of a dense
+    product, the commutator is taken densely instead: two scatters, the
+    products and one transform."""
     (left_codes, left_values), (right_codes, right_values) = left, right
     if _LOOKUP_COST * num_sites * left_codes.size * right_codes.size > 8**num_sites:
         a, b = (matrix_from_pauli_terms(*terms, num_sites) for terms in (left, right))
@@ -417,7 +417,7 @@ def pauli_transfer(
     per ``sigma^2``: two passes of string products."""
     size = 4**num_sites
     left, right = np.divmod(codes, size)
-    weights = values * (1 - 2 * (code_two_counts(num_sites)[right] & 1))
+    weights = values * _transpose_signs(right, num_sites)
     columns = np.arange(size)
 
     def entries(rows):
@@ -447,19 +447,16 @@ def matrix_from_pauli_terms(
 ) -> np.ndarray:
     """The dense matrix of a sparse Pauli sum, by direct scatter: ``F_j``
     maps column ``c`` to row ``c ^ x`` with value ``i^#Y (-1)^popcount(c &
-    z) / 2^(L/2)``, bit ``p`` of ``x`` (of ``z``) set where code digit
-    ``p`` is 1 or 2 (2 or 3). The strings sharing an ``x`` fill one
+    z) / 2^(L/2)``, ``x`` and ``z`` the masks of :func:`_masks` with bit
+    ``2p`` moved to bit ``p``. The strings sharing an ``x`` fill one
     generalized diagonal, a Walsh-Hadamard transform over ``z``, taken
     in place for all diagonals at once. This is the package's one map
     from Pauli coefficients to matrices: axes of ``values`` after the
     first are carried along, ``(n, ...) -> (2^L, 2^L, ...)``."""
     batch = np.shape(values)[1:]
-    position = np.arange(num_sites)
-    digits = (np.asarray(codes, dtype=np.int64)[:, None] >> 2 * position) & 3
-    z = digits >> 1
-    x = (digits & 1) ^ z
-    phases = (_PHASES[False] * 2.0 ** (-num_sites / 2.0))[np.sum(x & z, axis=1) & 3]
-    x, z = x @ (1 << position), z @ (1 << position)
+    x, z = _masks(np.asarray(codes, dtype=np.int64), num_sites)
+    phases = (_PHASES[False] * 2.0 ** (-num_sites / 2.0))[np.bitwise_count(x & z) & 3]
+    x, z = (sum((mask >> p) & (1 << p) for p in range(num_sites)) for mask in (x, z))
     diagonals = np.unique(x)
     dim = 2**num_sites
     where = np.searchsorted(diagonals, x), z

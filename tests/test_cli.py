@@ -1077,6 +1077,43 @@ def test_non_finite_grid_ends_are_configuration_errors(tmp_path, capsys, command
     assert err.startswith(f"config error: {name}.{key}: must be finite")
 
 
+def _custom_drive(duration):
+    """A one-site custom drive whose second segment lasts ``duration``."""
+    field = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    flip = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    return {
+        "name": "custom",
+        "num_sites": 1,
+        "segments": [
+            {"duration": 0.1, "hamiltonian_terms": [{"matrix": field, "sites": [0]}]},
+            {"duration": duration, "jump_terms": [{"rate": 1.0, "matrix": flip}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"tau": float("nan")}, "model: tau must be finite, got nan"),
+        ({"tau": float("inf")}, "model: tau must be finite, got inf"),
+        ({"jz": float("nan")}, "model: jz must be finite, got nan"),
+        ({"gamma": float("inf")}, "model: gamma must be finite, got inf"),
+        (_custom_drive(float("nan")), "model.segments[1]: segment duration must be finite, got nan"),
+        (_custom_drive(float("inf")), "model.segments[1]: segment duration must be finite, got inf"),
+    ],
+    ids=["tau-nan", "tau-inf", "jz-nan", "gamma-inf", "duration-nan", "duration-inf"],
+)
+def test_non_finite_model_numbers_are_configuration_errors(tmp_path, capsys, model, message):
+    """A NaN or infinite ``tau``, coupling, rate or segment duration (JSON
+    ``NaN``, ``Infinity``) exits 2 naming it, with no traceback: not 3
+    from a later check, and not 0 with an infinite segment certified."""
+    if model.get("name") != "custom":
+        model = {"name": "C", "tau": 0.2, "num_sites": 3, "jz": 1.0, "gamma": 0.5, **model}
+    document = {"schema_version": 1, "model": model, "orders": [0, 1]}
+    code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, document)])
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "command, model, section",
     [

@@ -2,6 +2,8 @@
 elements, coefficient transforms, quadratic product assembly, and local
 operator embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from floquet_lindblad import (
     pauli_string,
 )
 from floquet_lindblad.pauli import (
+    PAULI_PRODUCT_INDEX,
+    PAULI_PRODUCT_PHASE,
+    _string_products,
     code_two_counts,
     code_weights,
     matrix_from_pauli_terms,
@@ -169,6 +174,49 @@ def test_scatter_matches_the_inverse_transform(num_sites, codes):
     assert np.max(np.abs(matrix - expected)) <= 1e-14 * scale
 
 
+def test_mask_rule_reproduces_the_single_site_product_table():
+    """For all 16 single-site pairs, the product's code is the table's
+    index and its value the table's phase over ``sqrt(2)``, exactly."""
+    left, right = np.divmod(np.arange(16), 4)
+    codes, values = _string_products(left, right, np.ones(16), 1, False)
+    np.testing.assert_array_equal(codes, PAULI_PRODUCT_INDEX.reshape(-1))
+    np.testing.assert_array_equal(values, PAULI_PRODUCT_PHASE.reshape(-1) * 2.0**-0.5)
+
+
+@pytest.mark.parametrize("commutator", [False, True], ids=["product", "commutator"])
+@pytest.mark.parametrize("num_sites", range(1, 5))
+def test_string_products_equal_kronecker_products(num_sites, commutator):
+    """``F_a F_b`` (or ``[F_a, F_b]``) from the mask rule equals the
+    product of the Kronecker-built strings entry for entry: every entry is
+    a unit phase times a power of two, so the phases match exactly."""
+    rng = np.random.default_rng(num_sites + 10 * commutator)
+    left, right = rng.integers(0, 4**num_sites, size=(2, 40))
+    codes, values = _string_products(left, right, np.ones(40), num_sites, commutator)
+    for a, b, code, value in zip(left.tolist(), right.tolist(), codes, values):
+        f_a, f_b = (pauli_string(MultiIndex.from_code(c, num_sites)) for c in (a, b))
+        expected = f_a @ f_b - f_b @ f_a if commutator else f_a @ f_b
+        assert code == a ^ b
+        np.testing.assert_array_equal(
+            value * pauli_string(MultiIndex.from_code(int(code), num_sites)), expected
+        )
+
+
+def test_full_scatter_peak_stays_within_a_few_times_its_operands():
+    """The scatter of every code on 8 sites allocates at most six times
+    the bytes of its values plus its output: no ``(n, L)`` digit arrays."""
+    num_sites = 8
+    codes = np.arange(4**num_sites)
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal(codes.size) + 1j * rng.standard_normal(codes.size)
+    tracemalloc.start()
+    try:
+        matrix = matrix_from_pauli_terms(codes, values, num_sites)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (values.nbytes + matrix.nbytes)
+
+
 def test_pauli_coefficients_match_inner_products():
     """The fast transform agrees with explicit Frobenius projections."""
     rng = np.random.default_rng(31)
@@ -198,14 +246,15 @@ def test_basis_indices_filters_by_weight():
 
 
 def test_code_weights_and_two_counts_tables():
-    """Vectorized weight tables agree with per-index properties."""
-    num_sites = 3
-    weights = code_weights(num_sites)
-    twos = code_two_counts(num_sites)
-    for code in range(4**num_sites):
-        index = MultiIndex.from_code(code, num_sites)
-        assert weights[code] == index.weight
-        assert twos[code] == index.two_count
+    """Vectorized weight tables agree with per-index properties on 1 to 5
+    sites."""
+    for num_sites in range(1, 6):
+        weights = code_weights(num_sites)
+        twos = code_two_counts(num_sites)
+        for code in range(4**num_sites):
+            index = MultiIndex.from_code(code, num_sites)
+            assert weights[code] == index.weight
+            assert twos[code] == index.two_count
 
 
 def test_quadratic_product_coefficients_against_dense_oracle():
