@@ -678,57 +678,37 @@ def cmd_compare_exact(config: RunConfig) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+_COMMANDS = {
+    "analyze": (cmd_analyze, "per-order certification report (JSON)"),
+    "scan": (cmd_scan, "one-parameter sweep (CSV)"),
+    "fit-modelc": (cmd_fit_modelc, "normalized eigenvalue fit for model C (JSON)"),
+    "compare-exact": (cmd_compare_exact, "exact-vs-expansion comparison (JSON)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: every command takes the same options."""
     parser = argparse.ArgumentParser(
         prog="floquet-lindblad",
         description=(
-            "Effective-generator expansions of periodically driven "
-            "Lindblad dynamics: certification reports, parameter scans, "
-            "eigenvalue fits and exactness comparisons."
+            "Effective-generator expansions of periodically driven Lindblad\n"
+            "dynamics: certification reports, parameter scans, eigenvalue fits\n"
+            "and exactness comparisons.\n\ncommands:\n"
+            + "".join(f"  {name:<15}{text}\n" for name, (_, text) in _COMMANDS.items())
         ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("analyze", "per-order certification report (JSON)"),
-        ("scan", "one-parameter sweep (CSV)"),
-        ("fit-modelc", "normalized eigenvalue fit for model C (JSON)"),
-        ("compare-exact", "exact-vs-expansion comparison (JSON)"),
-    ):
-        sub = subparsers.add_parser(name, help=text)
-        sub.add_argument(
-            "--config", required=True, help="path to the JSON configuration"
-        )
-        sub.add_argument(
-            "--out", default=None, help="output path (default: stdout)"
-        )
-        sub.add_argument(
-            "--tol-psd",
-            type=float,
-            default=None,
-            dest="tol_psd",
-            help="absolute PSD tolerance override",
-        )
-        sub.add_argument(
-            "--order",
-            type=int,
-            default=None,
-            help="restrict to orders 0..N (overrides the config list)",
-        )
-        sub.add_argument(
-            "--flavor",
-            choices=(FLAVOR_STROBOSCOPIC, FLAVOR_VAN_VLECK),
-            default=None,
-            help="expansion flavor override",
-        )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands above")
+    parser.add_argument("--config", required=True, help="path to the JSON configuration")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--tol-psd", type=float, default=None,
+                        help="absolute PSD tolerance override")
+    parser.add_argument("--order", type=int, default=None,
+                        help="restrict to orders 0..N (overrides the config list)")
+    parser.add_argument("--flavor", choices=(FLAVOR_STROBOSCOPIC, FLAVOR_VAN_VLECK),
+                        default=None, help="expansion flavor override")
     return parser
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "scan": cmd_scan,
-    "fit-modelc": cmd_fit_modelc,
-    "compare-exact": cmd_compare_exact,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -749,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{exc.colno}): {exc.msg}"
             ) from None
         config = RunConfig(raw, args)
-        output = _COMMANDS[args.command](config)
+        output = _COMMANDS[args.command][0](config)
         if config.out is None:
             sys.stdout.write(output)
             return 0

@@ -184,7 +184,8 @@ class BlockLayout:
         # sits at _row[a] + _pos[b], with _pos the place inside the block.
         self.groups, self._bounds = [], [0]
         self._row, self._pos = np.empty((2, labels.size), dtype=np.int64)
-        for width in np.unique(counts).tolist():
+        # Distinct sizes by bincount: np.unique's hash path imports numpy.ma.
+        for width in np.flatnonzero(np.bincount(counts)).tolist():
             indices = members[starts[counts == width][:, None] + np.arange(width)]
             if shift is not None:
                 place = {label: i for i, label in enumerate(labels[indices[:, 0]].tolist())}
@@ -365,7 +366,7 @@ def matrix_exp(matrix: np.ndarray) -> np.ndarray:
     a = np.where(finite[:, None, None], arr, 0.0)
     a /= 2.0 ** squarings[:, None, None]
     result = np.empty_like(a)
-    for degree in np.unique(degrees).tolist():
+    for degree in np.flatnonzero(np.bincount(degrees)).tolist():  # np.unique imports numpy.ma
         # Numerator coefficients b_j = (2m - j)! m! / ((2m)! j! (m - j)!), rescaled
         # to integers; the denominator has the same ones with alternating signs.
         b = [float(factorial(2 * degree - j) // (factorial(j) * factorial(degree - j)))

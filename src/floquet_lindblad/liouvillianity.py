@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -463,10 +464,8 @@ def _hamiltonian(coherent, num_sites: int) -> HamiltonianCoefficients:
 @lru_cache(maxsize=None)
 def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
     """Every multi-index of weight >= 1, which is every code but 0, by
-    code."""
-    return tuple(
-        MultiIndex.from_code(code, num_sites) for code in range(1, 4**num_sites)
-    )
+    code (the lexicographic order of the site tuples)."""
+    return tuple(map(MultiIndex, product(range(4), repeat=num_sites)))[1:]
 
 
 def _signed_table(superop: Superoperator) -> tuple[tuple[np.ndarray, np.ndarray], int]:

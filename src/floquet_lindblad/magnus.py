@@ -385,11 +385,16 @@ class TransferBlocks:
 
     def superoperator(self, stacks: list[np.ndarray]) -> Superoperator:
         """The dense vec-basis superoperator ``V R V^dag`` of the
-        block-diagonal transfer matrix ``R`` of ``stacks``."""
+        block-diagonal transfer matrix ``R`` of ``stacks``, column ``b`` of
+        ``V`` being vec(F_b). The scatter of coefficients ``C`` is ``V C``,
+        so ``V R V^dag`` is the scatter of ``(V R^dag)^dag``."""
         sites, size = self.drive.num_sites, 4**self.drive.num_sites
-        # Column b of V is vec(F_b).
-        basis = matrix_from_pauli_terms(np.arange(size), np.eye(size), sites).reshape(size, size)
-        matrix = basis @ self.apply(stacks, basis.conj()).T
+        matrix = np.zeros((size, size), dtype=complex)  # R^dag
+        for indices, blocks in zip(self.groups, stacks):
+            matrix[indices[:, :, None], indices[:, None, :]] = blocks.conj().swapaxes(1, 2)
+        codes = np.arange(size)
+        matrix = matrix_from_pauli_terms(codes, matrix, sites).reshape(size, size).conj().T
+        matrix = matrix_from_pauli_terms(codes, matrix, sites).reshape(size, size)
         return Superoperator(matrix, self.drive.dim)
 
 

@@ -457,7 +457,7 @@ def matrix_from_pauli_terms(
     x, z = _masks(np.asarray(codes, dtype=np.int64), num_sites)
     phases = (_PHASES[False] * 2.0 ** (-num_sites / 2.0))[np.bitwise_count(x & z) & 3]
     x, z = (sum((mask >> p) & (1 << p) for p in range(num_sites)) for mask in (x, z))
-    diagonals = np.unique(x)
+    diagonals = np.flatnonzero(np.bincount(x))  # np.unique(x) imports numpy.ma
     dim = 2**num_sites
     where = np.searchsorted(diagonals, x), z
     columns = np.zeros((diagonals.size, dim) + batch, dtype=complex)

@@ -25,7 +25,7 @@ from floquet_lindblad import (
     fm_general,
     psd_report,
 )
-from floquet_lindblad.cli import CSV_HEADER, main
+from floquet_lindblad.cli import CSV_HEADER, build_parser, main
 
 
 def write_config(tmp_path, document, name="config.json"):
@@ -50,34 +50,50 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+RING3 = {"name": "C", "num_sites": 3, "tau": 0.2, "jz": 1.0, "gamma": 0.5}
+
+
 @pytest.mark.parametrize(
     "command, document",
     [
         ("analyze", model_a_config()),
+        ("scan", model_a_config(scan={"parameter": "tau", "start": 0.05, "stop": 0.2, "count": 3})),
+        (
+            "fit-modelc",
+            {
+                "schema_version": 1,
+                "model": RING3,
+                "orders": [0, 1, 2],
+                "fit": {"start": 0.05, "stop": 0.2, "count": 3},
+            },
+        ),
         (
             "compare-exact",
             {
                 "schema_version": 1,
-                "model": {"name": "C", "num_sites": 3, "tau": 0.2, "jz": 1.0, "gamma": 0.5},
+                "model": RING3,
                 "orders": [0, 1, 2],
                 "compare": {"start": 0.05, "stop": 0.2, "count": 3, "num_periods": 2},
             },
         ),
     ],
-    ids=["analyze", "compare-exact"],
+    ids=["analyze", "scan", "fit-modelc", "compare-exact"],
 )
 def test_cli_loads_no_scipy(tmp_path, command, document):
-    """A run in a fresh interpreter imports no scipy module: the package
-    needs numpy only, the exact path's matrix exponential and logarithm
-    (with the stroboscopic section of ``compare-exact``) included."""
+    """A run in a fresh interpreter imports no scipy module and no
+    ``numpy.ma``: the package needs numpy's core only, the exact path's
+    matrix exponential and logarithm (with the stroboscopic section of
+    ``compare-exact``) included. (``numpy.matrixlib``, which numpy loads
+    itself, shares the ``numpy.ma`` prefix and is allowed.)"""
     config = write_config(tmp_path, document)
-    out = tmp_path / "out.json"
+    out = tmp_path / "out.txt"
     script = "\n".join(
         [
             "import sys",
             "from floquet_lindblad.cli import main",
             f"assert main([{command!r}, '--config', {config!r}, '--out', {str(out)!r}]) == 0",
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
+            "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))",
         ]
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -87,7 +103,41 @@ def test_cli_loads_no_scipy(tmp_path, command, document):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
-    assert json.loads(out.read_text())["metadata"]["command"] == command
+    text = out.read_text()
+    if command == "scan":
+        assert text.split("\n")[0] == CSV_HEADER
+    else:
+        assert json.loads(text)["metadata"]["command"] == command
+
+
+def test_parser_takes_each_option_once_for_every_command(capsys):
+    """One flat parser: the help names every command with its one-line
+    description, every command takes the same options with their types,
+    defaults and choices, and a usage error exits 2."""
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    for name, text in (
+        ("analyze", "per-order certification report (JSON)"),
+        ("scan", "one-parameter sweep (CSV)"),
+        ("fit-modelc", "normalized eigenvalue fit for model C (JSON)"),
+        ("compare-exact", "exact-vs-expansion comparison (JSON)"),
+    ):
+        assert any(line.split() == [name, *text.split()] for line in help_text.splitlines())
+        args = build_parser().parse_args([name, "--config", "c.json"])
+        assert vars(args) == {
+            "command": name, "config": "c.json", "out": None,
+            "tol_psd": None, "order": None, "flavor": None,
+        }
+    args = build_parser().parse_args(
+        ["scan", "--config", "c", "--out", "o", "--tol-psd", "1e-3", "--order", "2",
+         "--flavor", "vanvleck"]
+    )
+    assert (args.out, args.tol_psd, args.order, args.flavor) == ("o", 1e-3, 2, "vanvleck")
+    for argv in ([], ["analyze"], ["bogus", "--config", "c"],
+                 ["analyze", "--config", "c", "--flavor", "other"],
+                 ["analyze", "--config", "c", "--order", "two"]):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_analyze_reports_certification(tmp_path, capsys):
