@@ -65,7 +65,7 @@ from .magnus import (
     transfer,
     van_vleck_orders,
 )
-from .models import PARAMETER_SEGMENTS, ModelParams, analytic_reference, build_model
+from .models import MODEL_C_FIT, PARAMETER_SEGMENTS, ModelParams, build_model
 from .pauli import stack_pauli_terms
 
 __all__ = ["main", "build_parser"]
@@ -504,10 +504,11 @@ def cmd_fit_modelc(config: RunConfig) -> str:
     if section is None:
         raise ConfigError("fit: missing 'fit' section")
     grid = _parse_grid(section, "fit")
+    ref_coeffs, ref_rmse, (low, high) = MODEL_C_FIT
     fit_warnings = []
-    if grid[0] <= 0.0 or grid[-1] >= 0.5:
+    if grid[0] <= low or grid[-1] >= high:
         fit_warnings.append(
-            "grid extends outside (0, 0.5); the reference fit window "
+            f"grid extends outside ({low:g}, {high:g}); the reference fit window "
             "does not cover it"
         )
     params = config.params
@@ -531,8 +532,6 @@ def cmd_fit_modelc(config: RunConfig) -> str:
     coefficients = None
     rmse = None
     max_deviation = None
-    reference = analytic_reference(params, 2)
-    ref_coeffs = list(reference.fit_coefficients)
     if fit_error is None:
         if len(grid) < 4:
             fit_error = "need at least four grid points for a cubic fit"
@@ -560,8 +559,8 @@ def cmd_fit_modelc(config: RunConfig) -> str:
         "normalized_min_eigs": [float(v) for v in normalized],
         "fit_coefficients": coefficients,
         "fit_rmse": rmse,
-        "reference_coefficients": ref_coeffs,
-        "reference_rmse": reference.fit_rmse,
+        "reference_coefficients": list(ref_coeffs),
+        "reference_rmse": ref_rmse,
         "max_abs_deviation_from_reference": max_deviation,
         "fit_error": fit_error,
         "warnings": fit_warnings,

@@ -30,6 +30,9 @@ preservation is ``t = t^dag``.
 The table and ``[a_jk]`` are held as their nonzeros (codes, or flat
 positions, with values), never as ``4^L x 4^L`` arrays:
 :attr:`DissipatorMatrix.entries` is a dense view, built on first use.
+Index sets are held as their codes; the ``index_set`` of
+:class:`MultiIndex` objects is built on first read, so certification
+builds none.
 
 When the expansion order ``n`` and drive locality ``k`` are known, the
 locality theory guarantees ``a_jk = 0`` for ``n_j + n_k > (n+1)k - n``;
@@ -50,8 +53,7 @@ of ``[a_jk]`` (:func:`psd_report`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from .pauli import (
     _string_products,
     _transpose_signs,
     code_weights,
+    indices_of,
     matrix_from_pauli_terms,
     merge_pauli_terms,
     pauli_coefficients,
@@ -108,34 +111,55 @@ BLOCK_DROP_RATIO = 1e-3
 
 
 class _Indexed:
-    """Position lookup over an ``index_set``; an index outside the set
-    raises :class:`DimensionMismatchError`."""
+    """An index set held as its codes, ``_codes`` (int64) on ``num_sites``
+    sites; ``index_set`` is built from them on first read. Looking up an
+    index outside the set raises :class:`DimensionMismatchError`, also
+    one on another number of sites whose code is in the set."""
 
-    index_set: tuple[MultiIndex, ...]
+    @classmethod
+    def _of(cls, codes: np.ndarray, *fields):
+        """The instance over ``codes``, unchecked, with the public
+        constructor's other arguments ``fields``."""
+        held = cls.__new__(cls)
+        held._hold(codes, *fields)
+        return held
+
+    @staticmethod
+    def _checked(index_set, data, num_sites: int, dtype, axes: int):
+        """A public constructor's codes and ``data``, an array with
+        ``axes`` axes of the index set's size.
+
+        :raises DimensionMismatchError: for an entry that is no index on
+            ``num_sites`` sites, a repeated index or data of another shape."""
+        on_sites = [i for i in index_set if isinstance(i, MultiIndex) and i.num_sites == num_sites]
+        codes = [index.code for index in on_sites]
+        arr, shape = np.asarray(data, dtype=dtype), (len(index_set),) * axes
+        if len(set(codes)) != len(index_set) or arr.shape != shape:
+            raise DimensionMismatchError(
+                f"need {len(index_set)} distinct indices on {num_sites} sites and "
+                f"data of shape {shape}, got {len(set(codes))} and {arr.shape}"
+            )
+        return np.array(codes, dtype=np.int64), arr
 
     @cached_property
-    def _positions(self) -> dict[MultiIndex, int]:
-        return {index: p for p, index in enumerate(self.index_set)}
+    def index_set(self) -> tuple[MultiIndex, ...]:
+        return indices_of(self._codes, self.num_sites)
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {code: p for p, code in enumerate(self._codes.tolist())}
 
     def _position(self, index: MultiIndex) -> int:
-        try:
-            return self._positions[index]
-        except KeyError:
-            raise DimensionMismatchError(
-                f"index {index} not in index set"
-            ) from None
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        size = 4**self.num_sites
-        if len(self.index_set) == size - 1:  # the full set is by code
-            if self.index_set is _nonidentity_indices(self.num_sites):
-                return np.arange(1, size)
-        return np.array([index.code for index in self.index_set], dtype=np.int64)
+        on_sites = isinstance(index, MultiIndex) and index.num_sites == self.num_sites
+        position = self._positions.get(index.code) if on_sites else None
+        if position is None:
+            raise DimensionMismatchError(f"index {index} not in index set")
+        return position
 
 
 class DissipatorMatrix(_Indexed):
-    """Hermitian coefficient matrix ``[a_jk]`` over a retained index set.
+    """Hermitian coefficient matrix ``[a_jk]`` over a retained index set,
+    held as its codes (``index_set`` is built on first read).
 
     ``entries[p, q]`` couples ``index_set[p]`` to ``index_set[q]``.
     ``weight_limit`` records the pair-weight cap used during extraction
@@ -151,33 +175,19 @@ class DissipatorMatrix(_Indexed):
         num_sites: int,
         weight_limit: int | None = None,
     ) -> None:
-        arr = np.asarray(entries, dtype=complex)
-        count = len(index_set)
-        if arr.shape != (count, count):
-            raise DimensionMismatchError(
-                f"entries shape {arr.shape} does not match index set size "
-                f"{count}"
-            )
+        codes, arr = self._checked(index_set, entries, num_sites, complex, 2)
         keys = np.flatnonzero(arr)
-        terms = (keys, arr.reshape(-1)[keys])
-        self._hold(tuple(index_set), terms, num_sites, weight_limit)
+        self._hold(codes, (keys, arr.reshape(-1)[keys]), num_sites, weight_limit)
 
-    @classmethod
-    def _of(cls, index_set, terms, num_sites, weight_limit=None) -> "DissipatorMatrix":
-        """The matrix of ``terms = (keys, values)``: ``values`` at the
-        ascending distinct flat positions ``keys`` (``row * size + col``),
-        with no dense array."""
-        matrix = cls.__new__(cls)
-        matrix._hold(index_set, terms, num_sites, weight_limit)
-        return matrix
-
-    def _hold(self, index_set, terms, num_sites, weight_limit) -> None:
-        self.index_set, self._terms = index_set, terms
+    def _hold(self, codes, terms, num_sites, weight_limit=None) -> None:
+        """``terms = (keys, values)``: ``values`` at the ascending distinct
+        flat positions ``keys`` (``row * size + col``), with no dense array."""
+        self._codes, self._terms = codes, terms
         self.num_sites, self.weight_limit = num_sites, weight_limit
 
     @property
     def size(self) -> int:
-        return len(self.index_set)
+        return self._codes.size
 
     @cached_property
     def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,7 +254,7 @@ class DissipatorMatrix(_Indexed):
         stays &= weights[rows] + weights[cols] <= weight_limit
         rows, cols = np.searchsorted(kept, [rows[stays], cols[stays]])
         return DissipatorMatrix._of(
-            tuple(self.index_set[p] for p in kept),
+            self._codes[kept],
             (rows * kept.size + cols, values[stays]),
             self.num_sites,
             weight_limit,
@@ -265,24 +275,18 @@ class DissipatorMatrix(_Indexed):
         return layout, stacks, block_eigvalsh(stacks), delta
 
 
-@dataclass(frozen=True)
 class HamiltonianCoefficients(_Indexed):
     """Real coefficients ``h_j`` of the coherent part over weight >= 1
-    indices: ``H = sum_j h_j F_j``."""
+    indices, held as their codes (``index_set`` is built on first read):
+    ``H = sum_j h_j F_j``. Treated as immutable."""
 
-    index_set: tuple[MultiIndex, ...]
-    values: np.ndarray
-    num_sites: int
+    def __init__(
+        self, index_set: tuple[MultiIndex, ...], values: np.ndarray, num_sites: int
+    ) -> None:
+        self._hold(*self._checked(index_set, values, num_sites, float, 1), num_sites)
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(self.index_set),):
-            raise DimensionMismatchError(
-                f"values shape {arr.shape} does not match index set size "
-                f"{len(self.index_set)}"
-            )
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "index_set", tuple(self.index_set))
+    def _hold(self, codes, values, num_sites) -> None:
+        self._codes, self.values, self.num_sites = codes, values, num_sites
 
     def coefficient(self, index: MultiIndex) -> float:
         return float(self.values[self._position(index)])
@@ -416,7 +420,7 @@ def _linear_sums(table, num_sites: int, dissipator=None, coherent: bool = True) 
 
 def _matrix(terms, num_sites: int) -> DissipatorMatrix:
     """The ``[a_jk]`` of ``terms`` over every non-identity index."""
-    return DissipatorMatrix._of(_nonidentity_indices(num_sites), terms, num_sites)
+    return DissipatorMatrix._of(np.arange(1, 4**num_sites), terms, num_sites)
 
 
 def _checks(sums: dict, num_sites: int) -> dict:
@@ -458,14 +462,7 @@ def _hamiltonian(coherent, num_sites: int) -> HamiltonianCoefficients:
     :func:`_linear_sums`."""
     values = np.zeros(4**num_sites - 1)
     values[coherent[0] - 1] = coherent[1].real
-    return HamiltonianCoefficients(_nonidentity_indices(num_sites), values, num_sites)
-
-
-@lru_cache(maxsize=None)
-def _nonidentity_indices(num_sites: int) -> tuple[MultiIndex, ...]:
-    """Every multi-index of weight >= 1, which is every code but 0, by
-    code (the lexicographic order of the site tuples)."""
-    return tuple(map(MultiIndex, product(range(4), repeat=num_sites)))[1:]
+    return HamiltonianCoefficients._of(np.arange(1, 4**num_sites), values, num_sites)
 
 
 def _signed_table(superop: Superoperator) -> tuple[tuple[np.ndarray, np.ndarray], int]:
@@ -653,7 +650,7 @@ def order_certificates(expansion: EffectiveExpansion, orders, weight_limit, tol_
     for order in orders:
         s, t = selections.index((0, order)), selections.index((order, order))
         points = layouts[s].unstack([eigenvalues[0] for eigenvalues in spectra[s]])
-        blocks = [(tuple(cut.index_set[p] for p in block), vals) for block, vals in points]
+        blocks = [(indices_of(cut._codes[block], num_sites), vals) for block, vals in points]
         residual = None
         if weight_limit is None:
             row = {k: (c, sum(v[: order + 1])) for k, (c, v) in sums.items()}

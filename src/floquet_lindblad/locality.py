@@ -40,7 +40,7 @@ from .lindblad import (
 )
 from .liouvillianity import DissipatorMatrix, extract_dissipator, psd_report
 from .magnus import EffectiveExpansion
-from .pauli import MultiIndex, code_weights, matrix_from_pauli_terms
+from .pauli import MultiIndex, code_weights, indices_of, matrix_from_pauli_terms
 
 __all__ = [
     "max_weight_bound",
@@ -182,13 +182,11 @@ def block_partition(
     if tol is None:
         tol = dissipator.structural_tol()
     layout, stacks, values, _ = dissipator._blocks(tol)
-    ordered = sorted(
-        layout.unstack(stacks, values),
-        key=lambda block: dissipator.index_set[block[0][0]].code,
-    )
+    codes, num_sites = dissipator._codes, dissipator.num_sites
+    ordered = sorted(layout.unstack(stacks, values), key=lambda block: codes[block[0][0]])
     blocks = tuple(
         Block(
-            index_set=tuple(dissipator.index_set[p] for p in positions),
+            index_set=indices_of(codes[positions], num_sites),
             entries=block,
             eigenvalues=eigenvalues,
         )
@@ -197,7 +195,7 @@ def block_partition(
     return BlockStructure(
         blocks=blocks,
         d_n=sum(block.size for block in blocks),
-        num_sites=dissipator.num_sites,
+        num_sites=num_sites,
     )
 
 
@@ -282,8 +280,8 @@ def triangular_split(
     negative_count = int(np.count_nonzero(eigenvalues < -tol))
     return TriangularSplit(
         threshold=int(weight_threshold),
-        low_indices=tuple(dissipator.index_set[p] for p in low),
-        high_indices=tuple(dissipator.index_set[p] for p in high),
+        low_indices=indices_of(dissipator._codes[low], dissipator.num_sites),
+        high_indices=indices_of(dissipator._codes[high], dissipator.num_sites),
         a_block=a_block,
         b_block=b_block,
         e_n=int(low.size),

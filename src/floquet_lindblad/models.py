@@ -214,6 +214,11 @@ class ReferenceResult:
     tabulated_min_eigenvalue: float | None = None
 
 
+#: Model C's tabulated cubic fit of its normalized order-2 smallest
+#: eigenvalue: coefficients in ascending powers, RMSE and ``tau`` window.
+MODEL_C_FIT = ((-0.667, 0.0197, -3.08, 2.84), 3.25e-4, (0.0, 0.5))
+
+
 def _single_site_indices() -> tuple[MultiIndex, ...]:
     return (
         MultiIndex((1,)),
@@ -338,13 +343,7 @@ def _reference_c(params: ModelParams, order: int) -> ReferenceResult:
         )
     else:
         min_eig = None
-    fit = None
-    rmse = None
-    domain = None
-    if order == 2:
-        fit = (-0.667, 0.0197, -3.08, 2.84)
-        rmse = 3.25e-4
-        domain = (0.0, 0.5)
+    fit, rmse, domain = MODEL_C_FIT if order == 2 else (None, None, None)
     return ReferenceResult(
         "C",
         order,

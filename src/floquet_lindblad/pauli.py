@@ -176,6 +176,11 @@ class MultiIndex:
         return "".join(labels[s] for s in self.sites)
 
 
+def indices_of(codes: Iterable[int], num_sites: int) -> tuple[MultiIndex, ...]:
+    """The multi-indices of ``codes`` on ``num_sites`` sites, in order."""
+    return tuple(MultiIndex.from_code(int(code), num_sites) for code in codes)
+
+
 def pauli_string(
     indices: "MultiIndex | Sequence[int]", num_sites: int | None = None
 ) -> np.ndarray:
@@ -229,9 +234,7 @@ class FrobeniusBasis:
         cap = self.num_sites if max_weight is None else max_weight
         weights = code_weights(self.num_sites)
         selected = np.nonzero((weights >= min_weight) & (weights <= cap))[0]
-        return tuple(
-            MultiIndex.from_code(int(code), self.num_sites) for code in selected
-        )
+        return indices_of(selected, self.num_sites)
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from floquet_lindblad import (
     DimensionMismatchError,
     DissipatorMatrix,
+    HamiltonianCoefficients,
     HamiltonianTerm,
     HermiticityError,
     JumpTerm,
@@ -213,32 +214,58 @@ def test_bound_checks_take_the_full_term_matrices(
 
 
 def test_hamiltonian_coefficient_lookup():
-    """Coefficient lookup by multi-index returns the stored value and
-    rejects an index outside the index set."""
+    """Coefficient lookup by multi-index returns the stored value."""
     hamiltonian = extract_hamiltonian(ring_expansion("C", 3).cumulative(1))
     for position, index in enumerate(hamiltonian.index_set):
         assert hamiltonian.coefficient(index) == hamiltonian.values[position]
-    with pytest.raises(DimensionMismatchError):
-        hamiltonian.coefficient(MultiIndex((1, 1)))
 
 
-def test_dissipator_lookup_rejects_an_index_outside_the_set():
-    """Position and entry lookups raise the package's
-    DimensionMismatchError for an index outside the set: one of the wrong
-    length, and one pruned by the weight limit."""
-    dissipator = extract_dissipator(ring_expansion("C", 3).cumulative(1))
-    inside = dissipator.index_set[0]
-    for matrix, outside in (
-        (dissipator, MultiIndex((1, 1))),
-        (dissipator.restricted(2), MultiIndex((1, 1, 0))),
+def test_lookups_reject_an_index_outside_the_set():
+    """Position, entry and coefficient lookups raise the package's
+    DimensionMismatchError for an index outside the set: one on fewer
+    sites that shares its code with an index in the set, and ones that
+    the weight limit cut away (one of them sharing its code with a kept
+    index)."""
+    expansion = ring_expansion("C", 3)
+    dissipator = extract_dissipator(expansion.cumulative(1))
+    hamiltonian = extract_hamiltonian(expansion.cumulative(1))
+    restricted = dissipator.restricted(2)
+    cut = HamiltonianCoefficients(restricted.index_set, np.ones(restricted.size), 3)
+    for matrix, coefficients, outside, twin in (
+        (dissipator, hamiltonian, MultiIndex((1, 1)), MultiIndex((0, 1, 1))),
+        (restricted, cut, MultiIndex((1, 1, 0)), None),
+        (restricted, cut, MultiIndex((0, 1)), MultiIndex((0, 0, 1))),
     ):
+        assert twin is None or twin.code == outside.code and twin in matrix.index_set
+        inside = matrix.index_set[0]
         for lookup in (
             lambda: matrix.position(outside),
             lambda: matrix.entry(outside, inside),
             lambda: matrix.entry(inside, outside),
+            lambda: coefficients.coefficient(outside),
         ):
             with pytest.raises(DimensionMismatchError):
                 lookup()
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [
+        (MultiIndex((3,)),),
+        (MultiIndex((0, 1)), MultiIndex((1, 0)), MultiIndex((0, 1))),
+        ((0, 1),),
+    ],
+    ids=["other-site-count", "repeated", "plain-tuple"],
+)
+def test_constructors_reject_malformed_index_sets(index_set):
+    """Both public constructors reject an index on another number of
+    sites (its code would read as another index: ``z`` as ``iz``), a
+    repeated index and an entry that is no ``MultiIndex``."""
+    size = len(index_set)
+    with pytest.raises(DimensionMismatchError):
+        HamiltonianCoefficients(index_set, np.ones(size), 2)
+    with pytest.raises(DimensionMismatchError):
+        DissipatorMatrix(index_set, np.eye(size), 2)
 
 
 def planted_matrix(sizes, padding, noise, seed):

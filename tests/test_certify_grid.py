@@ -23,11 +23,16 @@ from floquet_lindblad.core import (
 )
 from floquet_lindblad.errors import HermiticityError, SupportsUndeclaredError
 from floquet_lindblad.lindblad import PiecewiseLiouvillian, Superoperator
-from floquet_lindblad.liouvillianity import Decomposition, DissipatorMatrix, psd_report
+from floquet_lindblad.liouvillianity import (
+    Decomposition,
+    DissipatorMatrix,
+    HamiltonianCoefficients,
+    psd_report,
+)
 from floquet_lindblad.locality import block_partition, coefficient_bounds
 from floquet_lindblad.magnus import EffectiveExpansion
 from floquet_lindblad.models import PARAMETER_SEGMENTS, ModelParams, build_model
-from floquet_lindblad.pauli import merge_pauli_terms
+from floquet_lindblad.pauli import FrobeniusBasis, merge_pauli_terms
 
 from test_reference_reports import compare_reports
 
@@ -73,8 +78,8 @@ def added(first, second):
     a, b = first.dissipator, second.dissipator
     h = first.hamiltonian
     return Decomposition(
-        replace(h, values=h.values + second.hamiltonian.values),
-        DissipatorMatrix._of(a.index_set, liouvillianity._sum(a._terms, b._terms), a.num_sites),
+        HamiltonianCoefficients(h.index_set, h.values + second.hamiltonian.values, h.num_sites),
+        DissipatorMatrix._of(a._codes, liouvillianity._sum(a._terms, b._terms), a.num_sites),
         liouvillianity._sum(first.table, second.table),
     )
 
@@ -591,7 +596,7 @@ def residue_plant(size):
     ``1e4 * 1`` on every non-identity index with its trace-preserving first
     row and column: a valid GKLS form whose table norm raises the
     validation scale far above its coherent part."""
-    indices = liouvillianity._nonidentity_indices(3)
+    indices = FrobeniusBasis(3).indices(min_weight=1)
     dissipator = DissipatorMatrix(indices, 1e4 * np.eye(SIZE - 1), 3)
     form = liouvillianity._form_parts(None, dissipator)
     codes, values = liouvillianity._form_superop(*form, 3).pauli_terms

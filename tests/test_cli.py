@@ -57,6 +57,7 @@ RING3 = {"name": "C", "num_sites": 3, "tau": 0.2, "jz": 1.0, "gamma": 0.5}
     "command, document",
     [
         ("analyze", model_a_config()),
+        ("analyze", {"schema_version": 1, "model": RING3, "orders": [0, 1, 2]}),
         ("scan", model_a_config(scan={"parameter": "tau", "start": 0.05, "stop": 0.2, "count": 3})),
         (
             "fit-modelc",
@@ -77,21 +78,27 @@ RING3 = {"name": "C", "num_sites": 3, "tau": 0.2, "jz": 1.0, "gamma": 0.5}
             },
         ),
     ],
-    ids=["analyze", "scan", "fit-modelc", "compare-exact"],
+    ids=["analyze", "analyze-ring3", "scan", "fit-modelc", "compare-exact"],
 )
 def test_cli_loads_no_scipy(tmp_path, command, document):
     """A run in a fresh interpreter imports no scipy module and no
     ``numpy.ma``: the package needs numpy's core only, the exact path's
     matrix exponential and logarithm (with the stroboscopic section of
     ``compare-exact``) included. (``numpy.matrixlib``, which numpy loads
-    itself, shares the ``numpy.ma`` prefix and is allowed.)"""
+    itself, shares the ``numpy.ma`` prefix and is allowed.) Index sets are
+    held as codes: ``analyze`` builds no more ``MultiIndex`` objects than
+    the index strings it reports, and every other command builds none."""
     config = write_config(tmp_path, document)
     out = tmp_path / "out.txt"
     script = "\n".join(
         [
             "import sys",
             "from floquet_lindblad.cli import main",
+            "from floquet_lindblad.pauli import MultiIndex",
+            "built, check = [], MultiIndex.__post_init__",
+            "MultiIndex.__post_init__ = lambda self: (built.append(self), check(self))[1]",
             f"assert main([{command!r}, '--config', {config!r}, '--out', {str(out)!r}]) == 0",
+            "print(len(built))",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
             "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))",
         ]
@@ -102,12 +109,22 @@ def test_cli_loads_no_scipy(tmp_path, command, document):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    built, modules = result.stdout.split("\n")[:2]
+    assert modules == "[]"
     text = out.read_text()
+    reported = 0
     if command == "scan":
         assert text.split("\n")[0] == CSV_HEADER
     else:
-        assert json.loads(text)["metadata"]["command"] == command
+        report = json.loads(text)
+        assert report["metadata"]["command"] == command
+        if command == "analyze":
+            reported = sum(
+                len(block["indices"])
+                for record in report["orders"]
+                for block in record["cumulative"]["block_structure"]["blocks"]
+            )
+    assert int(built) <= reported
 
 
 def test_parser_takes_each_option_once_for_every_command(capsys):
