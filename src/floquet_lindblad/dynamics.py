@@ -13,12 +13,13 @@ must have a real spectrum up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import block_exps, herm_eigs, matrix_exp, vectorize
 from .errors import DimensionMismatchError
-from .lindblad import PiecewiseLiouvillian, Superoperator
+from .lindblad import MAX_NUM_SITES, PiecewiseLiouvillian, Superoperator
 from .liouvillianity import SignedLindbladForm
 from .magnus import TransferBlocks
 from .pauli import matrix_from_pauli_coefficients, pauli_coefficients
@@ -45,9 +46,11 @@ _PERIOD_CHUNK = 32
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance ``0.5 * ||rho - sigma||_1``."""
+    """Trace distance ``0.5 * ||rho - sigma||_1`` of two square matrices of one shape."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape != sigma.shape:
+        raise DimensionMismatchError(f"trace distance of shapes {rho.shape} and {sigma.shape}")
     singular = np.linalg.svd(rho - sigma, compute_uv=False)
     return float(0.5 * np.sum(singular))
 
@@ -55,12 +58,16 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 def random_density_matrix(
     dim: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """A full-rank random density matrix (Wishart construction)."""
-    if rng is None:
-        rng = np.random.default_rng(_DEFAULT_STATE_SEED)
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
-        (dim, dim)
-    )
+    """A full-rank random density matrix (Wishart construction), drawn from
+    ``rng`` or else ``default_rng(11)``, whose normals for ``dim <= 64`` are
+    read from the package's table ``_default_state_normals.npy``."""
+    if rng is None and dim <= 2**MAX_NUM_SITES:
+        normals = np.load(Path(__file__).with_name("_default_state_normals.npy"))
+        real, imag = normals[: 2 * dim * dim].reshape(2, dim, dim)
+        raw = real + 1j * imag
+    else:
+        rng = np.random.default_rng(_DEFAULT_STATE_SEED) if rng is None else rng
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     state = raw @ raw.conj().T
     return state / np.trace(state).real
 

@@ -81,11 +81,13 @@ RING3 = {"name": "C", "num_sites": 3, "tau": 0.2, "jz": 1.0, "gamma": 0.5}
     ids=["analyze", "analyze-ring3", "scan", "fit-modelc", "compare-exact"],
 )
 def test_cli_loads_no_scipy(tmp_path, command, document):
-    """A run in a fresh interpreter imports no scipy module and no
-    ``numpy.ma``: the package needs numpy's core only, the exact path's
-    matrix exponential and logarithm (with the stroboscopic section of
-    ``compare-exact``) included. (``numpy.matrixlib``, which numpy loads
-    itself, shares the ``numpy.ma`` prefix and is allowed.) Index sets are
+    """A run in a fresh interpreter imports no scipy module, no
+    ``numpy.ma`` and no ``numpy.random`` (nor, through it, ``hashlib`` and
+    OpenSSL's ``_hashlib``): the package needs numpy's core only, the exact
+    path's matrix exponential and logarithm (with the stroboscopic section of
+    ``compare-exact``, whose default initial state is read from a committed
+    table) included. (``numpy.matrixlib``, which numpy loads itself, shares
+    the ``numpy.ma`` prefix and is allowed.) Index sets are
     held as codes: ``analyze`` builds no more ``MultiIndex`` objects than
     the index strings it reports, and every other command builds none."""
     config = write_config(tmp_path, document)
@@ -100,7 +102,8 @@ def test_cli_loads_no_scipy(tmp_path, command, document):
             f"assert main([{command!r}, '--config', {config!r}, '--out', {str(out)!r}]) == 0",
             "print(len(built))",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
-            "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+            "             or m in ('numpy.ma', 'numpy.random', 'hashlib', '_hashlib')",
+            "             or m.startswith(('numpy.ma.', 'numpy.random.'))))",
         ]
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

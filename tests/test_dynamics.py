@@ -1,10 +1,13 @@
 """Tests for stroboscopic accuracy, complete positivity, stationary
 states and unraveling feasibility."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from floquet_lindblad import (
+    MAX_NUM_SITES,
     DimensionMismatchError,
     LindbladSegment,
     JumpTerm,
@@ -30,6 +33,7 @@ from floquet_lindblad import (
     trace_distance,
     trajectory_feasibility,
 )
+from floquet_lindblad import dynamics
 
 SIGMA_MINUS = 0.5 * (PAULI[1] - 1j * PAULI[2])
 
@@ -59,6 +63,24 @@ def test_trace_distance_examples():
     assert trace_distance(rho, np.eye(2) / 2.0) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize(
+    "rho, sigma",
+    [
+        (np.eye(4) / 4, np.full((1, 4), 0.25)),
+        (np.eye(4) / 4, 0.25),
+        (np.eye(4) / 4, np.eye(2) / 2),
+        (np.full((2, 4), 0.25), np.full((2, 4), 0.25)),
+        (np.eye(4)[None] / 4, np.eye(4)[None] / 4),
+    ],
+    ids=["row", "scalar", "other-dim", "non-square", "stacked"],
+)
+def test_trace_distance_rejects_mismatched_shapes(rho, sigma):
+    """Inputs that are not two square matrices of one shape are rejected
+    with the package's error, not broadcast against each other."""
+    with pytest.raises(DimensionMismatchError):
+        trace_distance(rho, sigma)
+
+
 def test_random_density_matrix_is_a_state():
     """The sampler returns a reproducible full-rank density matrix."""
     state = random_density_matrix(4)
@@ -68,6 +90,36 @@ def test_random_density_matrix_is_a_state():
     np.testing.assert_allclose(state, random_density_matrix(4))
     other = random_density_matrix(4, rng=np.random.default_rng(5))
     assert np.max(np.abs(other - state)) > 1e-3
+
+
+def drawn_density_matrix(dim, rng):
+    """The Wishart construction drawn from ``rng``, as a reference."""
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    state = raw @ raw.conj().T
+    return state / np.trace(state).real
+
+
+def test_default_state_table_matches_the_seed_stream():
+    """The default state reads its normals from a committed table of the
+    seed-11 stream. NumPy's NEP 19 does not promise that ``Generator``
+    streams stay the same across versions: if NumPy changes the stream, this
+    test flags it, while the table keeps every default-state report
+    unchanged. The table equals the first ``2 * 4**MAX_NUM_SITES`` normals
+    bit for bit, the default state equals the drawn construction bit for bit
+    at every dimension up to ``2**MAX_NUM_SITES``, and a caller's own
+    ``rng`` or a larger dimension still draws."""
+    table = np.load(Path(dynamics.__file__).with_name("_default_state_normals.npy"))
+    drawn = np.random.default_rng(11).standard_normal(2 * 4**MAX_NUM_SITES)
+    assert table.dtype == np.float64
+    assert table.tobytes() == drawn.tobytes()
+    for dim in range(1, 2**MAX_NUM_SITES + 1):
+        reference = drawn_density_matrix(dim, np.random.default_rng(11))
+        assert random_density_matrix(dim).tobytes() == reference.tobytes(), dim
+    own = random_density_matrix(8, np.random.default_rng(5))
+    assert own.tobytes() == drawn_density_matrix(8, np.random.default_rng(5)).tobytes()
+    dim = 2**MAX_NUM_SITES + 1
+    large = random_density_matrix(dim)
+    assert large.tobytes() == drawn_density_matrix(dim, np.random.default_rng(11)).tobytes()
 
 
 def test_stroboscopic_compare_exact_for_commuting_segments():
