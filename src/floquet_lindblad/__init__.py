@@ -13,224 +13,27 @@ dynamics (stroboscopic accuracy, complete positivity, stationary
 states, unraveling feasibility).
 """
 
-from .core import (
-    HERMITICITY_RTOL,
-    devectorize,
-    frobenius_inner,
-    herm_eigs,
-    hermiticity_defect,
-    kron,
-    matrix_exp,
-    matrix_log_principal,
-    vectorize,
-)
-from .dynamics import (
-    StationaryReport,
-    StroboscopicComparison,
-    TrajectoryFeasibility,
-    choi_matrix,
-    choi_min_eig,
-    choi_min_eig_series,
-    cp_grid_times,
-    ness_report,
-    random_density_matrix,
-    stroboscopic_compare,
-    trace_distance,
-    trajectory_feasibility,
-)
-from .errors import (
-    BranchCutError,
-    ConditioningError,
-    ConfigError,
-    DecompositionInconsistencyError,
-    DimensionMismatchError,
-    FloquetLindbladError,
-    HermiticityError,
-    InvalidIndexError,
-    NoReferenceError,
-    NotLindbladCandidateError,
-    StructureViolationError,
-    SupportsUndeclaredError,
-    UnsupportedOrderError,
-)
-from .lindblad import (
-    MAX_NUM_SITES,
-    HamiltonianTerm,
-    JumpTerm,
-    LindbladSegment,
-    PiecewiseLiouvillian,
-    Superoperator,
-    apply_superop,
-    is_hermiticity_preserving,
-    is_trace_preserving,
-    lindblad_form_superop,
-    liouvillian_superop,
-)
-from .liouvillianity import (
-    DissipatorMatrix,
-    HamiltonianCoefficients,
-    LiouvillianityReport,
-    PerOrderCheck,
-    SignedChannel,
-    SignedLindbladForm,
-    canonical_decomposition,
-    extract_dissipator,
-    extract_hamiltonian,
-    per_order_checks,
-    psd_report,
-    roundtrip_residual,
-)
-from .locality import (
-    Block,
-    BlockStructure,
-    CoefficientBoundCheck,
-    SparsityReport,
-    TriangularSplit,
-    block_partition,
-    coefficient_bound,
-    coefficient_bound_check,
-    d_n_bound,
-    drive_locality,
-    extensiveness,
-    max_weight_bound,
-    sparsity_check,
-    triangular_split,
-    triangular_threshold,
-)
-from .magnus import (
-    DEFAULT_M_MAX,
-    FLAVOR_STROBOSCOPIC,
-    FLAVOR_VAN_VLECK,
-    EffectiveExpansion,
-    bch_orders,
-    exact_effective,
-    floquet_propagator,
-    fm_general,
-    fourier_component,
-    van_vleck_orders,
-)
-from .models import (
-    ModelParams,
-    ReferenceBlock,
-    ReferenceResult,
-    analytic_reference,
-    build_model,
-)
-from .pauli import (
-    PAULI,
-    FrobeniusBasis,
-    MultiIndex,
-    embed_local,
-    matrix_from_pauli_coefficients,
-    pauli_coefficients,
-    pauli_string,
-)
+from .core import *
+from .dynamics import *
+from .errors import *
+from .lindblad import *
+from .liouvillianity import *
+from .locality import *
+from .magnus import *
+from .models import *
+from .pauli import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "HERMITICITY_RTOL",
-    "vectorize",
-    "devectorize",
-    "frobenius_inner",
-    "kron",
-    "hermiticity_defect",
-    "herm_eigs",
-    "matrix_exp",
-    "matrix_log_principal",
-    # errors
-    "FloquetLindbladError",
-    "DimensionMismatchError",
-    "InvalidIndexError",
-    "HermiticityError",
-    "BranchCutError",
-    "ConditioningError",
-    "NotLindbladCandidateError",
-    "DecompositionInconsistencyError",
-    "StructureViolationError",
-    "UnsupportedOrderError",
-    "SupportsUndeclaredError",
-    "NoReferenceError",
-    "ConfigError",
-    # pauli
-    "PAULI",
-    "MultiIndex",
-    "FrobeniusBasis",
-    "pauli_string",
-    "pauli_coefficients",
-    "matrix_from_pauli_coefficients",
-    "embed_local",
-    # lindblad
-    "MAX_NUM_SITES",
-    "HamiltonianTerm",
-    "JumpTerm",
-    "LindbladSegment",
-    "PiecewiseLiouvillian",
-    "Superoperator",
-    "liouvillian_superop",
-    "lindblad_form_superop",
-    "apply_superop",
-    "is_trace_preserving",
-    "is_hermiticity_preserving",
-    # magnus
-    "DEFAULT_M_MAX",
-    "FLAVOR_STROBOSCOPIC",
-    "FLAVOR_VAN_VLECK",
-    "EffectiveExpansion",
-    "bch_orders",
-    "fm_general",
-    "fourier_component",
-    "van_vleck_orders",
-    "floquet_propagator",
-    "exact_effective",
-    # liouvillianity
-    "DissipatorMatrix",
-    "HamiltonianCoefficients",
-    "LiouvillianityReport",
-    "PerOrderCheck",
-    "SignedChannel",
-    "SignedLindbladForm",
-    "extract_dissipator",
-    "extract_hamiltonian",
-    "psd_report",
-    "canonical_decomposition",
-    "per_order_checks",
-    "roundtrip_residual",
-    # locality
-    "max_weight_bound",
-    "triangular_threshold",
-    "d_n_bound",
-    "SparsityReport",
-    "sparsity_check",
-    "Block",
-    "BlockStructure",
-    "block_partition",
-    "TriangularSplit",
-    "triangular_split",
-    "coefficient_bound",
-    "CoefficientBoundCheck",
-    "coefficient_bound_check",
-    "drive_locality",
-    "extensiveness",
-    # models
-    "ModelParams",
-    "ReferenceBlock",
-    "ReferenceResult",
-    "build_model",
-    "analytic_reference",
-    # dynamics
-    "trace_distance",
-    "random_density_matrix",
-    "StroboscopicComparison",
-    "stroboscopic_compare",
-    "choi_matrix",
-    "choi_min_eig",
-    "cp_grid_times",
-    "choi_min_eig_series",
-    "StationaryReport",
-    "ness_report",
-    "TrajectoryFeasibility",
-    "trajectory_feasibility",
+    *core.__all__,
+    *errors.__all__,
+    *pauli.__all__,
+    *lindblad.__all__,
+    *magnus.__all__,
+    *liouvillianity.__all__,
+    *locality.__all__,
+    *models.__all__,
+    *dynamics.__all__,
 ]

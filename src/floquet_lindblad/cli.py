@@ -74,10 +74,6 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = "param,order,min_eig,verdict,breaking_degree"
 
-_RANK_WARNING = getattr(
-    getattr(np, "exceptions", np), "RankWarning", Warning
-)
-
 #: Model parameters that a scan may sweep, per model name.
 SCANNABLE = {name: ("tau", *used) for name, used in PARAMETER_SEGMENTS.items()}
 
@@ -121,6 +117,9 @@ def _complex_matrix(value, path: str) -> np.ndarray:
             f"{path}: expected a square matrix of [re, im] pairs, got "
             f"shape {arr.shape}"
         )
+    where = f"{path} entry"
+    for entry in (x for row in value for pair in row for x in pair):
+        _as_number(entry, where)
     if not np.isfinite(arr).all():
         raise ConfigError(f"{path}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -312,6 +311,8 @@ class RunConfig:
             tol_psd = args.tol_psd
         if tol_psd is not None:
             tol_psd = _as_number(tol_psd, "tol_psd")
+            if not np.isfinite(tol_psd):
+                raise ConfigError(f"tol_psd: must be finite, got {tol_psd!r}")
             if tol_psd <= 0.0:
                 raise ConfigError("tol_psd: must be positive")
         self.tol_psd = tol_psd
@@ -538,9 +539,9 @@ def cmd_fit_modelc(config: RunConfig) -> str:
         else:
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("error", _RANK_WARNING)
+                    warnings.simplefilter("error", np.exceptions.RankWarning)
                     raw = np.polyfit(grid, normalized, 3)
-            except (np.linalg.LinAlgError, _RANK_WARNING) as exc:
+            except (np.linalg.LinAlgError, np.exceptions.RankWarning) as exc:
                 fit_error = f"cubic fit failed: {exc}"
             else:
                 coefficients = [float(c) for c in raw[::-1]]

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 __all__ = [
+    "HERMITICITY_RTOL",
     "vectorize",
     "devectorize",
     "frobenius_inner",
@@ -298,17 +299,13 @@ def herm_eigs(
     scale = np.max(np.abs(arr), initial=0.0)
     _raise_first([_hermiticity_stage(hermiticity_defect(arr), scale, rtol)])
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    eigenvectors = eigenvectors.copy()
-    for col in range(eigenvectors.shape[1]):
-        vec = eigenvectors[:, col]
-        peak = float(np.max(np.abs(vec)))
-        if peak == 0.0:
-            continue
-        significant = np.nonzero(np.abs(vec) > 1e-12 * peak)[0]
-        anchor = vec[significant[0]]
-        phase = anchor / abs(anchor)
-        eigenvectors[:, col] = vec / phase
-    return eigenvalues, eigenvectors
+    if not arr.size:
+        return eigenvalues, eigenvectors
+    magnitudes = np.abs(eigenvectors)
+    peaks = np.max(magnitudes, axis=0)
+    first = np.argmax(magnitudes > 1e-12 * peaks, axis=0)
+    anchors = eigenvectors[first, np.arange(len(first))]
+    return eigenvalues, eigenvectors / (anchors / np.abs(anchors))
 
 
 def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

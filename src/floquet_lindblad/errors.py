@@ -5,7 +5,21 @@ Every error raised deliberately by this package derives from
 with a single except clause while letting genuine bugs propagate.
 """
 
-from __future__ import annotations
+__all__ = [
+    "FloquetLindbladError",
+    "DimensionMismatchError",
+    "InvalidIndexError",
+    "HermiticityError",
+    "BranchCutError",
+    "ConditioningError",
+    "NotLindbladCandidateError",
+    "DecompositionInconsistencyError",
+    "StructureViolationError",
+    "UnsupportedOrderError",
+    "SupportsUndeclaredError",
+    "NoReferenceError",
+    "ConfigError",
+]
 
 
 class FloquetLindbladError(Exception):

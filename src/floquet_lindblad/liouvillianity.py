@@ -83,6 +83,7 @@ __all__ = [
     "DissipatorMatrix",
     "HamiltonianCoefficients",
     "LiouvillianityReport",
+    "PerOrderCheck",
     "SignedChannel",
     "SignedLindbladForm",
     "extract_dissipator",

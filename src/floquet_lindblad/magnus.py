@@ -74,6 +74,9 @@ from .lindblad import (
 from .pauli import matrix_from_pauli_terms, pauli_commutator, pauli_transfer
 
 __all__ = [
+    "DEFAULT_M_MAX",
+    "FLAVOR_STROBOSCOPIC",
+    "FLAVOR_VAN_VLECK",
     "EffectiveExpansion",
     "bch_orders",
     "fm_general",

@@ -39,18 +39,12 @@ from .errors import DimensionMismatchError, InvalidIndexError
 
 __all__ = [
     "PAULI",
-    "PAULI_PRODUCT_INDEX",
-    "PAULI_PRODUCT_PHASE",
     "MultiIndex",
     "FrobeniusBasis",
     "pauli_string",
     "pauli_coefficients",
     "matrix_from_pauli_coefficients",
-    "quadratic_product_coefficients",
-    "pauli_commutator",
     "embed_local",
-    "code_weights",
-    "code_two_counts",
 ]
 
 #: The four single-site Pauli matrices, indexed 0..3.

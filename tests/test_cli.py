@@ -1147,6 +1147,54 @@ def test_non_finite_grid_ends_are_configuration_errors(tmp_path, capsys, command
     assert err.startswith(f"config error: {name}.{key}: must be finite")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_tol_psd_is_a_configuration_error(tmp_path, capsys, bad):
+    """A NaN or infinite ``tol_psd``, from the file (JSON ``NaN``,
+    ``Infinity``) or from ``--tol-psd``, exits 2: it would make every
+    verdict false or true and write a report that is not strict JSON."""
+    message = f"config error: tol_psd: must be finite, got {bad!r}"
+    config = write_config(tmp_path, model_a_config(tol_psd=bad))
+    code, out, err = run_cli(capsys, ["analyze", "--config", config])
+    assert code == 2 and out == "" and err.startswith(message)
+
+    config = write_config(tmp_path, model_a_config(), name="flag.json")
+    code, out, err = run_cli(capsys, ["analyze", "--config", config, "--tol-psd", str(bad)])
+    assert code == 2 and out == "" and err.startswith(message)
+
+
+@pytest.mark.parametrize("bad", ["1", True])
+def test_matrix_entries_must_be_json_numbers(tmp_path, capsys, bad):
+    """A string or boolean entry in a custom drive's matrix or in an
+    initial state exits 2 naming the key, as a scalar field would."""
+    got = f"expected a number, got {bad!r}"
+    state = [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    document = model_a_config(
+        compare={"start": 0.05, "stop": 0.2, "count": 2, "initial_state": state}
+    )
+    config = write_config(tmp_path, document, name="state.json")
+    code, out, err = run_cli(capsys, ["compare-exact", "--config", config])
+    assert code == 2 and out == ""
+    assert f"compare.initial_state entry: {got}" in err
+
+    field = [[[bad, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    document = {
+        "schema_version": 1,
+        "model": {
+            "name": "custom",
+            "num_sites": 1,
+            "segments": [
+                {"duration": 0.1, "hamiltonian_terms": [{"matrix": field, "sites": [0]}]},
+                {"duration": 0.1, "jump_terms": [{"rate": 1.0, "matrix": IDENTITY_PAIRS}]},
+            ],
+        },
+        "orders": [0, 1],
+    }
+    config = write_config(tmp_path, document, name="drive.json")
+    code, out, err = run_cli(capsys, ["analyze", "--config", config])
+    assert code == 2 and out == ""
+    assert f"segments[0].hamiltonian_terms[0].matrix entry: {got}" in err
+
+
 def _custom_drive(duration):
     """A one-site custom drive whose second segment lasts ``duration``."""
     field = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]

@@ -163,6 +163,40 @@ def test_herm_eigs_residual_and_phase_are_deterministic():
     np.testing.assert_allclose(again_vectors, vectors)
 
 
+def _check_pinned_phases(matrix):
+    """``herm_eigs``'s vectors are ``eigh``'s, each column divided by the
+    phase of its first component above 1e-12 of its largest, and that
+    component comes out real and positive."""
+    _, vectors = herm_eigs(matrix)
+    _, reference = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+    for vec, col in zip(vectors.T, reference.T):
+        magnitudes = np.abs(col)
+        first = np.flatnonzero(magnitudes > 1e-12 * magnitudes.max())[0]
+        pinned = col * abs(col[first]) / col[first]
+        np.testing.assert_allclose(vec, pinned, rtol=0.0, atol=1e-15)
+        assert vec[first].real > 0.0
+        assert abs(vec[first].imag) <= 1e-15 * vec[first].real
+    return vectors
+
+
+def test_herm_eigs_pins_the_first_significant_component():
+    """The phase rule on complex, real and degenerate input, and on
+    eigenvectors whose leading components are roundoff, which do not
+    count."""
+    rng = np.random.default_rng(29)
+    raw = random_complex(rng, 5)
+    _check_pinned_phases(raw + raw.conj().T)
+    _check_pinned_phases(raw.real + raw.real.T)
+    _check_pinned_phases(np.kron(np.diag([1.0, 2.0]), np.ones((2, 2))))
+    raw[:2, 0] *= 1e-15
+    basis, _ = np.linalg.qr(raw)
+    matrix = basis @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ basis.conj().T
+    leading = _check_pinned_phases(0.5 * (matrix + matrix.conj().T))[:, 0]
+    assert np.abs(leading[:2]).max() < 1e-12 * np.abs(leading).max()
+    pinned = basis[:, 0] * abs(basis[2, 0]) / basis[2, 0]
+    np.testing.assert_allclose(leading, pinned, atol=1e-12)
+
+
 def test_herm_eigs_rejects_non_hermitian():
     """Input beyond the Hermiticity tolerance raises."""
     with pytest.raises(HermiticityError):

@@ -137,6 +137,27 @@ def test_extraction_rejects_non_candidates():
         extract_dissipator(Superoperator(matrix, 2))
 
 
+def test_extraction_without_validation_takes_a_non_trace_preserving_input():
+    """``S = L - 0.3 * id`` loses trace, so both extractions reject it by
+    default; with ``validate=False`` they return the coefficients of
+    ``L``, since the shift only touches the identity-identity entry."""
+    rng = np.random.default_rng(73)
+    superop = random_liouvillian(rng, 4)
+    shifted = Superoperator(superop.matrix - 0.3 * np.eye(16), 4)
+    assert not is_trace_preserving(shifted)
+    for extract in (extract_dissipator, extract_hamiltonian):
+        with pytest.raises(NotLindbladCandidateError, match="trace"):
+            extract(shifted)
+    dissipator = extract_dissipator(shifted, validate=False)
+    np.testing.assert_allclose(
+        dissipator.entries, extract_dissipator(superop).entries, atol=1e-12
+    )
+    expected = extract_hamiltonian(superop).values
+    for reused in (None, dissipator):
+        hamiltonian = extract_hamiltonian(shifted, reused, validate=False)
+        np.testing.assert_allclose(hamiltonian.values, expected, atol=1e-12)
+
+
 def test_extraction_rejects_commutator_without_its_factor_i():
     """``kron(H, I) - kron(I, H^T)`` is trace preserving but maps
     Hermitian matrices to anti-Hermitian ones, so both the Hermiticity

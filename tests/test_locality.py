@@ -147,6 +147,23 @@ def test_sparsity_check_matches_the_dense_formula(
     np.testing.assert_equal(got, expected)
 
 
+def test_sparsity_check_negative_tolerance_counts_exact_zeros():
+    """With a negative ``tol`` every pair beyond the weight bound violates,
+    exact zeros included: at order 0 and k = 2 on two sites, the 189 pairs
+    with a weight-2 index and at least weight 3 in all, against the two
+    planted nonzeros at ``tol = 0``."""
+    index_set = tuple(MultiIndex.from_code(code, 2) for code in range(1, 16))
+    entries = np.zeros((15, 15), dtype=complex)
+    entries[3, 13] = entries[13, 3] = 0.5  # codes 4 and 14: weights 1 and 2
+    dissipator = DissipatorMatrix(index_set, entries, 2)
+    for tol, violating in ((-1.0, 189), (0.0, 2)):
+        report = sparsity_check(dissipator, 0, 2, tol)
+        assert report.violating_pairs == violating
+        assert dense_sparsity(dissipator, 0, 2, tol) == (
+            False, 2, 0.5, violating
+        )
+
+
 def test_single_site_drive_uses_single_site_indices():
     """A one-site drive only populates single-site indices."""
     drive = build_model(ModelParams(name="A", tau=0.1, h=1.0, gamma1=1.0))
