@@ -37,13 +37,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .core import _GRID_BYTES, HERMITICITY_RTOL, _combine, block_logs
+from .core import _GRID_BYTES, HERMITICITY_RTOL, block_logs
 from .dynamics import stroboscopic_compares
 from .errors import (
     BranchCutError,
     ConfigError,
     FloquetLindbladError,
     SupportsUndeclaredError,
+    UnsupportedOrderError,
 )
 from .lindblad import (
     HamiltonianTerm,
@@ -73,6 +74,10 @@ __all__ = ["main", "build_parser"]
 SCHEMA_VERSION = 1
 
 CSV_HEADER = "param,order,min_eig,verdict,breaking_degree"
+
+#: Largest grid ``count`` and ``compare.num_periods``, checked before
+#: anything is allocated; a run that long would not finish anyway.
+MAX_COUNT = 10**6
 
 #: Model parameters that a scan may sweep, per model name.
 SCANNABLE = {name: ("tau", *used) for name, used in PARAMETER_SEGMENTS.items()}
@@ -209,7 +214,7 @@ def _parse_model(model, path: str) -> tuple[ModelParams | None, dict]:
     return params, model
 
 
-def _parse_orders(value, flavor: str, binary: bool, path: str) -> tuple[int, ...]:
+def _parse_orders(value, path: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of orders")
     orders = []
@@ -220,17 +225,7 @@ def _parse_orders(value, flavor: str, binary: bool, path: str) -> tuple[int, ...
         orders.append(order)
     if len(set(orders)) != len(orders):
         raise ConfigError(f"{path}: duplicate orders")
-    orders = tuple(sorted(orders))
-    if flavor == FLAVOR_VAN_VLECK and max(orders) > 1:
-        raise ConfigError(
-            f"{path}: kick-free expansion covers orders 0..1, got "
-            f"{max(orders)}"
-        )
-    if flavor == FLAVOR_STROBOSCOPIC and not binary and max(orders) > 1:
-        raise ConfigError(
-            f"{path}: non-binary drives cover orders 0..1, got {max(orders)}"
-        )
-    return orders
+    return tuple(sorted(orders))
 
 
 def _parse_grid(section: dict, path: str, geometric: bool = False) -> np.ndarray:
@@ -242,6 +237,8 @@ def _parse_grid(section: dict, path: str, geometric: bool = False) -> np.ndarray
             raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
     if count < 1:
         raise ConfigError(f"{path}.count: need at least one grid point")
+    if count > MAX_COUNT:
+        raise ConfigError(f"{path}.count: at most {MAX_COUNT}, got {count}")
     if count > 1 and not start < stop:
         raise ConfigError(f"{path}: grid must be strictly increasing")
     if geometric:
@@ -297,7 +294,6 @@ class RunConfig:
                 f"'{FLAVOR_VAN_VLECK}', got {flavor!r}"
             )
         self.flavor = flavor
-        binary = self.params is not None or is_binary_drive(self.custom_drive)
         orders_value = raw.get("orders", [0, 1, 2])
         if args.order is not None:
             if not 0 <= args.order <= 3:
@@ -305,7 +301,7 @@ class RunConfig:
                     f"--order: orders cover 0..3, got {args.order}"
                 )
             orders_value = list(range(args.order + 1))
-        self.orders = _parse_orders(orders_value, flavor, binary, "orders")
+        self.orders = _parse_orders(orders_value, "orders")
         tol_psd = raw.get("tol_psd")
         if args.tol_psd is not None:
             tol_psd = args.tol_psd
@@ -359,12 +355,17 @@ class RunConfig:
         return build_model(self.params)
 
     def expansion(self, drive: PiecewiseLiouvillian):
+        """The expansion of ``drive`` through the largest order; an order
+        that the flavor and drive do not cover is a configuration error."""
         max_order = max(self.orders)
-        if self.flavor == FLAVOR_VAN_VLECK:
-            return van_vleck_orders(drive, max_order, m_max=self.m_max)
-        if is_binary_drive(drive):
-            return bch_orders(drive, max_order)
-        return fm_general(drive, max_order)
+        try:
+            if self.flavor == FLAVOR_VAN_VLECK:
+                return van_vleck_orders(drive, max_order, m_max=self.m_max)
+            if is_binary_drive(drive):
+                return bch_orders(drive, max_order)
+            return fm_general(drive, max_order)
+        except UnsupportedOrderError as exc:
+            raise ConfigError(f"orders: {exc}") from None
 
     def metadata(self, command: str) -> dict:
         meta = {
@@ -576,8 +577,10 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
     A point scales the durations by ``s = value / tau`` and the order-k term
     by ``s^k``: the blocks and term transfers are formed once and the points
     (then ``s = 1``) stacked, a chunk of them at a time, each chunk's guards
-    run before the next. The residual is taken on the L-site transfer
-    matrices: squared differences on the blocks plus the entries off them.
+    run before the next. A chunk's sums ``sum_{k <= n} s^k R_k`` of every
+    order are one running sum, split into blocks at once. The residual is
+    taken on the L-site transfer matrices: squared differences on the blocks
+    plus the entries off them.
     """
     blocks = TransferBlocks(expansion.drive)
     codes, values = stack_pauli_terms([transfer(term) for term in expansion.order_terms])
@@ -594,16 +597,13 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
             logs = block_logs([step[: points.size] for step in steps])
         except BranchCutError:  # at every point of the chunk
             logs = [np.full(step[: points.size].shape, np.nan) for step in steps]
-        period = points[:, None, None, None] * expansion.drive.period
-        powers = points[:, None] ** np.arange(len(values))
-        for column, order in enumerate(config.orders):
-            sums = _combine(powers[:, : order + 1], values[: order + 1])
-            stacks, outside = blocks.split((codes, sums))
-            inside = sum(
-                np.sum(np.abs(log / period - stack) ** 2, axis=(1, 2, 3))
-                for log, stack in zip(logs, stacks)
-            )
-            residuals[start : start + points.size, column] = np.sqrt(inside + outside)
+        period = points[:, None, None, None, None] * expansion.drive.period
+        powers = points[:, None, None] ** np.arange(len(values))[:, None]
+        sums = np.cumsum(powers * values, axis=1)[:, list(config.orders)]
+        stacks, outside = blocks.split((codes, sums))
+        inside = sum(np.sum(np.abs(log[:, None] / period - stack) ** 2, axis=(2, 3, 4))
+                     for log, stack in zip(logs, stacks))
+        residuals[start : start + points.size] = np.sqrt(inside + outside)
     if np.isnan(residuals).all():
         raise BranchCutError(
             "the exact effective generator is branch-ambiguous at every "
@@ -624,6 +624,8 @@ def cmd_compare_exact(config: RunConfig) -> str:
     num_periods = _as_int(section.get("num_periods", 20), "compare.num_periods")
     if num_periods < 1:
         raise ConfigError("compare.num_periods: must be positive")
+    if num_periods > MAX_COUNT:
+        raise ConfigError(f"compare.num_periods: at most {MAX_COUNT}, got {num_periods}")
     drive = config.drive()
     initial_state = None
     if "initial_state" in section:

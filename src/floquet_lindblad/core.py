@@ -51,7 +51,8 @@ LOG_CONDITION_LIMIT = 1e10
 
 #: Bytes that a chunked pass may stack per point (at least one point a
 #: chunk): ``compare-exact`` one block group's propagators, ``scan`` and
-#: ``fit-modelc`` one order term's sums, the kick-free sum one harmonic's.
+#: ``fit-modelc`` one order term's sums, which a chunk stacks for every
+#: order, the kick-free sum one harmonic's.
 _GRID_BYTES = 2**17
 
 
@@ -116,10 +117,14 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
-def _combine(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``weights @ rows``, a row of ``rows`` at a time, so that each result
-    row does not depend on the other rows of ``weights`` (BLAS may)."""
-    return sum(weight[:, None] * row for weight, row in zip(weights.T, rows))
+def _combine(weights: np.ndarray, rows: np.ndarray, slots, count: int) -> np.ndarray:
+    """``weights @ rows`` into ``count`` slots ``(p, count, n)``, row ``j`` into
+    slot ``slots[j]``, a row at a time, so that each result row does not
+    depend on the other rows of ``weights`` (BLAS may)."""
+    sums = np.zeros((len(weights), count, rows.shape[1]), np.result_type(weights, rows))
+    for weight, slot, row in zip(weights.T, slots, rows):
+        sums[:, slot] += weight[:, None] * row
+    return sums
 
 
 def _raise_first(stages) -> None:
@@ -293,9 +298,12 @@ def herm_eigs(
     :param matrix: square Hermitian candidate.
     :param rtol: relative Hermiticity tolerance (max norm).
     :return: ``(eigenvalues, eigenvectors)`` with eigenvectors in columns.
-    :raises HermiticityError: if the Hermiticity check fails.
+    :raises HermiticityError: if the Hermiticity check fails or an entry
+        is not finite.
     """
     arr = np.asarray(_require_square(matrix), dtype=complex)
+    if not np.isfinite(arr).all():
+        raise HermiticityError("matrix has non-finite entries")
     scale = np.max(np.abs(arr), initial=0.0)
     _raise_first([_hermiticity_stage(hermiticity_defect(arr), scale, rtol)])
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (arr + arr.conj().T))

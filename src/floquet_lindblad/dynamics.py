@@ -61,6 +61,8 @@ def random_density_matrix(
     """A full-rank random density matrix (Wishart construction), drawn from
     ``rng`` or else ``default_rng(11)``, whose normals for ``dim <= 64`` are
     read from the package's table ``_default_state_normals.npy``."""
+    if dim < 0:
+        raise DimensionMismatchError(f"dimension must be nonnegative, got {dim}")
     if rng is None and dim <= 2**MAX_NUM_SITES:
         normals = np.load(Path(__file__).with_name("_default_state_normals.npy"))
         real, imag = normals[: 2 * dim * dim].reshape(2, dim, dim)
@@ -93,7 +95,7 @@ def stroboscopic_compare(
     of ``num_periods`` periods.
 
     :raises DimensionMismatchError: if ``initial_state`` is not
-        ``drive.dim x drive.dim``.
+        ``drive.dim x drive.dim``, or ``num_periods`` is negative.
     """
     blocks = TransferBlocks(drive, [effective])
     generator = [stack[None] for stack in blocks.split(blocks.others[0])[0]]
@@ -114,6 +116,8 @@ def stroboscopic_compares(
     periods takes one inverse Pauli transform and one stacked SVD."""
     drive = blocks.drive
     dim, sites = drive.dim, drive.num_sites
+    if num_periods < 0:
+        raise DimensionMismatchError(f"num_periods must be nonnegative, got {num_periods}")
     if initial_state is None:
         initial_state = random_density_matrix(dim)
     elif np.shape(initial_state) != (dim, dim):

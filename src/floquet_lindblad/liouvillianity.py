@@ -560,10 +560,11 @@ def _graded_pass(parts, weights, selections, weight_limit, tol_psd):
 
     A first pass over chunks of rows (each row stacking at most
     ``core._GRID_BYTES`` of one part's sums) runs every check of
-    :func:`decompose` on every order term, as reductions over the rows; the
-    first failing row raises at its first failing check. A selection's
-    ``[a_jk]`` needs no Hermiticity check: each part's is ``0.5 (M +
-    M^dag)``, conjugate-symmetric bit for bit, and real weights keep it so.
+    :func:`decompose` on a chunk's order terms at once, stacked on one axis;
+    the first failing row raises at its lowest failing term's first failing
+    check. A selection's ``[a_jk]`` needs no Hermiticity check: each part's
+    is ``0.5 (M + M^dag)``, conjugate-symmetric bit for bit, and real
+    weights keep it so.
     A selection's blocks join the entries above their row's structural
     tolerance at any row, so a report depends on the grid only in roundoff.
 
@@ -581,34 +582,28 @@ def _graded_pass(parts, weights, selections, weight_limit, tol_psd):
     per_part = [_linear_sums(_signed_table(superop)[0], num_sites) for superop in superops]
     sums = {key: stack_pauli_terms([part[key] for part in per_part]) for key in per_part[0]}
     keys, values = sums["dissipator"]
+    first, last = np.reshape(selections, (-1, 2)).T
+    picked, part = np.nonzero((first[:, None] <= of_order) & (of_order <= last[:, None]))
     cut = _matrix((keys, np.arange(keys.size)), num_sites).restricted(weight_limit)
     rows, cols, kept = cut._nonzeros
-    values, size = values[:, kept], cut.size
+    values, size = values[part][:, kept], cut.size
     width = sum(v.shape[1] for _, v in sums.values())  # 0 when every part is zero
     step = max(1, _GRID_BYTES // (16 * max(1, width)))
     chunks = [weights[start : start + step] for start in range(0, len(weights), step)]
-    masks = [(of_order >= first) & (of_order <= last) for first, last in selections]
-    above = [0.0] * len(selections)  # per entry, its largest |a| / structural tolerance
+    above = 0.0  # per selection and entry, its largest |a| / structural tolerance
     for chunk in chunks:
-        stages = []
-        for order in range(len(parts)):
-            term = {k: (c, _combine(chunk[:, of_order == order], v[of_order == order]))
-                    for k, (c, v) in sums.items()}
-            stages += _checks(term, num_sites).values()
-            for s, ((_, last), mask) in enumerate(zip(selections, masks)):
-                if last == order:
-                    a = _combine(chunk[:, mask], values[mask])
-                    peak = np.max(np.abs(a), axis=1, initial=0.0)
-                    ratio = np.abs(a) / _structural_tol(peak)[:, None]
-                    above[s] = np.maximum(above[s], np.max(ratio, axis=0, initial=0.0))
-        _raise_first(stages)
+        term = {k: (c, _combine(chunk, v, of_order, len(parts))) for k, (c, v) in sums.items()}
+        _raise_first(_checks(term, num_sites).values())
+        a = np.abs(_combine(chunk[:, part], values, picked, len(selections)))
+        ratio = a / _structural_tol(np.max(a, axis=2, initial=0.0))[..., None]
+        above = np.maximum(above, np.max(ratio, axis=0, initial=0.0))
     layouts = [coupled_components(rows, cols, peaks, 1.0)[0] for peaks in above]
 
     def certified():
         for chunk in chunks:
             reports, spectra = [], []
-            for layout, mask in zip(layouts, masks):
-                a = _combine(chunk[:, mask], values[mask])
+            selected = _combine(chunk[:, part], values, picked, len(selections))
+            for layout, a in zip(layouts, selected.transpose(1, 0, 2)):
                 stacks, deltas = layout.bounded_split(rows, cols, a)
                 peaks = np.max(np.abs(a), axis=1, initial=0.0)
                 spectra.append(block_eigvalsh(stacks))
@@ -647,6 +642,7 @@ def order_certificates(expansion: EffectiveExpansion, orders, weight_limit, tol_
     sums, cut, layouts, chunks = _graded_pass(terms, ones, selections, weight_limit, tol_psd)
     ((reports, spectra),) = chunks
     keys, values = sums["dissipator"]
+    cumulative = {k: (c, np.cumsum(v, axis=0)) for k, (c, v) in sums.items()}
     num_sites, certificates = cut.num_sites, []
     for order in orders:
         s, t = selections.index((0, order)), selections.index((order, order))
@@ -654,7 +650,7 @@ def order_certificates(expansion: EffectiveExpansion, orders, weight_limit, tol_
         blocks = [(indices_of(cut._codes[block], num_sites), vals) for block, vals in points]
         residual = None
         if weight_limit is None:
-            row = {k: (c, sum(v[: order + 1])) for k, (c, v) in sums.items()}
+            row = {k: (c, v[order]) for k, (c, v) in cumulative.items()}
             hamiltonian = _hamiltonian(row["coherent"], num_sites)
             dissipator = _matrix(row["dissipator"], num_sites)
             residual = Decomposition(hamiltonian, dissipator, row["table"]).residual()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from floquet_lindblad import (
     fm_general,
     psd_report,
 )
-from floquet_lindblad.cli import CSV_HEADER, build_parser, main
+from floquet_lindblad import cli
+from floquet_lindblad.cli import CSV_HEADER, MAX_COUNT, build_parser, main
 
 
 def write_config(tmp_path, document, name="config.json"):
@@ -1145,6 +1147,76 @@ def test_non_finite_grid_ends_are_configuration_errors(tmp_path, capsys, command
     code, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, document)])
     assert code == 2 and out == ""
     assert err.startswith(f"config error: {name}.{key}: must be finite")
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 10**13])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("scan", "scan.count"),
+        ("fit-modelc", "fit.count"),
+        ("compare-exact", "compare.count"),
+        ("compare-exact", "compare.num_periods"),
+    ],
+)
+def test_oversized_counts_are_configuration_errors(monkeypatch, tmp_path, capsys, command, key, count):
+    """A grid ``count`` or ``compare.num_periods`` above ``MAX_COUNT``
+    exits 2 naming the key, before the run allocates its grid or builds
+    its model: 10**13 ended in NumPy's memory error, a traceback."""
+    name, field = key.split(".")
+    section = {"start": 0.05, "stop": 0.2, "count": 4, field: count}
+    if command == "scan":
+        section["parameter"] = "gamma"
+    document = {"schema_version": 1, "model": RING3, name: section}
+    config = write_config(tmp_path, document)
+
+    def refuse(params):
+        raise AssertionError(f"built model {params.name}")
+
+    monkeypatch.setattr(cli, "build_model", refuse)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, [command, "--config", config])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == f"config error: {key}: at most {MAX_COUNT}, got {count}\n"
+    assert peak < 2**20
+
+
+def three_segment_drive():
+    """A custom one-site drive of three equal segments: not binary."""
+    flip = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    segment = {"duration": 0.1, "jump_terms": [{"rate": 1.0, "matrix": flip, "sites": [0]}]}
+    return {"name": "custom", "num_sites": 1, "segments": [segment] * 3}
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        (
+            "scan",
+            {"flavor": "vanvleck", "model": RING3,
+             "scan": {"parameter": "gamma", "start": 0.1, "stop": 0.5, "count": 3}},
+        ),
+        (
+            "compare-exact",
+            {"flavor": "vanvleck", "model": RING3,
+             "compare": {"start": 0.05, "stop": 0.2, "count": 3}},
+        ),
+        ("analyze", {"model": three_segment_drive()}),
+    ],
+    ids=["scan-vanvleck", "compare-vanvleck", "analyze-three-segments"],
+)
+def test_orders_the_expansion_does_not_cover_exit_2(tmp_path, capsys, command, document):
+    """Which orders an expansion covers is the expansion's own check:
+    order 2 of the kick-free flavor, or of a drive that is not binary,
+    exits 2 with a message on ``orders``, for every command."""
+    document = {"schema_version": 1, "orders": [0, 1, 2], **document}
+    code, out, err = run_cli(capsys, [command, "--config", write_config(tmp_path, document)])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: orders: ") and err.endswith("cover 0..1, got 2\n")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

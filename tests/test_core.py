@@ -203,6 +203,15 @@ def test_herm_eigs_rejects_non_hermitian():
         herm_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_herm_eigs_rejects_non_finite_entries(bad):
+    """A NaN or infinite entry raises, where it gave a NaN spectrum (with
+    warnings for infinity)."""
+    with pytest.raises(HermiticityError, match="non-finite"):
+        herm_eigs(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def test_matrix_exp_of_zero_is_identity():
     """exp(0) equals I."""
     np.testing.assert_allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))

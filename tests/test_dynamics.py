@@ -9,6 +9,7 @@ import pytest
 from floquet_lindblad import (
     MAX_NUM_SITES,
     DimensionMismatchError,
+    HermiticityError,
     LindbladSegment,
     JumpTerm,
     ModelParams,
@@ -135,6 +136,28 @@ def test_stroboscopic_compare_exact_for_commuting_segments():
         stroboscopic_compare(
             drive, effective, initial_state=random_density_matrix(2 * drive.dim)
         )
+
+
+def test_stroboscopic_compare_rejects_negative_periods():
+    """A negative number of periods is a package error, not NumPy's
+    "negative dimensions are not allowed"."""
+    drive = commuting_drive()
+    effective = bch_orders(drive, max_order=0).cumulative()
+    with pytest.raises(DimensionMismatchError, match="num_periods"):
+        stroboscopic_compare(drive, effective, num_periods=-1)
+
+
+def test_random_density_matrix_rejects_negative_dimension():
+    """A negative dimension is a package error, not a failed reshape."""
+    with pytest.raises(DimensionMismatchError, match="nonnegative"):
+        random_density_matrix(-1)
+
+
+def test_choi_min_eig_rejects_non_finite_entries():
+    """A NaN superoperator raises the Hermiticity check's error, not
+    NumPy's ``LinAlgError`` from the dense solve."""
+    with pytest.raises(HermiticityError, match="non-finite"):
+        choi_min_eig(Superoperator(np.full((4, 4), np.nan), 2))
 
 
 def test_stroboscopic_accuracy_improves_with_order():

@@ -9,6 +9,7 @@ import pytest
 from floquet_lindblad import (
     DimensionMismatchError,
     DissipatorMatrix,
+    HermiticityError,
     MultiIndex,
     NotLindbladCandidateError,
     PAULI,
@@ -336,6 +337,15 @@ def test_per_order_checks_commuting_drive_all_zero():
     checks = per_order_checks(bch_orders(drive, max_order=3))
     for check in checks[1:]:
         assert check.dissipator.max_abs() <= 1e-12
+
+
+def test_canonical_decomposition_rejects_a_non_finite_matrix():
+    """A NaN diagonal entry of ``[a_jk]`` raises, where it gave a channel
+    of magnitude NaN."""
+    indices = (MultiIndex((1,)), MultiIndex((2,)))
+    entries = np.array([[np.nan, 0.0], [0.0, 2.0]], dtype=complex)
+    with pytest.raises(HermiticityError, match="non-finite"):
+        canonical_decomposition(DissipatorMatrix(indices, entries, 1))
 
 
 def test_direct_dissipator_matrix_helpers():

@@ -26,7 +26,7 @@ from floquet_lindblad import (
     pauli_coefficients,
     pauli_string,
 )
-from floquet_lindblad import cli, core, dynamics, lindblad, magnus
+from floquet_lindblad import cli, core, dynamics, lindblad, liouvillianity, magnus
 from floquet_lindblad.core import block_logs, matrix_exp
 from floquet_lindblad.lindblad import PiecewiseLiouvillian
 from floquet_lindblad.magnus import TransferBlocks, transfer
@@ -281,6 +281,40 @@ def test_compare_pass_raises_after_the_first_ill_conditioned_chunk(monkeypatch):
     with pytest.raises(ConditioningError) as whole:
         block_logs(TransferBlocks(expansion.drive).propagator(grid / config.params.tau))
     assert str(whole.value) == str(raised.value)
+
+
+def test_grid_passes_take_the_orders_as_one_axis(monkeypatch):
+    """With a chunk of one point, C3 through order 2 over 4 points:
+    ``compare-exact``'s pass splits every order's sums of a chunk at once
+    (4 splits, then 1 for the stroboscopic blocks, where one per order and
+    point made 13), and a scan's first pass checks a chunk's order terms in
+    one call (4 calls, where one per order and point made 12)."""
+    model = {"name": "C", "tau": 0.2, "num_sites": 3, "jz": 1.0, "gamma": 0.5}
+    config, expansion, grid = compare_grid(model, 4)
+    monkeypatch.setattr(cli, "_GRID_BYTES", 1)
+    monkeypatch.setattr(liouvillianity, "_GRID_BYTES", 1)
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(TransferBlocks, "split")
+    count(liouvillianity, "_checks")
+    cli._compare_pass(config, expansion, grid)
+    # The pass's TransferBlocks splits each segment generator once.
+    assert calls == ["split"] * (len(expansion.drive.segments) + 5)
+    calls.clear()
+    scan = {"parameter": "jz", "start": 0.5, "stop": 2.0, "count": 4}
+    raw = {"schema_version": 1, "model": model, "orders": [0, 1, 2], "scan": scan}
+    args = cli.build_parser().parse_args(["scan", "--config", "unused.json"])
+    cli.cmd_scan(cli.RunConfig(raw, args))
+    assert calls == ["_checks"] * 4
 
 
 def peak_bytes(run) -> int:
