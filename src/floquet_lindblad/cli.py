@@ -21,10 +21,12 @@ compare-exact
 Configuration is a JSON document with a ``schema_version`` field (must
 be 1). Unknown keys anywhere are rejected. Reports are deterministic:
 identical configuration yields byte-identical output (sorted JSON keys,
-17-significant-digit floats in CSV).
+17-significant-digit floats in CSV), and JSON reports are strict JSON.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical contract
-violation, 4 branch ambiguity at every grid point.
+Exit codes: 0 success, 2 configuration error (a ``model.tau`` or
+``compare.stop`` that overflows the expansion or a propagator included),
+3 numerical contract violation (a report that would hold a non-finite
+number included), 4 branch ambiguity at every grid point.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
@@ -111,6 +114,17 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+@contextmanager
+def _config_error_at(path: str):
+    """Re-raise a package error other than ConfigError as a ConfigError of ``path``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except FloquetLindbladError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _complex_matrix(value, path: str) -> np.ndarray:
     """Parse a complex matrix encoded as rows of ``[re, im]`` pairs."""
     try:
@@ -158,7 +172,7 @@ def _parse_custom_drive(model: dict, path: str) -> PiecewiseLiouvillian:
         duration = _as_number(
             _require(seg, "duration", seg_path), f"{seg_path}.duration"
         )
-        try:
+        with _config_error_at(seg_path):
             terms = {key: [] for key in kinds}
             for key, term_class in kinds.items():
                 names = tuple(f.name for f in fields(term_class))
@@ -174,16 +188,8 @@ def _parse_custom_drive(model: dict, path: str) -> PiecewiseLiouvillian:
                         values.append(parsers[name](term.get(name), f"{term_path}.{name}"))
                     terms[key].append(term_class(*values))
             segments.append(LindbladSegment(duration, **terms))
-        except ConfigError:
-            raise
-        except FloquetLindbladError as exc:
-            raise ConfigError(f"{seg_path}: {exc}") from None
-    try:
+    with _config_error_at(path):
         return PiecewiseLiouvillian(tuple(segments), num_sites)
-    except ConfigError:
-        raise
-    except FloquetLindbladError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_model(model, path: str) -> tuple[ModelParams | None, dict]:
@@ -205,13 +211,8 @@ def _parse_model(model, path: str) -> tuple[ModelParams | None, dict]:
     }
     num_sites = _as_int(model.get("num_sites", 1), f"{path}.num_sites")
     tau = _as_number(_require(model, "tau", path), f"{path}.tau")
-    try:
-        params = ModelParams(
-            name=name, tau=tau, num_sites=num_sites, **kwargs
-        )
-    except FloquetLindbladError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return params, model
+    with _config_error_at(path):
+        return ModelParams(name=name, tau=tau, num_sites=num_sites, **kwargs), model
 
 
 def _parse_orders(value, path: str) -> tuple[int, ...]:
@@ -226,6 +227,12 @@ def _parse_orders(value, path: str) -> tuple[int, ...]:
     if len(set(orders)) != len(orders):
         raise ConfigError(f"{path}: duplicate orders")
     return tuple(sorted(orders))
+
+
+def _setting(raw: dict, args: argparse.Namespace, key: str, default=None):
+    """Setting ``key``: its command-line flag unless that is None, else the file's value."""
+    flag = getattr(args, key)
+    return raw.get(key, default) if flag is None else flag
 
 
 def _parse_grid(section: dict, path: str, geometric: bool = False) -> np.ndarray:
@@ -285,15 +292,12 @@ class RunConfig:
             if self.params is None
             else None
         )
-        flavor = raw.get("flavor", FLAVOR_STROBOSCOPIC)
-        if args.flavor is not None:
-            flavor = args.flavor
-        if flavor not in (FLAVOR_STROBOSCOPIC, FLAVOR_VAN_VLECK):
+        self.flavor = _setting(raw, args, "flavor", FLAVOR_STROBOSCOPIC)
+        if self.flavor not in (FLAVOR_STROBOSCOPIC, FLAVOR_VAN_VLECK):
             raise ConfigError(
                 f"flavor: expected '{FLAVOR_STROBOSCOPIC}' or "
-                f"'{FLAVOR_VAN_VLECK}', got {flavor!r}"
+                f"'{FLAVOR_VAN_VLECK}', got {self.flavor!r}"
             )
-        self.flavor = flavor
         orders_value = raw.get("orders", [0, 1, 2])
         if args.order is not None:
             if not 0 <= args.order <= 3:
@@ -302,9 +306,7 @@ class RunConfig:
                 )
             orders_value = list(range(args.order + 1))
         self.orders = _parse_orders(orders_value, "orders")
-        tol_psd = raw.get("tol_psd")
-        if args.tol_psd is not None:
-            tol_psd = args.tol_psd
+        tol_psd = _setting(raw, args, "tol_psd")
         if tol_psd is not None:
             tol_psd = _as_number(tol_psd, "tol_psd")
             if not np.isfinite(tol_psd):
@@ -318,17 +320,13 @@ class RunConfig:
             if weight_limit < 2:
                 raise ConfigError("weight_limit: must be at least 2")
         self.weight_limit = weight_limit
-        m_max = raw.get("m_max", DEFAULT_M_MAX)
-        m_max = _as_int(m_max, "m_max")
+        m_max = _as_int(raw.get("m_max", DEFAULT_M_MAX), "m_max")
         if m_max < 1:
             raise ConfigError("m_max: must be positive")
         self.m_max = m_max
-        out = raw.get("out")
-        if args.out is not None:
-            out = args.out
-        if out is not None and not isinstance(out, str):
+        self.out = _setting(raw, args, "out")
+        if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out: expected a path string")
-        self.out = out
         self.scan_section = self._section(
             raw, "scan", ("parameter", "start", "stop", "count")
         )
@@ -354,10 +352,11 @@ class RunConfig:
             return self.custom_drive
         return build_model(self.params)
 
-    def expansion(self, drive: PiecewiseLiouvillian):
-        """The expansion of ``drive`` through the largest order; an order
-        that the flavor and drive do not cover is a configuration error."""
-        max_order = max(self.orders)
+    def expansion(self, drive: PiecewiseLiouvillian, max_order: int | None = None):
+        """The expansion of ``drive`` through ``max_order`` (by default the
+        largest order); an order that the flavor and drive do not cover, or
+        a duration whose powers overflow, is a configuration error."""
+        max_order = max(self.orders) if max_order is None else max_order
         try:
             if self.flavor == FLAVOR_VAN_VLECK:
                 return van_vleck_orders(drive, max_order, m_max=self.m_max)
@@ -366,6 +365,9 @@ class RunConfig:
             return fm_general(drive, max_order)
         except UnsupportedOrderError as exc:
             raise ConfigError(f"orders: {exc}") from None
+        except OverflowError:
+            key = "model.segments" if self.params is None else "model.tau"
+            raise ConfigError(f"{key}: the expansion's coefficients overflow") from None
 
     def metadata(self, command: str) -> dict:
         meta = {
@@ -384,6 +386,16 @@ class RunConfig:
         return meta
 
 
+def _json_report(config: RunConfig, command: str, **entries) -> str:
+    """The JSON report of ``command``: ``entries``, the schema version and the run's metadata."""
+    document = dict(entries, schema_version=SCHEMA_VERSION, metadata=config.metadata(command))
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        message = "the report would hold a non-finite number, which JSON does not allow"
+        raise FloquetLindbladError(f"{command}: {message}") from None
+
+
 def cmd_analyze(config: RunConfig) -> str:
     """Build the JSON certification report for one drive."""
     drive = config.drive()
@@ -395,7 +407,7 @@ def cmd_analyze(config: RunConfig) -> str:
         {
             "order": order,
             "cumulative": {
-                "spectrum": [float(v) for v in report.eigenvalues],
+                "spectrum": report.eigenvalues.tolist(),
                 "min_eigenvalue": report.min_eigenvalue,
                 "verdict": report.is_liouvillian,
                 "breaking_degree": report.breaking_degree,
@@ -434,14 +446,12 @@ def cmd_analyze(config: RunConfig) -> str:
         ]
     except SupportsUndeclaredError:
         bound_checks = None
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": config.metadata("analyze"),
-        "orders": order_records,
-        "bound_checks": bound_checks,
-        "tail_estimate": expansion.tail_estimate,
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return _json_report(
+        config, "analyze",
+        orders=order_records,
+        bound_checks=bound_checks,
+        tail_estimate=expansion.tail_estimate,
+    )
 
 
 def _certify_grid(config: RunConfig, unit, parameter: str, grid, orders, path: str):
@@ -514,60 +524,48 @@ def cmd_fit_modelc(config: RunConfig) -> str:
             "does not cover it"
         )
     params = config.params
-    unit = bch_orders(build_model(replace(params, jz=1.0)), 2)
+    unit = config.expansion(build_model(replace(params, jz=1.0)), 2)
     min_eigs = [
         report.min_eigenvalue
         for (report,) in _certify_grid(config, unit, "jz", grid / params.tau, (2,), "fit")
     ]
     scale = params.gamma * 2.0 ** (params.num_sites - 1)
-    normalized = []
-    fit_error = None
+    normalized = []  # up to the first point whose denominator is not positive
     for product, min_eig in zip(grid, min_eigs):
         denominator = scale * product**2
         if denominator <= 0.0:
-            fit_error = (
-                "degenerate normalization (gamma and the grid must be "
-                "positive)"
-            )
             break
         normalized.append(min_eig / denominator)
-    coefficients = None
-    rmse = None
-    max_deviation = None
-    if fit_error is None:
-        if len(grid) < 4:
-            fit_error = "need at least four grid points for a cubic fit"
+    coefficients = rmse = max_deviation = fit_error = None
+    if len(normalized) < len(grid):
+        fit_error = "degenerate normalization (gamma and the grid must be positive)"
+    elif len(grid) < 4:
+        fit_error = "need at least four grid points for a cubic fit"
+    else:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", np.exceptions.RankWarning)
+                raw = np.polyfit(grid, normalized, 3)
+        except (np.linalg.LinAlgError, np.exceptions.RankWarning) as exc:
+            fit_error = f"cubic fit failed: {exc}"
         else:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", np.exceptions.RankWarning)
-                    raw = np.polyfit(grid, normalized, 3)
-            except (np.linalg.LinAlgError, np.exceptions.RankWarning) as exc:
-                fit_error = f"cubic fit failed: {exc}"
-            else:
-                coefficients = [float(c) for c in raw[::-1]]
-                fitted = np.polyval(raw, grid)
-                rmse = float(
-                    np.sqrt(np.mean((fitted - np.asarray(normalized)) ** 2))
-                )
-                ref_values = np.polyval(ref_coeffs[::-1], grid)
-                max_deviation = float(
-                    np.max(np.abs(ref_values - np.asarray(normalized)))
-                )
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": config.metadata("fit-modelc"),
-        "grid": [float(v) for v in grid],
-        "normalized_min_eigs": [float(v) for v in normalized],
-        "fit_coefficients": coefficients,
-        "fit_rmse": rmse,
-        "reference_coefficients": list(ref_coeffs),
-        "reference_rmse": ref_rmse,
-        "max_abs_deviation_from_reference": max_deviation,
-        "fit_error": fit_error,
-        "warnings": fit_warnings,
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+            coefficients = raw[::-1].tolist()
+            fitted = np.polyval(raw, grid)
+            rmse = float(np.sqrt(np.mean((fitted - np.asarray(normalized)) ** 2)))
+            ref_values = np.polyval(ref_coeffs[::-1], grid)
+            max_deviation = float(np.max(np.abs(ref_values - np.asarray(normalized))))
+    return _json_report(
+        config, "fit-modelc",
+        grid=grid.tolist(),
+        normalized_min_eigs=normalized,
+        fit_coefficients=coefficients,
+        fit_rmse=rmse,
+        reference_coefficients=ref_coeffs,
+        reference_rmse=ref_rmse,
+        max_abs_deviation_from_reference=max_deviation,
+        fit_error=fit_error,
+        warnings=fit_warnings,
+    )
 
 
 def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
@@ -580,7 +578,9 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
     run before the next. A chunk's sums ``sum_{k <= n} s^k R_k`` of every
     order are one running sum, split into blocks at once. The residual is
     taken on the L-site transfer matrices: squared differences on the blocks
-    plus the entries off them.
+    plus the entries off them. A propagator that overflows is a
+    configuration error of the duration that scales it: ``compare.stop``
+    at a grid point, ``model.tau`` for the one-period step.
     """
     blocks = TransferBlocks(expansion.drive)
     codes, values = stack_pauli_terms([transfer(term) for term in expansion.order_terms])
@@ -589,8 +589,11 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
     chunk = max(1, _GRID_BYTES // point_bytes)
     residuals = np.empty((len(grid), len(config.orders)))
     for start in range(0, scales.size, chunk):
-        steps = blocks.propagator(scales[start : start + chunk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = blocks.propagator(scales[start : start + chunk])
         points = scales[start : min(start + chunk, len(grid))]  # the step s = 1 is last
+        if not all(np.isfinite(step[: points.size]).all() for step in steps):
+            raise ConfigError("compare.stop: a grid point's propagator overflows")
         if not points.size:
             continue
         try:
@@ -609,6 +612,8 @@ def _compare_pass(config: RunConfig, expansion, grid: np.ndarray):
             "the exact effective generator is branch-ambiguous at every "
             "grid point"
         )
+    if not all(np.isfinite(step[-1]).all() for step in steps):
+        raise ConfigError("model.tau: the one-period propagator overflows")
     cumulative = blocks.split((codes, np.cumsum(values, axis=0)[list(config.orders)]))[0]
     return residuals, blocks, [step[-1] for step in steps], cumulative
 
@@ -649,15 +654,20 @@ def cmd_compare_exact(config: RunConfig) -> str:
     expansion = config.expansion(drive)
     table, blocks, step, cumulative = _compare_pass(config, expansion, grid)
     kept = ~np.isnan(table[:, 0])
-    branch_failures = [float(tau) for tau in grid[~kept]]
     residuals: dict[str, list] = {}
     slopes: dict[str, float | None] = {}
     for order, column in zip(config.orders, table.T):
-        residuals[str(order)] = [float(v) if ok else None for v, ok in zip(column, kept)]
+        residuals[str(order)] = [v if ok else None for v, ok in zip(column.tolist(), kept)]
         ys = np.log(np.maximum(column[kept], 1e-300))
         slope = np.polyfit(np.log(grid[kept]), ys, 1)[0] if kept.sum() >= 2 else np.nan
         slopes[str(order)] = float(slope) if np.isfinite(slope) else None
-    comparisons = stroboscopic_compares(blocks, step, cumulative, num_periods, initial_state)
+    try:  # with a finite exact step, only the expansion's side can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            comparisons = stroboscopic_compares(
+                blocks, step, cumulative, num_periods, initial_state
+            )
+    except np.linalg.LinAlgError:
+        raise ConfigError("model.tau: the expansion's stroboscopic evolution overflows") from None
     stroboscopic = {
         str(order): {
             "distances": list(comparison.distances),
@@ -665,19 +675,17 @@ def cmd_compare_exact(config: RunConfig) -> str:
         }
         for order, comparison in zip(config.orders, comparisons)
     }
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": config.metadata("compare-exact"),
-        "tau_grid": [float(v) for v in grid],
-        "residuals": residuals,
-        "slopes": slopes,
-        "branch_failures": branch_failures,
-        "stroboscopic": {
+    return _json_report(
+        config, "compare-exact",
+        tau_grid=grid.tolist(),
+        residuals=residuals,
+        slopes=slopes,
+        branch_failures=grid[~kept].tolist(),
+        stroboscopic={
             "num_periods": num_periods,
             "per_order": stroboscopic,
         },
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    )
 
 
 _COMMANDS = {

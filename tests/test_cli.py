@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1331,3 +1332,124 @@ def test_grids_whose_part_weights_overflow_are_configuration_errors(
     name = next(iter(section))
     assert code == 2 and out == ""
     assert err == f"config error: {name}.stop: the expansion's part weights overflow on this grid\n"
+
+
+def strict_json(text):
+    """``text`` parsed as JSON that holds no ``NaN``, ``Infinity`` or
+    ``-Infinity`` (RFC 8259 has none of them)."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in a JSON report")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_quietly(capsys, argv):
+    """:func:`run_cli`, also returning the RuntimeWarnings the run raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv)
+    return code, out, err, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "fit-modelc", "compare-exact"])
+def test_tau_whose_powers_overflow_is_a_configuration_error(tmp_path, capsys, command):
+    """Model C with ``tau = 1e200``: the closed-form orders' ``tau**2``
+    overflows a float. Every command exits 2 naming ``model.tau``, with no
+    traceback and no warning."""
+    document = {
+        "schema_version": 1,
+        "model": {**RING3, "tau": 1e200},
+        "orders": [0, 1, 2],
+        "scan": {"parameter": "jz", "start": 0.0, "stop": 2.0, "count": 3},
+        "fit": {"start": 0.05, "stop": 0.2, "count": 4},
+        "compare": {"start": 0.02, "stop": 0.2, "count": 6},
+    }
+    argv = [command, "--config", write_config(tmp_path, document)]
+    code, out, err, raised = run_quietly(capsys, argv)
+    assert (code, out, raised) == (2, "", [])
+    assert err == "config error: model.tau: the expansion's coefficients overflow\n"
+
+
+@pytest.mark.parametrize(
+    "model, compare, message",
+    [
+        (
+            RING3,
+            {"start": 0.02, "stop": 1e20, "count": 6},
+            "compare.stop: a grid point's propagator overflows",
+        ),
+        (
+            {**RING3, "tau": 1e100},
+            {"start": 0.02, "stop": 0.2, "count": 6},
+            "model.tau: the one-period propagator overflows",
+        ),
+        (
+            {**RING3, "tau": 10.0},
+            {"start": 0.02, "stop": 0.2, "count": 6},
+            "model.tau: the expansion's stroboscopic evolution overflows",
+        ),
+    ],
+    ids=["grid-point", "one-period-step", "stroboscopic"],
+)
+def test_compare_exact_propagator_overflow_is_a_configuration_error(
+    tmp_path, capsys, model, compare, message
+):
+    """A propagator that overflows ends ``compare-exact`` with exit 2 naming
+    the key whose duration scales it, with no traceback and no warning: a
+    grid point's (``compare.stop``), the exact one-period step's, or the
+    expansion's one-period exponentials in the stroboscopic series (both
+    ``model.tau``)."""
+    document = {"schema_version": 1, "model": model, "orders": [0, 1, 2], "compare": compare}
+    argv = ["compare-exact", "--config", write_config(tmp_path, document)]
+    code, out, err, raised = run_quietly(capsys, argv)
+    assert (code, out, raised) == (2, "", [])
+    assert err == f"config error: {message}\n"
+
+
+def test_compare_exact_far_grid_reports_strict_json(tmp_path, capsys):
+    """A grid out to ``compare.stop = 1e12`` still runs, and its report
+    holds only finite numbers."""
+    document = {
+        "schema_version": 1,
+        "model": RING3,
+        "orders": [0, 1, 2],
+        "compare": {"start": 0.02, "stop": 1e12, "count": 6},
+    }
+    argv = ["compare-exact", "--config", write_config(tmp_path, document)]
+    code, out, err, raised = run_quietly(capsys, argv)
+    assert (code, err, raised) == (0, "", [])
+    report = strict_json(out)
+    assert report["tau_grid"][-1] == 1e12
+
+
+def test_report_with_a_non_finite_number_is_a_numerical_contract_violation(tmp_path, capsys):
+    """Model C with ``tau = 1e100``: the round-trip residual overflows to
+    NaN, which JSON does not allow. ``analyze`` writes no report and exits
+    3 with one line that says so; the same run through orders 0..1 reports
+    strict JSON."""
+    model = {**RING3, "tau": 1e100}
+    document = {"schema_version": 1, "model": model, "orders": [0, 1, 2]}
+    code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, document)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error [FloquetLindbladError]: analyze: the report would hold a non-finite "
+        "number, which JSON does not allow\n"
+    )
+    document["orders"] = [0, 1]
+    code, out, err = run_cli(capsys, ["analyze", "--config", write_config(tmp_path, document)])
+    assert (code, err) == (0, "")
+    assert strict_json(out)["metadata"]["model"]["tau"] == 1e100
+
+
+def test_custom_durations_whose_powers_overflow_are_a_configuration_error(tmp_path, capsys):
+    """A custom two-segment drive of equal durations takes the closed-form
+    orders too; durations of 1e200 exit 2 naming ``model.segments``, which
+    holds them, not ``model.tau``, which it lacks."""
+    model = _custom_drive(1e200)
+    model["segments"][0]["duration"] = 1e200
+    document = {"schema_version": 1, "model": model, "orders": [0, 1, 2]}
+    argv = ["analyze", "--config", write_config(tmp_path, document)]
+    code, out, err, raised = run_quietly(capsys, argv)
+    assert (code, out, raised) == (2, "", [])
+    assert err == "config error: model.segments: the expansion's coefficients overflow\n"
