@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from contextlib import contextmanager
@@ -386,11 +387,41 @@ class RunConfig:
         return meta
 
 
+def _indented_json(document) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True, allow_nan=False)``
+    and a newline, byte for byte: the C encoder writes the document compact
+    (ASCII), then one NumPy pass inserts a newline and two spaces per depth
+    after each opener and comma and before each closer, outside strings and
+    empty ``[]``/``{}``. With escaped backslashes, then escaped quotes,
+    masked, a byte is in a string when an odd number of quotes precede it."""
+    raw = json.dumps(document, sort_keys=True, allow_nan=False, separators=(",", ": ")).encode()
+    plain = raw.replace(b"\\\\", b"..").replace(b'\\"', b"..")
+    plain = np.frombuffer(plain, np.uint8)
+    folded = plain | 32  # "[" and "]" read as "{" and "}"
+    at = ((folded == 123) | (folded == 125) | (plain == 44)).nonzero()[0]
+    at = at[(plain == 34).nonzero()[0].searchsorted(at) & 1 == 0]
+    opener, closer = folded[at] == 123, folded[at] == 125
+    inner = folded[at + 1 - 2 * closer]  # the container's first or last byte
+    kept = ~(opener & (inner == 125) | closer & (inner == 123))
+    where = (at + ~closer)[kept]  # after an opener or comma, before a closer
+    width = 1 + 2 * (opener.astype(np.int64) - closer).cumsum()[kept]
+    runs = np.empty(2 * where.size + 1, np.int64)  # text, indent, ..., text
+    runs[0:-1:2], runs[-1] = where, plain.size
+    runs[2::2] -= where
+    runs[1::2] = width
+    text = (np.arange(runs.size) % 2 == 0).repeat(runs)
+    out = np.full(text.size + 1, 32, np.uint8)
+    out[:-1][text] = np.frombuffer(raw, np.uint8)
+    out[where + width.cumsum() - width] = out[-1] = 10
+    return out.tobytes().decode("ascii")
+
+
 def _json_report(config: RunConfig, command: str, **entries) -> str:
-    """The JSON report of ``command``: ``entries``, the schema version and the run's metadata."""
+    """The JSON report of ``command``: ``entries``, the schema version and
+    the run's metadata, as :func:`_indented_json` writes them."""
     document = dict(entries, schema_version=SCHEMA_VERSION, metadata=config.metadata(command))
     try:
-        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _indented_json(document)
     except ValueError:
         message = "the report would hold a non-finite number, which JSON does not allow"
         raise FloquetLindbladError(f"{command}: {message}") from None
@@ -416,7 +447,7 @@ def cmd_analyze(config: RunConfig) -> str:
                     "d_n": sum(len(indices) for indices, _ in blocks),
                     "blocks": [
                         {
-                            "indices": [str(index) for index in indices],
+                            "indices": indices,
                             "size": len(indices),
                             "min_eigenvalue": float(eigenvalues[0]),
                         }
@@ -492,6 +523,8 @@ def cmd_scan(config: RunConfig) -> str:
     points = _certify_grid(config, unit, parameter, grid, config.orders, "scan")
     for value, reports in zip(map(_format_float, grid), points):
         for order, report in zip(config.orders, reports):
+            if not math.isfinite(report.min_eigenvalue):  # nor is its breaking degree
+                raise FloquetLindbladError("scan: the report would hold a non-finite number")
             verdict = "true" if report.is_liouvillian else "false"
             numbers = (report.min_eigenvalue, report.breaking_degree)
             min_eig, degree = map(_format_float, numbers)

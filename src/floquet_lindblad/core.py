@@ -271,14 +271,14 @@ def coupled_components(
 
 def block_eigvalsh(stacks) -> list[np.ndarray]:
     """Ascending eigenvalues of the Hermitian part of every block of each
-    stack ``(k, m, m)``, in one call per stack. As in :func:`matrix_exp`,
-    a block with a non-finite entry is solved as zeros and then gets only
-    NaN: LAPACK may return finite values for it, or fail."""
+    stack ``(k, m, m)``, in one call per stack. As in :func:`matrix_exp`, a
+    block whose Hermitian part is not finite (it may overflow) is solved as
+    zeros and then gets only NaN: LAPACK may return finite values, or fail."""
     values = []
     for stack in stacks:
-        finite = np.isfinite(stack).all(axis=(-2, -1))
-        blocks = np.where(finite[..., None, None], stack, 0.0)
-        solved = np.linalg.eigvalsh(0.5 * (blocks + blocks.conj().swapaxes(-1, -2)))
+        hermitian = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+        finite = np.isfinite(hermitian).all(axis=(-2, -1))
+        solved = np.linalg.eigvalsh(np.where(finite[..., None, None], hermitian, 0.0))
         solved[~finite] = np.nan
         values.append(solved)
     return values

@@ -73,6 +73,7 @@ from .pauli import (
     _transpose_signs,
     code_weights,
     indices_of,
+    labels_of,
     matrix_from_pauli_terms,
     merge_pauli_terms,
     pauli_coefficients,
@@ -631,8 +632,9 @@ def order_certificates(expansion: EffectiveExpansion, orders, weight_limit, tol_
     :return: the largest entry of every order term's full ``[a_jk]``, and
         per order of ``orders`` a tuple ``(report, blocks, residual,
         term_report, term_trace)``: the :func:`psd_report` of the cumulative
-        generator restricted to ``weight_limit``, its blocks as ``(indices,
-        eigenvalues)`` in the order of their first index, its
+        generator restricted to ``weight_limit``, its blocks as ``(labels,
+        eigenvalues)`` in the order of their first index, the labels of the
+        indices as strings (:func:`~floquet_lindblad.pauli.labels_of`), its
         :func:`roundtrip_residual` (None under a ``weight_limit``), and the
         order term's own restricted report and trace.
     """
@@ -644,10 +646,11 @@ def order_certificates(expansion: EffectiveExpansion, orders, weight_limit, tol_
     keys, values = sums["dissipator"]
     cumulative = {k: (c, np.cumsum(v, axis=0)) for k, (c, v) in sums.items()}
     num_sites, certificates = cut.num_sites, []
+    labels = labels_of(cut._codes, num_sites)
     for order in orders:
         s, t = selections.index((0, order)), selections.index((order, order))
         points = layouts[s].unstack([eigenvalues[0] for eigenvalues in spectra[s]])
-        blocks = [(indices_of(cut._codes[block], num_sites), vals) for block, vals in points]
+        blocks = [(labels[block].tolist(), vals) for block, vals in points]
         residual = None
         if weight_limit is None:
             row = {k: (c, v[order]) for k, (c, v) in cumulative.items()}

@@ -175,6 +175,13 @@ def indices_of(codes: Iterable[int], num_sites: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex.from_code(int(code), num_sites) for code in codes)
 
 
+def labels_of(codes: np.ndarray, num_sites: int) -> np.ndarray:
+    """``str(MultiIndex.from_code(code, num_sites))`` of each of ``codes``, in
+    one array: the codes' base-4 digits (site 0 first) looked up in ``"ixyz"``."""
+    digits = np.asarray(codes)[:, None] >> 2 * np.arange(num_sites - 1, -1, -1) & 3
+    return np.array(list("ixyz"))[digits].view(f"<U{num_sites}")[:, 0]
+
+
 def pauli_string(
     indices: "MultiIndex | Sequence[int]", num_sites: int | None = None
 ) -> np.ndarray:

@@ -26,6 +26,7 @@ from floquet_lindblad.pauli import (
     _string_products,
     code_two_counts,
     code_weights,
+    labels_of,
     matrix_from_pauli_terms,
     quadratic_product_coefficients,
 )
@@ -50,6 +51,16 @@ def test_multi_index_code_roundtrip():
     for code in range(16):
         index = MultiIndex.from_code(code, 2)
         assert index.code == code
+
+
+@pytest.mark.parametrize("num_sites", range(1, 7))
+def test_labels_spell_every_code_as_its_multi_index(num_sites):
+    """``labels_of`` gives each code the string of its multi-index, for
+    every code on 1 to 6 sites, in the codes' order; no code gives none."""
+    codes = np.arange(4**num_sites)[::-1]
+    expected = [str(MultiIndex.from_code(int(code), num_sites)) for code in codes]
+    assert labels_of(codes, num_sites).tolist() == expected
+    assert labels_of(np.array([], dtype=np.int64), num_sites).tolist() == []
 
 
 def test_multi_index_two_count():
